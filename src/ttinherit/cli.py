@@ -23,7 +23,9 @@ import sys
 from .container import save_tt
 from .errors import TTInheritError
 from .experiment import (
+    QUARTILE_METHOD,
     ExperimentConfig,
+    _summaries_json,
     desk_preset,
     paper_preset,
     run_experiment,
@@ -88,12 +90,11 @@ def load_config(args) -> ExperimentConfig:
     cfg = ExperimentConfig.from_dict(raw)
     if getattr(args, "scale", None):
         preset = desk_preset() if args.scale == "desk" else paper_preset()
-        sizes_I, sizes_J = ExperimentConfig.default_sample_sizes(preset.shape, preset.ranks)
         cfg = cfg.replace(
-            shape=list(preset.shape),
-            ranks=list(preset.ranks),
-            sample_sizes_I=list(sizes_I),
-            sample_sizes_J=list(sizes_J),
+            shape=preset.shape,
+            ranks=preset.ranks,
+            sample_sizes_I=preset.sample_sizes_I,
+            sample_sizes_J=preset.sample_sizes_J,
         )
     if getattr(args, "seed", None) is not None:
         if args.seed < 0:
@@ -108,7 +109,7 @@ def load_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _print_run_report(result, wrote: bool) -> None:
+def _print_run_report(result) -> None:
     cfg = result.config
     print(
         f"shape {tuple(cfg.shape)}, ranks {cfg.ranks}, {cfg.trials} trials x "
@@ -133,29 +134,19 @@ def _print_run_report(result, wrote: bool) -> None:
     print(f"bound violations: {result.bound_violations}")
     if result.failures:
         print(f"failed trials: {len(result.failures)}")
-    if wrote:
-        for name, path in result.paths.items():
-            print(f"  wrote {name}: {path}")
+    for name, path in result.paths.items():
+        print(f"  wrote {name}: {path}")
 
 
 def _cmd_run(args) -> int:
-    cfg = load_config(args)
-    result = run_experiment(cfg, write=True)
-    _print_run_report(result, wrote=True)
-    if result.bound_violations or result.failures:
-        return EXIT_VIOLATIONS
-    return EXIT_OK
-
-
-def _cmd_verify(args) -> int:
-    cfg = load_config(args)
-    result = run_experiment(cfg, write=False)
-    _print_run_report(result, wrote=False)
-    if result.bound_violations or result.failures:
-        print("VERIFY: FAIL")
-        return EXIT_VIOLATIONS
-    print("VERIFY: OK")
-    return EXIT_OK
+    """``run`` writes every artifact; ``verify`` writes nothing and prints a verdict."""
+    verify = args.command == "verify"
+    result = run_experiment(load_config(args), write=not verify)
+    _print_run_report(result)
+    ok = not (result.bound_violations or result.failures)
+    if verify:
+        print("VERIFY: OK" if ok else "VERIFY: FAIL")
+    return EXIT_OK if ok else EXIT_VIOLATIONS
 
 
 def _cmd_generate(args) -> int:
@@ -189,15 +180,13 @@ def _cmd_report(args) -> int:
     if not needed <= set(rows[0]):
         raise TTInheritError(f"{csv_path}: missing columns {sorted(needed - set(rows[0]))}")
 
-    generators = []
     labels = []
-    values: dict[str, dict[str, list[float]]] = {}
+    values: dict[str, dict[str, list[float]]] = {}  # generators in file order
     any_fail = False
     for row in rows:
         kind, label = row["generator"], row["parameter_label"]
         if kind not in values:
             values[kind] = {}
-            generators.append(kind)
         if label not in values[kind]:
             values[kind][label] = []
             if label not in labels:
@@ -213,29 +202,15 @@ def _cmd_report(args) -> int:
     doc = {
         "source": csv_path,
         "version": version_stamp(),
-        "quartile_method": "linear interpolation between order statistics (type 7)",
-        "summaries": {
-            kind: {
-                label: {
-                    "median": s.median,
-                    "q1": s.q1,
-                    "q3": s.q3,
-                    "whisker_low": s.whisker_low,
-                    "whisker_high": s.whisker_high,
-                    "outliers": list(s.outliers),
-                    "mean": s.mean,
-                }
-                for label, s in per_gen.items()
-            }
-            for kind, per_gen in summaries.items()
-        },
+        "quartile_method": QUARTILE_METHOD,
+        "summaries": _summaries_json(summaries),
     }
     summary_path = os.path.join(args.in_dir, "summary.json")
     with open(summary_path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=2)
         f.write("\n")
     print(f"wrote {summary_path}")
-    for kind in generators:
+    for kind in values:
         svg_path = os.path.join(args.in_dir, f"boxplot_{kind}.svg")
         ordered = [summaries[kind][label] for label in labels if label in summaries[kind]]
         write_boxplot_svg(svg_path, f"Sampling factors — {kind} cores", ordered)
@@ -255,7 +230,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_OK
     handlers = {
         "run": _cmd_run,
-        "verify": _cmd_verify,
+        "verify": _cmd_run,
         "generate": _cmd_generate,
         "report": _cmd_report,
     }

@@ -16,6 +16,7 @@ boxplot per generator.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -56,21 +57,6 @@ __all__ = [
     "resolve_workers",
     "version_stamp",
 ]
-
-_CONFIG_KEYS = {
-    "d",
-    "shape",
-    "ranks",
-    "generators",
-    "trials",
-    "sample_sizes_I",
-    "sample_sizes_J",
-    "master_seed",
-    "rank_tol",
-    "max_resample",
-    "output_dir",
-    "emit_svg",
-}
 
 QUARTILE_METHOD = "linear interpolation between order statistics (type 7)"
 
@@ -128,9 +114,8 @@ class ExperimentConfig:
         object.__setattr__(self, "shape", shape)
         d = len(shape)
         ranks = tuple(int(r) for r in self.ranks)
-        if len(ranks) != d - 1:
-            raise ConfigError(f"need {d - 1} ranks for {d} modes, got {len(ranks)}")
-        # geometry feasibility is the generator's concern; fail early here
+        # rank count and geometry feasibility are the generator's concern;
+        # fail early here
         GeneratorSpec("gaussian", shape, ranks, seed=0)
         object.__setattr__(self, "ranks", ranks)
 
@@ -210,7 +195,7 @@ class ExperimentConfig:
         """Build from a parsed JSON object; unknown fields are rejected."""
         if not isinstance(raw, dict):
             raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
-        unknown = sorted(set(raw) - _CONFIG_KEYS)
+        unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(cls)} - {"d"})
         if unknown:
             raise ConfigError(f"unknown config fields: {', '.join(unknown)}")
         missing = sorted(k for k in ("shape", "ranks", "trials", "master_seed") if k not in raw)
@@ -265,58 +250,36 @@ class ExperimentConfig:
         }
 
     def replace(self, **changes) -> "ExperimentConfig":
-        raw = self.to_dict()
-        raw.pop("d")
-        raw.update(changes)
-        return ExperimentConfig(
-            shape=Shape(tuple(raw["shape"])),
-            ranks=tuple(raw["ranks"]),
-            generators=tuple(raw["generators"]),
-            trials=raw["trials"],
-            master_seed=raw["master_seed"],
-            sample_sizes_I=tuple(raw["sample_sizes_I"]),
-            sample_sizes_J=tuple(raw["sample_sizes_J"]),
-            rank_tol=raw["rank_tol"],
-            max_resample=raw["max_resample"],
-            output_dir=raw["output_dir"],
-            emit_svg=raw["emit_svg"],
-        )
+        """A re-validated copy with ``changes``; an unknown field raises TypeError."""
+        return dataclasses.replace(self, **changes)
+
+
+def _preset(n: int, output_dir: str, overrides: dict) -> ExperimentConfig:
+    """Shape n^4, ranks (2,3,2), default sample sizes, 20 trials, then ``overrides``."""
+    shape = Shape((n, n, n, n))
+    ranks = (2, 3, 2)
+    sizes_I, sizes_J = ExperimentConfig.default_sample_sizes(shape, ranks)
+    cfg = ExperimentConfig(
+        shape=shape,
+        ranks=ranks,
+        generators=KINDS,
+        trials=20,
+        master_seed=42,
+        sample_sizes_I=sizes_I,
+        sample_sizes_J=sizes_J,
+        output_dir=output_dir,
+    )
+    return cfg.replace(**overrides)
 
 
 def desk_preset(**overrides) -> ExperimentConfig:
     """Laptop-minutes preset: shape 20^4, ranks (2,3,2), 20 trials."""
-    shape = Shape((20, 20, 20, 20))
-    ranks = (2, 3, 2)
-    sizes_I, sizes_J = ExperimentConfig.default_sample_sizes(shape, ranks)
-    cfg = ExperimentConfig(
-        shape=shape,
-        ranks=ranks,
-        generators=KINDS,
-        trials=20,
-        master_seed=42,
-        sample_sizes_I=sizes_I,
-        sample_sizes_J=sizes_J,
-        output_dir="out-desk",
-    )
-    return cfg.replace(**overrides) if overrides else cfg
+    return _preset(20, "out-desk", overrides)
 
 
 def paper_preset(**overrides) -> ExperimentConfig:
     """Full-scale preset: shape 100^4, ranks (2,3,2), 20 trials."""
-    shape = Shape((100, 100, 100, 100))
-    ranks = (2, 3, 2)
-    sizes_I, sizes_J = ExperimentConfig.default_sample_sizes(shape, ranks)
-    cfg = ExperimentConfig(
-        shape=shape,
-        ranks=ranks,
-        generators=KINDS,
-        trials=20,
-        master_seed=42,
-        sample_sizes_I=sizes_I,
-        sample_sizes_J=sizes_J,
-        output_dir="out-paper",
-    )
-    return cfg.replace(**overrides) if overrides else cfg
+    return _preset(100, "out-paper", overrides)
 
 
 @dataclass(frozen=True)
@@ -427,48 +390,35 @@ def run_trial(config: ExperimentConfig, kind: str, trial: int) -> TrialResult:
     svds = [unfolding_svd(t, k, tol) for k in range(1, d)]
     ranks = tuple(s.rank for s in svds)
 
-    # nested row sets: level i samples from level i-1 refined by mode i
-    I_sets: list[IndexSet] = []
-    res_I: list[int] = []
-    prev: IndexSet = IndexSet.full(1)
-    for i in range(1, d):
-        pool = kron_extend(prev, t.shape[i - 1])
-        svd_i = svds[i - 1]
-        cand, tries = _sample_level(
-            pool,
-            config.sample_sizes_I[i - 1],
-            lambda c, s=svd_i: s.W[c.zero_based(), :],
-            ranks[i - 1],
-            tol,
-            trial_seed,
-            "rows",
-            i,
-            config.max_resample,
-        )
-        I_sets.append(cand)
-        res_I.append(tries)
-        prev = cand
-
-    # column sets: independent per level, sampled from the full pool
-    J_sets: list[IndexSet] = []
-    res_J: list[int] = []
-    shp = Shape(t.shape)
-    for i in range(1, d):
-        pool = IndexSet.full(shp.suffix_size(i))
-        svd_i = svds[i - 1]
-        cand, tries = _sample_level(
-            pool,
-            config.sample_sizes_J[i - 1],
-            lambda c, s=svd_i: s.V[c.zero_based(), :],
-            ranks[i - 1],
-            tol,
-            trial_seed,
-            "cols",
-            i,
-            config.max_resample,
-        )
-        J_sets.append(cand)
-        res_J.append(tries)
+    # all row levels, then all column levels.  Row sets are nested: level i
+    # samples from level i-1 refined by mode i.  Column sets are independent
+    # per level, sampled from the full pool.
+    sets: dict[str, list[IndexSet]] = {"rows": [], "cols": []}
+    redraws: dict[str, list[int]] = {"rows": [], "cols": []}
+    for stream in ("rows", "cols"):
+        for i in range(1, d):
+            svd_i = svds[i - 1]
+            if stream == "rows":
+                prev = sets["rows"][-1] if i > 1 else IndexSet.full(1)
+                pool = kron_extend(prev, t.shape[i - 1])
+                size, factor = config.sample_sizes_I[i - 1], svd_i.W
+            else:
+                pool = IndexSet.full(config.shape.suffix_size(i))
+                size, factor = config.sample_sizes_J[i - 1], svd_i.V
+            cand, tries = _sample_level(
+                pool,
+                size,
+                lambda c, f=factor: f[c.zero_based(), :],
+                ranks[i - 1],
+                tol,
+                trial_seed,
+                stream,
+                i,
+                config.max_resample,
+            )
+            sets[stream].append(cand)
+            redraws[stream].append(tries)
+    I_sets, J_sets = sets["rows"], sets["cols"]
 
     records_rows = check_row_sampling_bounds(t, I_sets, tol, svds=svds)
     records_cols = check_column_sampling_bounds(t, I_sets, J_sets, tol, svds=svds)
@@ -483,20 +433,18 @@ def run_trial(config: ExperimentConfig, kind: str, trial: int) -> TrialResult:
     for label, family, i, t_off in param_grid(d):
         if family == "alpha_it":
             rec = by_it[(i, t_off)]
-            values[label] = rec.value
             passes[label] = rec.satisfied
-            resamples[label] = res_I[i - 1]
+            resamples[label] = redraws["rows"][i - 1]
         elif family == "alpha_i":
             rec = by_alpha[i]
             # the level-i inequalities live on the beta record
-            values[label] = rec.value
             passes[label] = rec.rank_hypothesis_ok and by_beta[i].satisfied
-            resamples[label] = res_I[i - 2]
+            resamples[label] = redraws["rows"][i - 2]
         else:
             rec = by_beta[i]
-            values[label] = rec.value
             passes[label] = rec.satisfied and (i == 1 or by_alpha[i].rank_hypothesis_ok)
-            resamples[label] = res_J[i - 1]
+            resamples[label] = redraws["cols"][i - 1]
+        values[label] = rec.value
 
     return TrialResult(
         generator=kind,
@@ -537,21 +485,24 @@ class ExperimentResult:
 
     @property
     def bound_violations(self) -> int:
-        n = 0
-        for res in self.results:
-            for rec in res.records_rows + res.records_cols:
-                if rec.rank_hypothesis_ok and not rec.satisfied:
-                    n += 1
-        return n
+        return _count_outcomes(self.results)[0]
 
     @property
     def hypothesis_failures(self) -> int:
-        n = 0
-        for res in self.results:
-            for rec in res.records_rows + res.records_cols:
-                if not rec.rank_hypothesis_ok:
-                    n += 1
-        return n
+        return _count_outcomes(self.results)[1]
+
+
+def _count_outcomes(results) -> tuple[int, int]:
+    """(bound violations, rank-hypothesis failures) over every record of ``results``."""
+    n_viol = 0
+    n_hyp = 0
+    for res in results:
+        for rec in res.records_rows + res.records_cols:
+            if not rec.rank_hypothesis_ok:
+                n_hyp += 1
+            elif not rec.satisfied:
+                n_viol += 1
+    return n_viol, n_hyp
 
 
 def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentResult:
@@ -559,38 +510,26 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentRe
 
     Trials are independent and may run on a small thread pool (numpy releases
     the GIL inside LAPACK); results are collected in deterministic
-    (generator, trial) order regardless of scheduling.  A trial that exhausts
-    its resample budget is excluded from the results with a warning and
-    listed in ``failures``.
+    (generator, trial) order regardless of scheduling.  A trial that raises
+    (it exhausts its resample budget, its tensor cannot be generated, ...) is
+    excluded from the results with a warning and listed in ``failures``; the
+    other trials still run.
     """
     tasks = [(kind, trial) for kind in config.generators for trial in range(config.trials)]
-    workers = resolve_workers()
-    outcomes: list = [None] * len(tasks)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_trial, config, kind, trial) for kind, trial in tasks]
-            for idx, fut in enumerate(futures):
-                try:
-                    outcomes[idx] = fut.result()
-                except TrialError as exc:
-                    outcomes[idx] = exc
-    else:
-        for idx, (kind, trial) in enumerate(tasks):
-            try:
-                outcomes[idx] = run_trial(config, kind, trial)
-            except TrialError as exc:
-                outcomes[idx] = exc
-
     results: list[TrialResult] = []
     failures: list[dict] = []
-    for (kind, trial), outcome in zip(tasks, outcomes):
-        if isinstance(outcome, TrialResult):
-            results.append(outcome)
-        else:
-            failures.append({"generator": kind, "trial": trial, "error": str(outcome)})
-            warnings.warn(
-                f"trial {trial} ({kind}) excluded: {outcome}", RuntimeWarning, stacklevel=2
-            )
+    with ThreadPoolExecutor(max_workers=resolve_workers()) as pool:
+        futures = [pool.submit(run_trial, config, kind, trial) for kind, trial in tasks]
+        for (kind, trial), fut in zip(tasks, futures):
+            try:
+                results.append(fut.result())
+            except Exception as exc:  # one failed trial must not end the run
+                failures.append({"generator": kind, "trial": trial, "error": str(exc)})
+                warnings.warn(
+                    f"trial {trial} ({kind}) excluded: {type(exc).__name__}: {exc}",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
 
     summaries: dict[str, dict[str, BoxplotSummary]] = {}
     grid = param_grid(config.d)
@@ -633,14 +572,7 @@ def version_stamp() -> str:
 
 def summary_payload(results, summaries, config, failures=None) -> dict:
     """The summary.json document (dict form)."""
-    n_viol = 0
-    n_hyp = 0
-    for res in results:
-        for rec in res.records_rows + res.records_cols:
-            if not rec.rank_hypothesis_ok:
-                n_hyp += 1
-            elif not rec.satisfied:
-                n_viol += 1
+    n_viol, n_hyp = _count_outcomes(results)
     return {
         "config": config.to_dict(),
         "version": version_stamp(),
@@ -652,21 +584,26 @@ def summary_payload(results, summaries, config, failures=None) -> dict:
         "trials_failed": list(failures or []),
         "bound_violations": n_viol,
         "rank_hypothesis_failures": n_hyp,
-        "summaries": {
-            kind: {
-                label: {
-                    "median": s.median,
-                    "q1": s.q1,
-                    "q3": s.q3,
-                    "whisker_low": s.whisker_low,
-                    "whisker_high": s.whisker_high,
-                    "outliers": list(s.outliers),
-                    "mean": s.mean,
-                }
-                for label, s in per_gen.items()
+        "summaries": _summaries_json(summaries),
+    }
+
+
+def _summaries_json(summaries: dict[str, dict[str, BoxplotSummary]]) -> dict:
+    """Per-generator, per-label boxplot summaries as JSON-ready dicts."""
+    return {
+        kind: {
+            label: {
+                "median": s.median,
+                "q1": s.q1,
+                "q3": s.q3,
+                "whisker_low": s.whisker_low,
+                "whisker_high": s.whisker_high,
+                "outliers": list(s.outliers),
+                "mean": s.mean,
             }
-            for kind, per_gen in summaries.items()
-        },
+            for label, s in per_gen.items()
+        }
+        for kind, per_gen in summaries.items()
     }
 
 

@@ -65,10 +65,7 @@ class Shape:
     @property
     def size(self) -> int:
         """Total number of entries (exact int, no overflow)."""
-        out = 1
-        for n in self.dims:
-            out *= n
-        return out
+        return self.prefix_size(len(self.dims))
 
     def prefix_size(self, i: int) -> int:
         """Product of the first ``i`` mode sizes (``i = 0`` gives 1)."""

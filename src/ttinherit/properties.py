@@ -46,7 +46,6 @@ from .linalg import (
 from .multiindex import IndexSet, Shape, kron_extend
 from .tt import (
     TTTensor,
-    left_interface,
     row_restrict,
     submatrix_svd,
     tt_rank_numerical,
@@ -205,6 +204,41 @@ def _extended_rows(t: TTTensor, I_i: IndexSet, i: int, k: int) -> IndexSet:
     return rows
 
 
+def _sampling_factor(
+    t: TTTensor,
+    kept: IndexSet,
+    i: int,
+    k: int,
+    side: str,
+    rank_tol: float,
+    svd: ThinSVD | None,
+) -> float:
+    """sqrt(|kept| / N) * ||F(rows, :)^+||_2, the construction behind
+    alpha_it, alpha_i and beta_i.
+
+    ``side`` "W": ``kept`` are rows of unfolding i, N = prod(n_1..n_i), F is
+    the left factor W_k, and ``rows`` are ``kept`` extended by the full modes
+    i+1..k.  ``side`` "V": ``kept`` are columns of unfolding i = k,
+    N = prod(n_{i+1}..n_d), F is the right factor V_k, and ``rows`` = ``kept``.
+    """
+    if not 1 <= i <= k <= t.d - 1:
+        raise DomainError(f"need 1 <= level i <= unfolding k <= {t.d - 1}, got i={i}, k={k}")
+    shp = Shape(t.shape)
+    if side == "W":
+        N, name, modes = shp.prefix_size(i), "I_i", f"first {i}"
+    else:
+        N, name, modes = shp.suffix_size(i), "J_i", "trailing"
+    if kept.domain != N:
+        raise DomainError(f"{name} domain {kept.domain} != prod of {modes} mode sizes {N}")
+    if len(kept) == 0:
+        raise DomainError(f"{name} must be nonempty")
+    if svd is None:
+        svd = unfolding_svd(t, k, rank_tol)
+    F = svd.W if side == "W" else svd.V
+    rows = _extended_rows(t, kept, i, k)
+    return float(np.sqrt(len(kept) / N) * pinv_spectral_norm(F[rows.zero_based(), :], rank_tol))
+
+
 def alpha_it(
     t: TTTensor,
     I_i: IndexSet,
@@ -220,22 +254,7 @@ def alpha_it(
     under full sampling and >= sqrt(|I_i| / prod(n_1..n_i)) always.  An
     ``svd`` of unfolding k may be passed to avoid recomputation.
     """
-    shp = Shape(t.shape)
-    if not 1 <= i <= t.d - 1:
-        raise DomainError(f"level i must be in [1, {t.d - 1}], got {i}")
-    if not 1 <= t_off <= t.d - i:
-        raise DomainError(f"offset t must be in [1, {t.d - i}], got {t_off}")
-    P_i = shp.prefix_size(i)
-    if I_i.domain != P_i:
-        raise DomainError(f"I_i domain {I_i.domain} != prod of first {i} mode sizes {P_i}")
-    if len(I_i) == 0:
-        raise DomainError("I_i must be nonempty")
-    k = i + t_off - 1
-    if svd is None:
-        svd = unfolding_svd(t, k, rank_tol)
-    rows = _extended_rows(t, I_i, i, k)
-    sub = svd.W[rows.zero_based(), :]
-    return float(np.sqrt(len(I_i) / P_i) * pinv_spectral_norm(sub, rank_tol))
+    return _sampling_factor(t, I_i, i, i + t_off - 1, "W", rank_tol, svd)
 
 
 def alpha_i(
@@ -249,8 +268,9 @@ def alpha_i(
 
     For i >= 2 this is sqrt(|I_{i-1}| / prod(n_1..n_{i-1})) times the
     pseudoinverse norm of W_i restricted to rows I_{i-1} extended by the
-    full mode n_i; for i = 1 it is the constant :data:`ALPHA_1` = 1 (the
-    level-1 bound has no row factor) and ``I_prev`` is ignored.
+    full mode n_i, which is alpha_{i-1,2}; for i = 1 it is the constant
+    :data:`ALPHA_1` = 1 (the level-1 bound has no row factor) and
+    ``I_prev`` is ignored.
     """
     if i == 1:
         return ALPHA_1
@@ -258,19 +278,7 @@ def alpha_i(
         raise DomainError(f"level i must be in [1, {t.d - 1}], got {i}")
     if I_prev is None:
         raise DomainError("I_prev is required for i >= 2")
-    shp = Shape(t.shape)
-    P_prev = shp.prefix_size(i - 1)
-    if I_prev.domain != P_prev:
-        raise DomainError(
-            f"I_prev domain {I_prev.domain} != prod of first {i - 1} mode sizes {P_prev}"
-        )
-    if len(I_prev) == 0:
-        raise DomainError("I_prev must be nonempty")
-    if svd is None:
-        svd = unfolding_svd(t, i, rank_tol)
-    rows = kron_extend(I_prev, t.shape[i - 1])
-    sub = svd.W[rows.zero_based(), :]
-    return float(np.sqrt(len(I_prev) / P_prev) * pinv_spectral_norm(sub, rank_tol))
+    return alpha_it(t, I_prev, i - 1, 2, rank_tol, svd=svd)
 
 
 def beta_i(
@@ -285,18 +293,7 @@ def beta_i(
     sqrt(|J_i| / prod(n_{i+1}..n_d)) times the pseudoinverse norm of the
     right singular factor V_i restricted to rows J_i; 1 under full sampling.
     """
-    shp = Shape(t.shape)
-    if not 1 <= i <= t.d - 1:
-        raise DomainError(f"level i must be in [1, {t.d - 1}], got {i}")
-    Q_i = shp.suffix_size(i)
-    if J_i.domain != Q_i:
-        raise DomainError(f"J_i domain {J_i.domain} != prod of trailing mode sizes {Q_i}")
-    if len(J_i) == 0:
-        raise DomainError("J_i must be nonempty")
-    if svd is None:
-        svd = unfolding_svd(t, i, rank_tol)
-    sub = svd.V[J_i.zero_based(), :]
-    return float(np.sqrt(len(J_i) / Q_i) * pinv_spectral_norm(sub, rank_tol))
+    return _sampling_factor(t, J_i, i, i, "V", rank_tol, svd)
 
 
 @dataclass(frozen=True)
@@ -332,6 +329,33 @@ def check_rank_preservation(
 
 def _check(name: str, lhs: float, rhs: float, slack: float) -> BoundCheck:
     return BoundCheck(name, float(lhs), float(rhs), slack, bool(lhs <= rhs * (1.0 + slack)))
+
+
+def _record(
+    kind: str,
+    i: int,
+    t: int | None,
+    value: float,
+    parent: UnfoldingReport,
+    checks: tuple[BoundCheck, ...] = (),
+    rank_hypothesis_ok: bool | None = None,
+) -> InheritanceRecord:
+    """A record against ``parent``; empty ``checks`` mean the rank hypothesis
+    failed unless ``rank_hypothesis_ok`` says otherwise."""
+    if rank_hypothesis_ok is None:
+        rank_hypothesis_ok = bool(checks)
+    return InheritanceRecord(
+        kind=kind,
+        i=i,
+        t=t,
+        value=value,
+        kappa=parent.kappa,
+        mu1=parent.mu1,
+        mu2=parent.mu2,
+        rank=parent.rank,
+        checks=checks,
+        rank_hypothesis_ok=rank_hypothesis_ok,
+    )
 
 
 def validate_nested(t: TTTensor, nested: Sequence[IndexSet]) -> None:
@@ -388,66 +412,23 @@ def check_row_sampling_bounds(
             try:
                 a = alpha_it(t, I_i, i, t_off, rank_tol, svd=svds[k - 1])
                 ssvd = unfolding_svd(sub, t_off, rank_tol)
-                rank_ok = ssvd.rank == parent.rank
             except (SingularityError, RankZeroError):
-                records.append(
-                    InheritanceRecord(
-                        kind="alpha_it",
-                        i=i,
-                        t=t_off,
-                        value=float("nan"),
-                        kappa=parent.kappa,
-                        mu1=parent.mu1,
-                        mu2=parent.mu2,
-                        rank=parent.rank,
-                        checks=(),
-                        rank_hypothesis_ok=False,
-                    )
-                )
+                a, ssvd = float("nan"), None
+            if ssvd is None or ssvd.rank != parent.rank:
+                records.append(_record("alpha_it", i, t_off, a, parent))
                 continue
-            if not rank_ok:
-                records.append(
-                    InheritanceRecord(
-                        kind="alpha_it",
-                        i=i,
-                        t=t_off,
-                        value=a,
-                        kappa=parent.kappa,
-                        mu1=parent.mu1,
-                        mu2=parent.mu2,
-                        rank=parent.rank,
-                        checks=(),
-                        rank_hypothesis_ok=False,
-                    )
-                )
-                continue
-            m_sub, n_sub = ssvd.shape
-            mu_sub = incoherence(ssvd, m_sub, n_sub)
-            kappa_sub = condition_number(ssvd)
+            sub_rep = unfolding_report(t_off, ssvd)
             checks = (
-                _check("mu1", mu_sub.mu1, a**2 * parent.kappa**2 * parent.mu1, slack),
-                _check("mu2", mu_sub.mu2, parent.mu2, slack),
+                _check("mu1", sub_rep.mu1, a**2 * parent.kappa**2 * parent.mu1, slack),
+                _check("mu2", sub_rep.mu2, parent.mu2, slack),
                 _check(
                     "kappa",
-                    kappa_sub,
+                    sub_rep.kappa,
                     a * np.sqrt(parent.mu1 * parent.rank) * parent.kappa,
                     slack,
                 ),
             )
-            records.append(
-                InheritanceRecord(
-                    kind="alpha_it",
-                    i=i,
-                    t=t_off,
-                    value=a,
-                    kappa=parent.kappa,
-                    mu1=parent.mu1,
-                    mu2=parent.mu2,
-                    rank=parent.rank,
-                    checks=checks,
-                    rank_hypothesis_ok=True,
-                )
-            )
+            records.append(_record("alpha_it", i, t_off, a, parent, checks))
     return records
 
 
@@ -495,77 +476,33 @@ def check_column_sampling_bounds(
         J = J_sets[i - 1]
         I_prev = nested[i - 2] if i >= 2 else IndexSet.full(1)
         rows = kron_extend(I_prev, t.shape[i - 1])
-        hypothesis_ok = True
         a = ALPHA_1
         b = float("nan")
-        csvd = None
         try:
-            if i >= 2:
-                a = alpha_i(t, I_prev, i, rank_tol, svd=svds[i - 1])
+            a = alpha_i(t, I_prev, i, rank_tol, svd=svds[i - 1])
             b = beta_i(t, J, i, rank_tol, svd=svds[i - 1])
             csvd = submatrix_svd(t, i, rows, J, rank_tol)
-            if csvd.rank != parent.rank:
-                hypothesis_ok = False
         except (SingularityError, RankZeroError):
-            hypothesis_ok = False
+            csvd = None
+        hypothesis_ok = csvd is not None and csvd.rank == parent.rank
         if i >= 2:
-            records.append(
-                InheritanceRecord(
-                    kind="alpha_i",
-                    i=i,
-                    t=None,
-                    value=a,
-                    kappa=parent.kappa,
-                    mu1=parent.mu1,
-                    mu2=parent.mu2,
-                    rank=parent.rank,
-                    checks=(),
-                    rank_hypothesis_ok=hypothesis_ok,
-                )
-            )
+            records.append(_record("alpha_i", i, None, a, parent, rank_hypothesis_ok=hypothesis_ok))
         if not hypothesis_ok:
-            records.append(
-                InheritanceRecord(
-                    kind="beta_i",
-                    i=i,
-                    t=None,
-                    value=b,
-                    kappa=parent.kappa,
-                    mu1=parent.mu1,
-                    mu2=parent.mu2,
-                    rank=parent.rank,
-                    checks=(),
-                    rank_hypothesis_ok=False,
-                )
-            )
+            records.append(_record("beta_i", i, None, b, parent))
             continue
-        mu_c = incoherence(csvd, len(rows), len(J))
-        kappa_c = condition_number(csvd)
+        c_rep = unfolding_report(i, csvd)
         kap, mu1, mu2, r = parent.kappa, parent.mu1, parent.mu2, parent.rank
         if i == 1:
             checks = (
-                _check("mu1", mu_c.mu1, mu1, slack),
-                _check("mu2", mu_c.mu2, b**2 * kap**2 * mu2, slack),
-                _check("kappa", kappa_c, b * np.sqrt(mu2 * r) * kap, slack),
+                _check("mu1", c_rep.mu1, mu1, slack),
+                _check("mu2", c_rep.mu2, b**2 * kap**2 * mu2, slack),
+                _check("kappa", c_rep.kappa, b * np.sqrt(mu2 * r) * kap, slack),
             )
         else:
             checks = (
-                _check("mu1", mu_c.mu1, a**2 * b**2 * kap**2 * r * mu1 * mu2, slack),
-                _check("mu2", mu_c.mu2, b**2 * kap**2 * mu2, slack),
-                _check("kappa", kappa_c, a * b * np.sqrt(mu1 * mu2) * r * kap, slack),
+                _check("mu1", c_rep.mu1, a**2 * b**2 * kap**2 * r * mu1 * mu2, slack),
+                _check("mu2", c_rep.mu2, b**2 * kap**2 * mu2, slack),
+                _check("kappa", c_rep.kappa, a * b * np.sqrt(mu1 * mu2) * r * kap, slack),
             )
-        records.append(
-            InheritanceRecord(
-                kind="beta_i",
-                i=i,
-                t=None,
-                value=b,
-                kappa=kap,
-                mu1=mu1,
-                mu2=mu2,
-                rank=r,
-                checks=checks,
-                rank_hypothesis_ok=True,
-            )
-        )
+        records.append(_record("beta_i", i, None, b, parent, checks))
     return records

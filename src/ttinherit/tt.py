@@ -132,6 +132,27 @@ def entry(t: TTTensor, multi) -> float:
     return float(v[0, 0])
 
 
+def _check_position(t: TTTensor, i: int) -> None:
+    if not 1 <= i <= t.d - 1:
+        raise DomainError(f"unfolding position must be in [1, {t.d - 1}], got {i}")
+
+
+def _check_block(t: TTTensor, i: int, rows: IndexSet, J: IndexSet) -> None:
+    """Domain checks for a block T_<i>(rows, J) of the i-th unfolding."""
+    _check_position(t, i)
+    shp = Shape(t.shape)
+    if rows.domain != shp.prefix_size(i):
+        raise DomainError(
+            f"row domain {rows.domain} != prod of first {i} mode sizes {shp.prefix_size(i)}"
+        )
+    if J.domain != shp.suffix_size(i):
+        raise DomainError(
+            f"column domain {J.domain} != prod of trailing mode sizes {shp.suffix_size(i)}"
+        )
+    if len(rows) == 0 or len(J) == 0:
+        raise DomainError("row and column index sets must be nonempty")
+
+
 def _left_chain(cores, upto: int, block_rows: int, max_elems: int) -> np.ndarray:
     """Contract cores[0:upto] into the (prod n_j) x r_upto interface matrix.
 
@@ -163,8 +184,7 @@ def left_interface(
     max_elems: int = INTERFACE_ELEM_CAP,
 ) -> np.ndarray:
     """L_i: rows are the first i modes linearized (first index fastest), cols r_i."""
-    if not 1 <= i <= t.d - 1:
-        raise DomainError(f"unfolding position must be in [1, {t.d - 1}], got {i}")
+    _check_position(t, i)
     return _left_chain(t.cores, i, block_rows, max_elems)
 
 
@@ -175,8 +195,7 @@ def right_interface(
     max_elems: int = INTERFACE_ELEM_CAP,
 ) -> np.ndarray:
     """R_i: rows are modes i+1..d linearized (index i+1 fastest), cols r_i."""
-    if not 1 <= i <= t.d - 1:
-        raise DomainError(f"unfolding position must be in [1, {t.d - 1}], got {i}")
+    _check_position(t, i)
     cores = t.cores
     R = cores[-1][:, :, 0].T  # (n_d, r_{d-1})
     for k in range(t.d - 2, i - 1, -1):
@@ -228,8 +247,7 @@ def row_restrict(t: TTTensor, i: int, I: IndexSet) -> TTTensor:
     The selected rows of L_i become the new first core; the trailing cores
     are shared unchanged, so the result is again a TT of d - i + 1 modes.
     """
-    if not 1 <= i <= t.d - 1:
-        raise DomainError(f"unfolding position must be in [1, {t.d - 1}], got {i}")
+    _check_position(t, i)
     P = Shape(t.shape).prefix_size(i)
     if I.domain != P:
         raise DomainError(f"index-set domain {I.domain} != prod of first {i} mode sizes {P}")
@@ -248,19 +266,7 @@ def column_submatrix(
     Built as L_i(rows, :) @ R_i(J, :).T; the full unfolding never exists.
     The *result* is dense, so its size is capped.
     """
-    if not 1 <= i <= t.d - 1:
-        raise DomainError(f"unfolding position must be in [1, {t.d - 1}], got {i}")
-    shp = Shape(t.shape)
-    if rows.domain != shp.prefix_size(i):
-        raise DomainError(
-            f"row domain {rows.domain} != prod of first {i} mode sizes {shp.prefix_size(i)}"
-        )
-    if J.domain != shp.suffix_size(i):
-        raise DomainError(
-            f"column domain {J.domain} != prod of trailing mode sizes {shp.suffix_size(i)}"
-        )
-    if len(rows) == 0 or len(J) == 0:
-        raise DomainError("row and column index sets must be nonempty")
+    _check_block(t, i, rows, J)
     if len(rows) * len(J) > cap:
         raise CapacityError(f"submatrix would hold {len(rows) * len(J)} entries (cap {cap})")
     L = left_interface(t, i)[rows.zero_based(), :]
@@ -278,13 +284,7 @@ def submatrix_svd(
     width x width SVD, so it works at scales where the dense block would not
     fit in memory.
     """
-    if not 1 <= i <= t.d - 1:
-        raise DomainError(f"unfolding position must be in [1, {t.d - 1}], got {i}")
-    shp = Shape(t.shape)
-    if rows.domain != shp.prefix_size(i) or J.domain != shp.suffix_size(i):
-        raise DomainError("index-set domains do not match the unfolding")
-    if len(rows) == 0 or len(J) == 0:
-        raise DomainError("row and column index sets must be nonempty")
+    _check_block(t, i, rows, J)
     L = left_interface(t, i)[rows.zero_based(), :]
     R = right_interface(t, i)[J.zero_based(), :]
     return _factor_pair_svd(L, R, rank_tol)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import HealthCheck, settings
 
 from ttinherit import (
@@ -17,11 +16,10 @@ from ttinherit import (
     TTTensor,
     generate,
     kron_extend,
-    numerical_rank,
-    sample_without_replacement,
     unfolding_svd,
 )
-from ttinherit.multiindex import Shape, derived_rng
+from ttinherit.experiment import _sample_level
+from ttinherit.multiindex import Shape
 
 # deterministic hypothesis runs: example generation is derived from the test
 # body, not from a per-run random seed
@@ -47,32 +45,22 @@ def rel_err(got, want) -> float:
     return float(np.abs(got - want).max() / scale)
 
 
-def sample_valid_sets(
-    t: TTTensor,
-    sizes_I,
-    sizes_J,
-    seed: int,
-    rank_tol: float = 1e-9,
-    max_tries: int = 50,
-):
+def sample_valid_sets(t: TTTensor, sizes_I, sizes_J, seed: int, rank_tol: float = 1e-9):
     """Nested row sets and independent column sets whose factor rows keep rank.
 
-    Mirrors the experiment driver's sampling discipline: level-i row sets are
-    drawn inside the previous level's refinement and redrawn until the
-    corresponding rows of the left singular factor have full column rank
-    (same for column sets against the right factor).
+    Uses the sampler of ``run_trial`` itself: level-i row sets are drawn
+    inside the previous level's refinement and redrawn (up to 49 times)
+    until the corresponding rows of the left singular factor have full
+    column rank; the same holds for column sets against the right factor.
     """
     shp = Shape(t.shape)
     svds = [unfolding_svd(t, i, rank_tol) for i in range(1, t.d)]
 
     def draw(pool, size, factor, rank, stream, level):
-        for tries in range(max_tries):
-            rng = derived_rng(seed, stream, level, tries)
-            cand = sample_without_replacement(pool, size, rng)
-            block = factor[cand.zero_based(), :]
-            if numerical_rank(scipy.linalg.svdvals(block), rank_tol) == rank:
-                return cand
-        raise AssertionError(f"no rank-preserving sample at level {level} in {max_tries} tries")
+        cand, _ = _sample_level(
+            pool, size, lambda c: factor[c.zero_based(), :], rank, rank_tol, seed, stream, level, 49
+        )
+        return cand
 
     I_sets = []
     prev = IndexSet.full(1)

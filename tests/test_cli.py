@@ -101,6 +101,31 @@ def test_verify_fail_exits_one(config_path, monkeypatch, capsys):
     assert "VERIFY: FAIL" in capsys.readouterr().out
 
 
+def test_verify_failed_generation_exits_one_and_keeps_trials(tmp_path, capsys):
+    # hadamard trial 3 of this tiny geometry finds no full-rank draw
+    path = tmp_path / "tiny.json"
+    path.write_text(
+        json.dumps(
+            {
+                "shape": [2, 2, 2, 2],
+                "ranks": [2, 2, 2],
+                "generators": ["gaussian", "hadamard"],
+                "trials": 4,
+                "sample_sizes_I": [2, 2, 2],
+                "sample_sizes_J": [2, 2, 2],
+                "master_seed": 3,
+            }
+        )
+    )
+    with pytest.warns(RuntimeWarning, match="excluded"):
+        rc = main(["verify", "--config", str(path)])
+    out = capsys.readouterr().out
+    assert rc == EXIT_VIOLATIONS
+    assert "failed trials: 1" in out
+    assert "gaussian  4 trials" in out and "hadamard  3 trials" in out
+    assert "VERIFY: FAIL" in out
+
+
 # ---------------------------------------------------------------- generate
 
 

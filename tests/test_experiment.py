@@ -152,6 +152,15 @@ def test_config_replace_returns_new_frozen_value():
         cfg.trials = 5  # frozen dataclass
 
 
+def test_misspelled_config_fields_are_rejected():
+    with pytest.raises(TypeError, match="trails"):
+        _small_config().replace(trails=1)
+    with pytest.raises(TypeError, match="master_sed"):
+        desk_preset(master_sed=1)
+    with pytest.raises(TypeError, match="trails"):
+        paper_preset(trails=3)
+
+
 def test_default_sample_sizes_clip_to_pools():
     sizes_I, sizes_J = ExperimentConfig.default_sample_sizes((20, 20, 20, 20), (2, 3, 2))
     assert sizes_I == (8, 12, 8) and sizes_J == (8, 12, 8)
@@ -357,6 +366,28 @@ def test_run_experiment_survives_failed_trial(monkeypatch):
     ]
     # the surviving hadamard trial still gets a summary
     assert set(out.summaries) == {"gaussian", "hadamard"}
+
+
+def test_run_experiment_keeps_going_when_generation_fails(monkeypatch):
+    # hadamard trial 3 of this tiny geometry finds no full-rank draw; the
+    # GenerationError is recorded like any other failed trial
+    monkeypatch.setenv("TT_INHERIT_THREADS", "1")
+    cfg = ExperimentConfig(
+        shape=(2, 2, 2, 2),
+        ranks=(2, 2, 2),
+        generators=("hadamard",),
+        trials=4,
+        master_seed=3,
+        sample_sizes_I=(2, 2, 2),
+        sample_sizes_J=(2, 2, 2),
+        emit_svg=False,
+    )
+    with pytest.warns(RuntimeWarning, match="GenerationError"):
+        out = run_experiment(cfg, write=False)
+    assert [r.trial for r in out.results] == [0, 1, 2]
+    assert [(f["generator"], f["trial"]) for f in out.failures] == [("hadamard", 3)]
+    assert "no rank-(2, 2, 2) draw" in out.failures[0]["error"]
+    assert set(out.summaries) == {"hadamard"}
 
 
 def test_resolve_workers(monkeypatch):

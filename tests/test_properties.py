@@ -153,12 +153,15 @@ def test_alpha_level_one_is_constant_one():
 def test_alpha_i_equals_offset_two_row_factor():
     # the level-i row factor restricts the same unfolding's left factor to
     # the same rows as the (i-1, t=2) factor, so the two numbers coincide
-    t = make_tt("gaussian", (6, 5, 4, 3), (2, 3, 2), seed=47)
-    rng = derived_rng(47, "sets")
-    I1 = sample_without_replacement(IndexSet.full(6), 4, rng)
-    I2 = sample_without_replacement(kron_extend(I1, 5), 8, rng)
-    assert np.isclose(alpha_i(t, I1, 2), alpha_it(t, I1, 1, 2), rtol=1e-12)
-    assert np.isclose(alpha_i(t, I2, 3), alpha_it(t, I2, 2, 2), rtol=1e-12)
+    # bit for bit
+    for shape, ranks in (((6, 5, 4, 3), (2, 3, 2)), ((4, 3, 3, 3, 3, 2), (2, 3, 3, 3, 2))):
+        t = make_tt("gaussian", shape, ranks, seed=47)
+        rng = derived_rng(47, "sets")
+        I_prev = IndexSet.full(1)
+        for i in range(2, t.d):
+            pool = kron_extend(I_prev, t.shape[i - 2])
+            I_prev = sample_without_replacement(pool, min(len(pool), 2 * ranks[i - 2] + 1), rng)
+            assert alpha_i(t, I_prev, i) == alpha_it(t, I_prev, i - 1, 2)
 
 
 def test_alpha_i_rejects_bad_arguments():
