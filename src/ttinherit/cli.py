@@ -9,7 +9,12 @@ Exit codes: 0 success, 1 bound violations (or failed trials), 2 usage or
 configuration errors.  ``--scale`` overlays the preset geometry/trial count
 on top of the config file; ``--seed``/``--trials`` override single fields.
 Worker parallelism is controlled by the TT_INHERIT_THREADS environment
-variable (0 or unset = auto).
+variable (0 or unset = one worker per CPU this process may use, at most 4).
+While the trials run, every loaded OpenBLAS gets max(1, min(current,
+cpus // workers)) threads, so workers times BLAS threads does not exceed the
+CPUs; OPENBLAS_NUM_THREADS, which sets ``current``, is only a ceiling.  The
+limit is process-wide for the length of the run and is lifted when it ends;
+summary.json records it under ``threads``.
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ derived stream up to ``max_resample`` times (counted and reported).
 The experiment grid is generators x trials; everything is keyed by derived
 seeds so a (config, master_seed) pair fixes the entire run.  Results land in
 ``trials.csv`` (raw values, one row per trial/parameter), ``summary.json``
-(config echo plus per-parameter boxplot summaries), and one standalone SVG
-boxplot per generator.
+(config echo, thread plan and per-parameter boxplot summaries), and one
+standalone SVG boxplot per generator.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ import numpy as np
 import scipy.linalg
 
 from . import __version__
-from .errors import ConfigError, DomainError, NumericError, TrialError
-from .linalg import numerical_rank
+from .errors import ConfigError, DomainError, TrialError
+from .linalg import available_cpus, blas_thread_budget, numerical_rank
 from .multiindex import IndexSet, Shape, derived_rng, derived_seed, kron_extend, sample_without_replacement
 from .generators import KINDS, GeneratorSpec, generate
 from .properties import (
@@ -299,7 +299,11 @@ class TrialResult:
 
 @dataclass(frozen=True)
 class BoxplotSummary:
-    """Five-number summary plus mean and outliers for one parameter."""
+    """Five-number summary plus mean and outliers for one parameter.
+
+    ``excluded`` counts the non-finite values left out.  When every value
+    was left out, all six statistics are NaN and there are no outliers.
+    """
 
     label: str
     median: float
@@ -309,8 +313,11 @@ class BoxplotSummary:
     whisker_high: float
     outliers: tuple[float, ...]
     mean: float
+    excluded: int = 0
 
     def __post_init__(self):
+        if self.empty:
+            return
         iqr = self.q3 - self.q1
         if not self.q1 <= self.median <= self.q3:
             raise DomainError("median must lie between the quartiles")
@@ -320,6 +327,12 @@ class BoxplotSummary:
             if self.whisker_low <= v <= self.whisker_high:
                 raise DomainError("outliers must lie strictly outside the whiskers")
 
+    @property
+    def empty(self) -> bool:
+        """True when every value was excluded, so nothing was summarized."""
+        stats = (self.median, self.q1, self.q3, self.whisker_low, self.whisker_high, self.mean)
+        return bool(np.all(np.isnan(stats))) and not self.outliers
+
 
 def summarize_boxplot(values, label: str = "") -> BoxplotSummary:
     """Five-number summary with 1.5-IQR whiskers snapped to attained points.
@@ -327,13 +340,18 @@ def summarize_boxplot(values, label: str = "") -> BoxplotSummary:
     Quartiles use linear interpolation between order statistics (the common
     "type 7" rule).  Whiskers are the most extreme data points within
     1.5 IQR of the box; everything outside is listed as an outlier.  The
-    mean is arithmetic.
+    mean is arithmetic.  Non-finite values (the NaN of a failed rank
+    hypothesis) are left out and counted in ``excluded``.
     """
     vals = np.asarray(list(values), dtype=np.float64)
     if vals.size == 0:
         raise DomainError("cannot summarize an empty value list")
-    if not np.all(np.isfinite(vals)):
-        raise NumericError("values contain non-finite entries")
+    finite = np.isfinite(vals)
+    excluded = int(vals.size - np.count_nonzero(finite))
+    vals = vals[finite]
+    if vals.size == 0:
+        nan = float("nan")
+        return BoxplotSummary(label, nan, nan, nan, nan, nan, (), nan, excluded)
     q1, med, q3 = np.percentile(vals, [25.0, 50.0, 75.0])
     iqr = q3 - q1
     lo_fence = q1 - 1.5 * iqr
@@ -350,6 +368,7 @@ def summarize_boxplot(values, label: str = "") -> BoxplotSummary:
         whisker_high=float(whi),
         outliers=tuple(float(v) for v in outliers),
         mean=float(vals.mean()),
+        excluded=excluded,
     )
 
 
@@ -469,19 +488,24 @@ def resolve_workers() -> int:
     if n < 0:
         raise ConfigError(f"TT_INHERIT_THREADS must be >= 0, got {n}")
     if n == 0:
-        return max(1, min(4, os.cpu_count() or 1))
+        return max(1, min(4, available_cpus()))
     return n
 
 
 @dataclass
 class ExperimentResult:
-    """Full run: per-trial results, summaries, failures, and counters."""
+    """Full run: per-trial results, summaries, failures, and counters.
+
+    ``threads`` is the thread plan the trials ran under (see
+    :func:`~ttinherit.linalg.blas_thread_budget`).
+    """
 
     config: ExperimentConfig
     results: list[TrialResult]
     failures: list[dict]
     summaries: dict[str, dict[str, BoxplotSummary]] = field(default_factory=dict)
     paths: dict[str, str] = field(default_factory=dict)
+    threads: dict = field(default_factory=dict)
 
     @property
     def bound_violations(self) -> int:
@@ -510,7 +534,9 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentRe
 
     Trials are independent and may run on a small thread pool (numpy releases
     the GIL inside LAPACK); results are collected in deterministic
-    (generator, trial) order regardless of scheduling.  A trial that raises
+    (generator, trial) order regardless of scheduling.  While the pool runs,
+    each worker gets its share of the CPUs as OpenBLAS threads
+    (:func:`~ttinherit.linalg.blas_thread_budget`).  A trial that raises
     (it exhausts its resample budget, its tensor cannot be generated, ...) is
     excluded from the results with a warning and listed in ``failures``; the
     other trials still run.
@@ -518,7 +544,8 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentRe
     tasks = [(kind, trial) for kind in config.generators for trial in range(config.trials)]
     results: list[TrialResult] = []
     failures: list[dict] = []
-    with ThreadPoolExecutor(max_workers=resolve_workers()) as pool:
+    workers = resolve_workers()
+    with blas_thread_budget(workers) as threads, ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(run_trial, config, kind, trial) for kind, trial in tasks]
         for (kind, trial), fut in zip(tasks, futures):
             try:
@@ -542,9 +569,11 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentRe
             for label, _, _, _ in grid
         }
 
-    out = ExperimentResult(config=config, results=results, failures=failures, summaries=summaries)
+    out = ExperimentResult(
+        config=config, results=results, failures=failures, summaries=summaries, threads=threads
+    )
     if write:
-        out.paths = write_outputs(results, summaries, config, failures=failures)
+        out.paths = write_outputs(results, summaries, config, failures=failures, threads=threads)
     return out
 
 
@@ -570,8 +599,8 @@ def version_stamp() -> str:
     return stamp
 
 
-def summary_payload(results, summaries, config, failures=None) -> dict:
-    """The summary.json document (dict form)."""
+def summary_payload(results, summaries, config, failures=None, threads=None) -> dict:
+    """The summary.json document (dict form); ``threads`` is the run's thread plan."""
     n_viol, n_hyp = _count_outcomes(results)
     return {
         "config": config.to_dict(),
@@ -584,22 +613,31 @@ def summary_payload(results, summaries, config, failures=None) -> dict:
         "trials_failed": list(failures or []),
         "bound_violations": n_viol,
         "rank_hypothesis_failures": n_hyp,
+        "threads": threads,
         "summaries": _summaries_json(summaries),
     }
 
 
 def _summaries_json(summaries: dict[str, dict[str, BoxplotSummary]]) -> dict:
-    """Per-generator, per-label boxplot summaries as JSON-ready dicts."""
+    """Per-generator, per-label boxplot summaries as JSON-ready dicts.
+
+    The NaN statistics of an empty summary become ``null``.
+    """
+
+    def num(x: float) -> float | None:
+        return None if np.isnan(x) else x
+
     return {
         kind: {
             label: {
-                "median": s.median,
-                "q1": s.q1,
-                "q3": s.q3,
-                "whisker_low": s.whisker_low,
-                "whisker_high": s.whisker_high,
+                "median": num(s.median),
+                "q1": num(s.q1),
+                "q3": num(s.q3),
+                "whisker_low": num(s.whisker_low),
+                "whisker_high": num(s.whisker_high),
                 "outliers": list(s.outliers),
-                "mean": s.mean,
+                "mean": num(s.mean),
+                "excluded": s.excluded,
             }
             for label, s in per_gen.items()
         }
@@ -607,7 +645,9 @@ def _summaries_json(summaries: dict[str, dict[str, BoxplotSummary]]) -> dict:
     }
 
 
-def write_outputs(results, summaries, config: ExperimentConfig, output_dir=None, failures=None) -> dict:
+def write_outputs(
+    results, summaries, config: ExperimentConfig, output_dir=None, failures=None, threads=None
+) -> dict:
     """Write trials.csv, summary.json, and (optionally) per-generator SVGs.
 
     Rows are ordered by (generator order in config, trial, grid order), so
@@ -646,7 +686,7 @@ def write_outputs(results, summaries, config: ExperimentConfig, output_dir=None,
                     )
 
     summary_path = os.path.join(out_dir, "summary.json")
-    payload = summary_payload(results, summaries, config, failures=failures)
+    payload = summary_payload(results, summaries, config, failures=failures, threads=threads)
     with open(summary_path, "w", encoding="utf-8") as f:
         json.dump(payload, f, indent=2)
         f.write("\n")

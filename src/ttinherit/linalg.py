@@ -6,11 +6,20 @@ checks, a single numerical-rank convention (singular values above
 ``rank_tol`` times the largest), compact truncation, and typed errors for
 the zero-matrix / rank-deficient cases that the rest of the package needs
 to tell apart.
+
+The thread count of the OpenBLAS libraries behind those factorizations is
+set here too (:func:`blas_thread_budget`), so that a pool of trial threads
+does not run on top of as many BLAS threads each.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -27,6 +36,10 @@ __all__ = [
     "pinv_spectral_norm",
     "row_two_inf_norm",
     "condition_number",
+    "OpenBLAS",
+    "available_cpus",
+    "loaded_openblas",
+    "blas_thread_budget",
 ]
 
 DEFAULT_RANK_TOL = 1e-9
@@ -181,3 +194,122 @@ def row_two_inf_norm(M) -> float:
 def condition_number(svd: ThinSVD) -> float:
     """Ratio of extreme retained singular values, ``sigma[0] / sigma[-1]``."""
     return float(svd.sigma[0] / svd.sigma[-1])
+
+
+# (get, set) thread-count entry points of the OpenBLAS that numpy bundles
+# (64-bit integers) and of the one scipy bundles.
+# openblas_set_num_threads_local is not used: in OpenBLAS 0.3.31 it changes
+# the count for the whole process, not for the calling thread.
+_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+)
+
+
+@dataclass(frozen=True)
+class OpenBLAS:
+    """One OpenBLAS library loaded in this process, with its thread-count calls."""
+
+    path: str
+    get_threads: Callable[[], int]
+    set_threads: Callable[[int], None]
+
+
+def available_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def loaded_openblas() -> list[OpenBLAS]:
+    """The OpenBLAS libraries already mapped into this process, by path.
+
+    Read from ``/proc/self/maps``; where that file does not exist (outside
+    Linux) the list is empty.  Nothing new is loaded.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as f:
+            # address, perms, offset, device, inode, then the path if any
+            paths = {line.split(maxsplit=5)[-1].strip() for line in f if "openblas" in line.lower()}
+    except OSError:
+        return []
+    found = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for get_name, set_name in _THREAD_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get_fn, set_fn = getattr(lib, get_name), getattr(lib, set_name)
+                get_fn.argtypes, get_fn.restype = [], ctypes.c_int
+                set_fn.argtypes, set_fn.restype = [ctypes.c_int], None
+                found.append(OpenBLAS(path, get_fn, set_fn))
+                break
+    return found
+
+
+class _SavedCounts:
+    """Thread counts saved by the first of the budgets that overlap in time.
+
+    The count is process-wide, so budgets entered from different threads
+    share it: the first to enter saves it and the last to leave restores it.
+    The lock is re-entrant because a budget that was entered and then
+    dropped without being left is closed by the garbage collector, which may
+    run on a thread that already holds the lock.
+    """
+
+    def __init__(self):
+        self.lock = threading.RLock()
+        self.users = 0
+        self.counts: list[tuple[OpenBLAS, int]] = []
+
+
+_SAVED = _SavedCounts()
+
+
+@contextmanager
+def blas_thread_budget(workers: int):
+    """Give each of ``workers`` threads its share of the CPUs in every OpenBLAS.
+
+    Inside the block every loaded OpenBLAS runs ``max(1, min(current,
+    cpus // workers))`` threads, where ``current`` is its count on entry
+    (``OPENBLAS_NUM_THREADS`` when set) and ``cpus`` is
+    :func:`available_cpus`; on exit it gets ``current`` back.  The count is
+    process-wide, so it also holds for BLAS calls made outside the workers
+    while the block runs; blocks that overlap in time on different threads
+    set it in turn, and the last one to end restores the count found by the
+    first.  Yields the plan: ``workers``, ``cpus``, and per library its file
+    name, its threads before and its threads per worker.  No OpenBLAS found
+    means nothing changes and the list is empty.
+    """
+    cpus = available_cpus()
+    with _SAVED.lock:
+        if _SAVED.users == 0:
+            _SAVED.counts = [(lib, lib.get_threads()) for lib in loaded_openblas()]
+        libs = _SAVED.counts
+        plan = {
+            "workers": workers,
+            "cpus": cpus,
+            "openblas": [
+                {
+                    "library": os.path.basename(lib.path),
+                    "threads_before": before,
+                    "threads_per_worker": max(1, min(before, cpus // workers)),
+                }
+                for lib, before in libs
+            ],
+        }
+        for (lib, _), entry in zip(libs, plan["openblas"]):
+            lib.set_threads(entry["threads_per_worker"])
+        _SAVED.users += 1
+    try:
+        yield plan
+    finally:
+        with _SAVED.lock:
+            _SAVED.users -= 1
+            if _SAVED.users == 0:
+                for lib, before in libs:
+                    lib.set_threads(before)

@@ -476,7 +476,7 @@ def check_column_sampling_bounds(
         J = J_sets[i - 1]
         I_prev = nested[i - 2] if i >= 2 else IndexSet.full(1)
         rows = kron_extend(I_prev, t.shape[i - 1])
-        a = ALPHA_1
+        a = ALPHA_1 if i == 1 else float("nan")
         b = float("nan")
         try:
             a = alpha_i(t, I_prev, i, rank_tol, svd=svds[i - 1])

@@ -34,7 +34,11 @@ def _fmt17(x: float) -> str:
 
 
 def render_boxplot_svg(title: str, summaries) -> str:
-    """Render summaries (list of BoxplotSummary) to an SVG document string."""
+    """Render summaries (list of BoxplotSummary) to an SVG document string.
+
+    A summary whose values were all excluded (``empty``) gets no box.
+    """
+    summaries = [s for s in summaries if not s.empty]
     if len(summaries) == 0:
         raise DomainError("nothing to plot")
     lo = min(min((s.whisker_low, *s.outliers)) for s in summaries)

@@ -173,6 +173,23 @@ def test_report_rebuilds_summaries(config_path, tmp_path, capsys):
     assert "alpha_1_1" in doc["summaries"]["gaussian"]
 
 
+def test_report_counts_nan_values_instead_of_failing(config_path, tmp_path, capsys):
+    assert main(["run", "--config", str(config_path)]) == EXIT_OK
+    csv_path = tmp_path / "out" / "trials.csv"
+    lines = csv_path.read_text().splitlines(keepends=True)
+    # the first alpha_2 row gets the NaN a failed rank hypothesis records
+    k = next(n for n, line in enumerate(lines) if ",alpha_2," in line)
+    fields = lines[k].split(",")
+    fields[5] = "nan"
+    lines[k] = ",".join(fields)
+    csv_path.write_text("".join(lines))
+    assert main(["report", "--in", str(tmp_path / "out")]) == EXIT_OK
+    with open(tmp_path / "out" / "summary.json") as f:
+        doc = json.load(f)
+    assert doc["summaries"]["gaussian"]["alpha_2"]["excluded"] == 1
+    assert doc["summaries"]["gaussian"]["alpha_1_1"]["excluded"] == 0
+
+
 def test_report_flags_recorded_violations(config_path, tmp_path, capsys):
     assert main(["run", "--config", str(config_path)]) == EXIT_OK
     csv_path = tmp_path / "out" / "trials.csv"

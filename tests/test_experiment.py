@@ -1,6 +1,7 @@
 """Experiment driver: config handling, trials, summaries, output files."""
 
 import csv
+import dataclasses
 import json
 import os
 import xml.etree.ElementTree as ET
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import ttinherit.experiment as experiment_mod
+import ttinherit.linalg as linalg_mod
 from ttinherit import (
     BoxplotSummary,
     ConfigError,
@@ -16,7 +18,6 @@ from ttinherit import (
     ExperimentConfig,
     IndexSet,
     KINDS,
-    NumericError,
     TrialError,
     desk_preset,
     paper_preset,
@@ -215,10 +216,20 @@ def test_summarize_boxplot_constant_values():
 def test_summarize_boxplot_rejects_bad_input():
     with pytest.raises(DomainError):
         summarize_boxplot([])
-    with pytest.raises(NumericError):
-        summarize_boxplot([1.0, float("nan")])
-    with pytest.raises(NumericError):
-        summarize_boxplot([1.0, float("inf")])
+
+
+def test_summarize_boxplot_excludes_non_finite_values():
+    s = summarize_boxplot([1.0, float("nan"), 2.0], label="x")
+    assert s == dataclasses.replace(summarize_boxplot([1.0, 2.0], label="x"), excluded=1)
+    assert summarize_boxplot([1.0, 2.0]).excluded == 0
+    assert summarize_boxplot([float("inf"), 3.0, -float("inf")]).excluded == 2
+
+
+def test_summarize_boxplot_with_no_finite_value_is_empty():
+    s = summarize_boxplot([float("nan"), float("inf")], label="x")
+    assert s.empty and s.excluded == 2 and s.outliers == ()
+    assert np.isnan(s.median) and np.isnan(s.mean)
+    assert not summarize_boxplot([1.0]).empty
 
 
 def test_boxplot_summary_validates_geometry():
@@ -388,6 +399,141 @@ def test_run_experiment_keeps_going_when_generation_fails(monkeypatch):
     assert [(f["generator"], f["trial"]) for f in out.failures] == [("hadamard", 3)]
     assert "no rank-(2, 2, 2) draw" in out.failures[0]["error"]
     assert set(out.summaries) == {"hadamard"}
+
+
+def test_run_experiment_summarizes_around_nan_values(monkeypatch, tmp_path):
+    # a failed rank hypothesis records NaN; the finished run must still be
+    # summarized and written, with the NaN counted instead of summarized
+    monkeypatch.setenv("TT_INHERIT_THREADS", "1")
+    cfg = _small_config(trials=2, generators=("gaussian",), output_dir=str(tmp_path), emit_svg=True)
+    real = run_trial
+
+    def with_nan(config, kind, trial):
+        res = real(config, kind, trial)
+        nan_labels = {"beta_3"} | ({"alpha_2"} if trial == 0 else set())
+        values = {k: float("nan") if k in nan_labels else v for k, v in res.values.items()}
+        return dataclasses.replace(res, values=values)
+
+    monkeypatch.setattr(experiment_mod, "run_trial", with_nan)
+    out = run_experiment(cfg, write=True)
+    assert out.failures == []
+    per_gen = out.summaries["gaussian"]
+    assert per_gen["alpha_2"].excluded == 1
+    assert per_gen["alpha_2"].median == out.results[1].values["alpha_2"]
+    assert per_gen["beta_3"].empty and per_gen["beta_3"].excluded == 2
+    assert per_gen["beta_1"].excluded == 0
+
+    def no_constants(name):
+        raise AssertionError(f"summary.json holds {name}")
+
+    doc = json.loads((tmp_path / "summary.json").read_text(), parse_constant=no_constants)
+    assert doc["summaries"]["gaussian"]["alpha_2"]["excluded"] == 1
+    assert doc["summaries"]["gaussian"]["beta_3"]["excluded"] == 2
+    assert doc["summaries"]["gaussian"]["beta_3"]["median"] is None
+    root = ET.parse(tmp_path / "boxplot_gaussian.svg").getroot()
+    labels = [g.get("data-label") for g in root.iter() if g.get("class") == "box-group"]
+    assert labels == [g[0] for g in param_grid(4) if g[0] != "beta_3"]
+
+
+def test_resolve_workers_counts_the_cpus_the_process_may_use(monkeypatch):
+    monkeypatch.delenv("TT_INHERIT_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    for cpus, workers in ((1, 1), (3, 3), (8, 4)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False)
+        assert resolve_workers() == workers
+
+
+# ---------------------------------------------------------------- BLAS threads
+
+
+@pytest.fixture()
+def openblas():
+    """The loaded OpenBLAS libraries, each set to 3 threads for the test."""
+    libs = linalg_mod.loaded_openblas()
+    if not libs:
+        pytest.skip("no OpenBLAS loaded in this process")
+    saved = [lib.get_threads() for lib in libs]
+    for lib in libs:
+        lib.set_threads(3)
+    try:
+        yield libs
+    finally:
+        for lib, n in zip(libs, saved):
+            lib.set_threads(n)
+
+
+def _reading_blas_threads(monkeypatch, libs, fail_trial=None):
+    """Patch run_trial to record every library's thread count as it runs."""
+    seen = []
+    real = run_trial
+
+    def reading(config, kind, trial):
+        seen.append(tuple(lib.get_threads() for lib in libs))
+        if trial == fail_trial:
+            raise TrialError("synthetic failure")
+        return real(config, kind, trial)
+
+    monkeypatch.setattr(experiment_mod, "run_trial", reading)
+    return seen
+
+
+@pytest.mark.parametrize("cpus, per_worker", [(16, 3), (4, 2), (1, 1)])
+def test_run_experiment_gives_each_worker_its_blas_share(monkeypatch, openblas, cpus, per_worker):
+    # per worker: max(1, min(current = 3, cpus // 2 workers))
+    monkeypatch.setenv("TT_INHERIT_THREADS", "2")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    seen = _reading_blas_threads(monkeypatch, openblas)
+    out = run_experiment(_small_config(trials=2), write=False)
+    assert len(seen) == 4
+    assert set(seen) == {(per_worker,) * len(openblas)}
+    assert [lib.get_threads() for lib in openblas] == [3] * len(openblas)
+    assert out.threads == {
+        "workers": 2,
+        "cpus": cpus,
+        "openblas": [
+            {
+                "library": os.path.basename(lib.path),
+                "threads_before": 3,
+                "threads_per_worker": per_worker,
+            }
+            for lib in openblas
+        ],
+    }
+
+
+def test_blas_threads_are_restored_when_a_trial_raises(monkeypatch, openblas):
+    monkeypatch.setenv("TT_INHERIT_THREADS", "2")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    seen = _reading_blas_threads(monkeypatch, openblas, fail_trial=0)
+    with pytest.warns(RuntimeWarning, match="synthetic failure"):
+        out = run_experiment(_small_config(trials=2), write=False)
+    assert len(out.failures) == 2 and len(out.results) == 2
+    assert set(seen) == {(1,) * len(openblas)}
+    assert [lib.get_threads() for lib in openblas] == [3] * len(openblas)
+
+
+def test_run_without_openblas_changes_no_thread_count(monkeypatch, openblas):
+    monkeypatch.setenv("TT_INHERIT_THREADS", "2")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    cfg = _small_config(trials=2)
+    with_blas = run_experiment(cfg, write=False)
+    monkeypatch.setattr(linalg_mod, "loaded_openblas", lambda: [])
+    seen = _reading_blas_threads(monkeypatch, openblas)
+    without = run_experiment(cfg, write=False)
+    assert set(seen) == {(3,) * len(openblas)}
+    assert without.threads == {"workers": 2, "cpus": 2, "openblas": []}
+    assert [r.values for r in without.results] == [r.values for r in with_blas.results]
+
+
+def test_written_summary_records_the_thread_plan(monkeypatch, tmp_path):
+    monkeypatch.setenv("TT_INHERIT_THREADS", "2")
+    out = run_experiment(_small_config(trials=1, output_dir=str(tmp_path)), write=True)
+    with open(tmp_path / "summary.json") as f:
+        doc = json.load(f)
+    assert doc["threads"] == out.threads
+    assert doc["threads"]["workers"] == 2
+    for entry in doc["threads"]["openblas"]:
+        assert set(entry) == {"library", "threads_before", "threads_per_worker"}
 
 
 def test_resolve_workers(monkeypatch):

@@ -1,5 +1,8 @@
 """Dense factorization kernels: QR, compact SVD, rank, norms."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -18,6 +21,8 @@ from ttinherit import (
     thin_qr,
     thin_svd,
 )
+import ttinherit.linalg as linalg_mod
+from ttinherit.linalg import blas_thread_budget, loaded_openblas
 from ttinherit.multiindex import derived_rng
 
 # ---------------------------------------------------------------- thin_qr
@@ -227,3 +232,97 @@ def test_thin_svd_container_is_read_only():
         svd.W[0, 0] = 9.0
     with pytest.raises(ValueError):
         svd.sigma[0] = 9.0
+
+
+# ---------------------------------------------------------------- BLAS threads
+
+
+# more workers than any machine has CPUs, so each gets one BLAS thread
+MANY_WORKERS = 1 << 20
+
+
+@pytest.fixture()
+def openblas_libs():
+    libs = loaded_openblas()
+    if not libs:
+        pytest.skip("no OpenBLAS loaded in this process")
+    return libs
+
+
+def test_loaded_openblas_finds_each_library_once(openblas_libs):
+    libs = openblas_libs
+    assert len({lib.path for lib in libs}) == len(libs)
+    assert all("openblas" in lib.path.lower() and lib.get_threads() >= 1 for lib in libs)
+
+
+def test_blas_thread_budget_restores_counts_after_an_error(openblas_libs):
+    libs = openblas_libs
+    before = [lib.get_threads() for lib in libs]
+    with pytest.raises(RuntimeError):
+        with blas_thread_budget(MANY_WORKERS) as plan:
+            assert [lib.get_threads() for lib in libs] == [1] * len(libs)
+            assert [e["threads_before"] for e in plan["openblas"]] == before
+            raise RuntimeError("inside the budget")
+    assert [lib.get_threads() for lib in libs] == before
+
+
+def test_overlapping_budgets_restore_the_count_found_first(openblas_libs):
+    libs = openblas_libs
+    before = [lib.get_threads() for lib in libs]
+    first, second = blas_thread_budget(MANY_WORKERS), blas_thread_budget(MANY_WORKERS)
+    first.__enter__()
+    second.__enter__()
+    try:
+        first.__exit__(None, None, None)
+        while_second_runs = [lib.get_threads() for lib in libs]
+    finally:
+        second.__exit__(None, None, None)
+    assert while_second_runs == [1] * len(libs)
+    assert [lib.get_threads() for lib in libs] == before
+
+
+def test_budgets_entered_from_many_threads_restore_the_count(openblas_libs):
+    libs = openblas_libs
+    before = [lib.get_threads() for lib in libs]
+    errors = []
+
+    def enter_and_leave():
+        try:
+            for _ in range(50):
+                with blas_thread_budget(2):
+                    pass
+        except Exception as exc:  # reported below; a thread cannot raise into the test
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=enter_and_leave) for _ in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+    assert linalg_mod._SAVED.users == 0
+    assert [lib.get_threads() for lib in libs] == before
+
+
+def test_a_dropped_budget_is_closed_on_a_thread_holding_the_lock(openblas_libs):
+    libs = openblas_libs
+    before = [lib.get_threads() for lib in libs]
+
+    def drop_while_locked():
+        dropped = blas_thread_budget(2)
+        dropped.__enter__()
+        with linalg_mod._SAVED.lock:
+            del dropped  # closing it runs its exit here, under the lock
+
+    th = threading.Thread(target=drop_while_locked, daemon=True)
+    th.start()
+    th.join(timeout=30)
+    assert not th.is_alive()
+    assert linalg_mod._SAVED.users == 0
+    assert [lib.get_threads() for lib in libs] == before

@@ -378,6 +378,25 @@ def test_column_bounds_flag_degenerate_columns_without_raising():
     assert not beta1.satisfied
 
 
+def test_failed_alpha_i_records_nan_like_its_offset_two_row_factor():
+    # core 1 repeats its first mode slice, so rows {1, 2} of W_1 are equal
+    # and every row set built on I_1 = {1, 2} loses rank
+    rng = np.random.default_rng(0)
+    cores = [rng.standard_normal(s) for s in ((1, 4, 2), (2, 2, 3), (3, 4, 2), (2, 3, 1))]
+    cores[0][:, 1, :] = cores[0][:, 0, :]
+    t = TTTensor(cores)
+    I1 = IndexSet([1, 2], 4)
+    I2 = kron_extend(I1, 2)
+    nested = [I1, I2, kron_extend(I2, 4)]
+    J_sets = [IndexSet.full(24), IndexSet.full(12), IndexSet.full(3)]
+    rows = {r.label: r for r in check_row_sampling_bounds(t, nested)}
+    cols = {r.label: r for r in check_column_sampling_bounds(t, nested, J_sets)}
+    for rec in (rows["alpha_1_2"], cols["alpha_2"]):
+        assert not rec.rank_hypothesis_ok
+        assert np.isnan(rec.value)
+    assert cols["alpha_3"].value == rows["alpha_2_2"].value
+
+
 # ---------------------------------------------------------------- record labels
 
 
