@@ -8,6 +8,9 @@
 Exit codes: 0 success, 1 bound violations (or failed trials), 2 usage or
 configuration errors.  ``--scale`` overlays the preset geometry/trial count
 on top of the config file; ``--seed``/``--trials`` override single fields.
+``report`` summarizes DIR/trials.csv and writes summary.json and the SVGs
+through the writer ``run`` uses; of an existing summary.json it replaces only
+``summaries``, ``version`` and ``quartile_method`` and keeps the run's record.
 Worker parallelism is controlled by the TT_INHERIT_THREADS environment
 variable (0 or unset = one worker per CPU this process may use, at most 4).
 While the trials run, every loaded OpenBLAS gets max(1, min(current,
@@ -28,17 +31,15 @@ import sys
 from .container import save_tt
 from .errors import TTInheritError
 from .experiment import (
-    QUARTILE_METHOD,
     ExperimentConfig,
-    _summaries_json,
     desk_preset,
     paper_preset,
     run_experiment,
-    summarize_boxplot,
+    summarize_values,
     version_stamp,
+    write_summary,
 )
 from .generators import KINDS, GeneratorSpec, generate
-from .svgplot import write_boxplot_svg
 
 __all__ = ["main", "build_parser", "load_config"]
 
@@ -175,51 +176,46 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    """Summaries and SVGs from trials.csv, written as ``run`` writes them.
+
+    An existing summary.json keeps the run's record; only its ``summaries``,
+    ``version`` and ``quartile_method`` are replaced.
+    """
     csv_path = os.path.join(args.in_dir, "trials.csv")
+    values: dict[str, dict[str, list[float]]] = {}  # generators and labels in file order
+    any_fail = False
     with open(csv_path, "r", encoding="utf-8", newline="") as f:
         reader = csv.DictReader(f)
-        rows = list(reader)
-    if not rows:
+        needed = {"generator", "trial", "parameter_label", "value", "bound_pass"}
+        missing = needed - set(reader.fieldnames or ())
+        if missing:
+            raise TTInheritError(f"{csv_path}: missing columns {sorted(missing)}")
+        for row in reader:
+            where = f"{csv_path}, line {reader.line_num}"
+            if None in row.values():
+                raise TTInheritError(f"{where}: fewer than {len(reader.fieldnames)} fields")
+            try:
+                value = float(row["value"])
+            except ValueError:
+                raise TTInheritError(f"{where}: value {row['value']!r} is not a number") from None
+            per_gen = values.setdefault(row["generator"], {})
+            per_gen.setdefault(row["parameter_label"], []).append(value)
+            any_fail |= row["bound_pass"].strip().lower() == "false"
+    if not values:
         raise TTInheritError(f"{csv_path}: no data rows")
-    needed = {"generator", "trial", "parameter_label", "value", "bound_pass"}
-    if not needed <= set(rows[0]):
-        raise TTInheritError(f"{csv_path}: missing columns {sorted(needed - set(rows[0]))}")
 
-    labels = []
-    values: dict[str, dict[str, list[float]]] = {}  # generators in file order
-    any_fail = False
-    for row in rows:
-        kind, label = row["generator"], row["parameter_label"]
-        if kind not in values:
-            values[kind] = {}
-        if label not in values[kind]:
-            values[kind][label] = []
-            if label not in labels:
-                labels.append(label)
-        values[kind][label].append(float(row["value"]))
-        if row["bound_pass"].strip().lower() == "false":
-            any_fail = True
-
-    summaries = {
-        kind: {label: summarize_boxplot(vals, label=label) for label, vals in per_gen.items()}
-        for kind, per_gen in values.items()
-    }
-    doc = {
-        "source": csv_path,
-        "version": version_stamp(),
-        "quartile_method": QUARTILE_METHOD,
-        "summaries": _summaries_json(summaries),
-    }
     summary_path = os.path.join(args.in_dir, "summary.json")
-    with open(summary_path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
-    print(f"wrote {summary_path}")
-    for kind in values:
-        svg_path = os.path.join(args.in_dir, f"boxplot_{kind}.svg")
-        ordered = [summaries[kind][label] for label in labels if label in summaries[kind]]
-        write_boxplot_svg(svg_path, f"Sampling factors — {kind} cores", ordered)
-        print(f"wrote {svg_path}")
+    record = {"source": csv_path}
+    if os.path.exists(summary_path):
+        with open(summary_path, "r", encoding="utf-8") as f:
+            try:
+                record = json.load(f)
+            except json.JSONDecodeError as exc:
+                raise TTInheritError(f"{summary_path}: malformed JSON: {exc}") from None
+        if not isinstance(record, dict):
+            raise TTInheritError(f"{summary_path}: not a JSON object")
+    for path in write_summary(args.in_dir, summarize_values(values), record).values():
+        print(f"wrote {path}")
     if any_fail:
         print("bound failures present in trials.csv")
         return EXIT_VIOLATIONS
@@ -241,10 +237,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except TTInheritError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (TTInheritError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except json.JSONDecodeError as exc:

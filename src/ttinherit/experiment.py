@@ -53,6 +53,8 @@ __all__ = [
     "run_trial",
     "run_experiment",
     "summarize_boxplot",
+    "summarize_values",
+    "write_summary",
     "write_outputs",
     "resolve_workers",
     "version_stamp",
@@ -93,6 +95,13 @@ def param_grid(d: int) -> list[tuple[str, str, int, int | None]]:
     return grid
 
 
+def _items(values, kind=int) -> tuple:
+    """``values`` as a tuple of ``kind``; a bare string is not a list."""
+    if isinstance(values, str):
+        raise TypeError(f"expected a list, got {values!r}")
+    return tuple(kind(v) for v in values)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Fully resolved experiment description (sizes filled in, all checked)."""
@@ -102,44 +111,51 @@ class ExperimentConfig:
     generators: tuple[str, ...]
     trials: int
     master_seed: int
-    sample_sizes_I: tuple[int, ...]
-    sample_sizes_J: tuple[int, ...]
+    sample_sizes_I: tuple[int, ...] | None = None  # None: default_sample_sizes
+    sample_sizes_J: tuple[int, ...] | None = None
     rank_tol: float = 1e-9
     max_resample: int = 25
     output_dir: str = "out"
     emit_svg: bool = True
 
     def __post_init__(self):
-        shape = self.shape if isinstance(self.shape, Shape) else Shape(tuple(self.shape))
-        object.__setattr__(self, "shape", shape)
-        d = len(shape)
-        ranks = tuple(int(r) for r in self.ranks)
+        # the one place field values are converted; a value that does not
+        # convert is a ConfigError, like a value out of range
+        def convert(name, to):
+            try:
+                object.__setattr__(self, name, to(getattr(self, name)))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{name}: {exc}") from exc
+
+        convert("shape", lambda v: v if isinstance(v, Shape) else Shape(_items(v)))
+        convert("ranks", _items)
+        shape, ranks, d = self.shape, self.ranks, len(self.shape)
         # rank count and geometry feasibility are the generator's concern;
         # fail early here
         GeneratorSpec("gaussian", shape, ranks, seed=0)
-        object.__setattr__(self, "ranks", ranks)
 
-        gens = tuple(self.generators)
-        if len(gens) == 0:
+        convert("generators", lambda v: _items(v, str))
+        if len(self.generators) == 0:
             raise ConfigError("at least one generator kind is required")
         seen = set()
-        for g in gens:
+        for g in self.generators:
             if g not in KINDS:
                 raise ConfigError(f"unknown generator kind {g!r}; choose from {KINDS}")
             if g in seen:
                 raise ConfigError(f"duplicate generator kind {g!r}")
             seen.add(g)
-        object.__setattr__(self, "generators", gens)
 
-        if int(self.trials) < 1:
+        for name in ("trials", "master_seed", "max_resample"):
+            convert(name, int)
+        if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        object.__setattr__(self, "trials", int(self.trials))
-        if int(self.master_seed) < 0:
+        if self.master_seed < 0:
             raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
-        object.__setattr__(self, "master_seed", int(self.master_seed))
 
-        sizes_I = tuple(int(m) for m in self.sample_sizes_I)
-        sizes_J = tuple(int(m) for m in self.sample_sizes_J)
+        default_I, default_J = self.default_sample_sizes(shape, ranks)
+        convert("sample_sizes_I", lambda v: default_I if v is None else _items(v))
+        convert("sample_sizes_J", lambda v: default_J if v is None else _items(v))
+        sizes_I, sizes_J = self.sample_sizes_I, self.sample_sizes_J
         if len(sizes_I) != d - 1 or len(sizes_J) != d - 1:
             raise ConfigError(f"sample size lists must have {d - 1} entries")
         prev = 1
@@ -156,19 +172,16 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"|J_{i}|={sizes_J[i - 1]} must lie in [r_{i}={ranks[i - 1]}, {Q}]"
                 )
-        object.__setattr__(self, "sample_sizes_I", sizes_I)
-        object.__setattr__(self, "sample_sizes_J", sizes_J)
 
-        if not (0.0 <= float(self.rank_tol) < 1.0):
+        convert("rank_tol", float)
+        if not (0.0 <= self.rank_tol < 1.0):
             raise ConfigError(f"rank_tol must be in [0, 1), got {self.rank_tol}")
-        object.__setattr__(self, "rank_tol", float(self.rank_tol))
-        if int(self.max_resample) < 0:
+        if self.max_resample < 0:
             raise ConfigError(f"max_resample must be >= 0, got {self.max_resample}")
-        object.__setattr__(self, "max_resample", int(self.max_resample))
         if not isinstance(self.output_dir, (str, os.PathLike)):
             raise ConfigError("output_dir must be a path")
-        object.__setattr__(self, "output_dir", os.fspath(self.output_dir))
-        object.__setattr__(self, "emit_svg", bool(self.emit_svg))
+        convert("output_dir", os.fspath)
+        convert("emit_svg", bool)
 
     @property
     def d(self) -> int:
@@ -201,36 +214,11 @@ class ExperimentConfig:
         missing = sorted(k for k in ("shape", "ranks", "trials", "master_seed") if k not in raw)
         if missing:
             raise ConfigError(f"missing config fields: {', '.join(missing)}")
-        try:
-            shape = Shape(tuple(int(n) for n in raw["shape"]))
-            ranks = tuple(int(r) for r in raw["ranks"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad shape/ranks: {exc}") from exc
-        if "d" in raw and int(raw["d"]) != len(shape):
-            raise ConfigError(f"d={raw['d']} inconsistent with shape of {len(shape)} modes")
-        for key in ("sample_sizes_I", "sample_sizes_J"):
-            if raw.get(key) is not None and not isinstance(raw[key], (list, tuple)):
-                raise ConfigError(f"{key} must be a list or null")
-        default_I, default_J = cls.default_sample_sizes(shape, ranks)
-        sizes_I = raw.get("sample_sizes_I")
-        sizes_J = raw.get("sample_sizes_J")
-        gens = raw.get("generators", list(KINDS))
-        if isinstance(gens, str):
-            raise ConfigError("generators must be a list of kinds")
-        kwargs = {}
-        for key in ("rank_tol", "max_resample", "output_dir", "emit_svg"):
-            if key in raw:
-                kwargs[key] = raw[key]
-        return cls(
-            shape=shape,
-            ranks=ranks,
-            generators=tuple(gens),
-            trials=raw["trials"],
-            master_seed=raw["master_seed"],
-            sample_sizes_I=tuple(sizes_I) if sizes_I is not None else default_I,
-            sample_sizes_J=tuple(sizes_J) if sizes_J is not None else default_J,
-            **kwargs,
-        )
+        fields = {k: v for k, v in raw.items() if k != "d"}
+        cfg = cls(**{"generators": KINDS, **fields})
+        if raw.get("d", cfg.d) != cfg.d:
+            raise ConfigError(f"d={raw['d']} inconsistent with shape of {cfg.d} modes")
+        return cfg
 
     def to_dict(self) -> dict:
         """Round-trippable echo (JSON-safe types only)."""
@@ -256,17 +244,12 @@ class ExperimentConfig:
 
 def _preset(n: int, output_dir: str, overrides: dict) -> ExperimentConfig:
     """Shape n^4, ranks (2,3,2), default sample sizes, 20 trials, then ``overrides``."""
-    shape = Shape((n, n, n, n))
-    ranks = (2, 3, 2)
-    sizes_I, sizes_J = ExperimentConfig.default_sample_sizes(shape, ranks)
     cfg = ExperimentConfig(
-        shape=shape,
-        ranks=ranks,
+        shape=(n, n, n, n),
+        ranks=(2, 3, 2),
         generators=KINDS,
         trials=20,
         master_seed=42,
-        sample_sizes_I=sizes_I,
-        sample_sizes_J=sizes_J,
         output_dir=output_dir,
     )
     return cfg.replace(**overrides)
@@ -442,28 +425,19 @@ def run_trial(config: ExperimentConfig, kind: str, trial: int) -> TrialResult:
     records_rows = check_row_sampling_bounds(t, I_sets, tol, svds=svds)
     records_cols = check_column_sampling_bounds(t, I_sets, J_sets, tol, svds=svds)
 
-    by_it = {(rec.i, rec.t): rec for rec in records_rows}
-    by_alpha = {rec.i: rec for rec in records_cols if rec.kind == "alpha_i"}
-    by_beta = {rec.i: rec for rec in records_cols if rec.kind == "beta_i"}
-
+    by_label = {rec.label: rec for rec in records_rows + records_cols}
     values: dict[str, float] = {}
     passes: dict[str, bool] = {}
     resamples: dict[str, int] = {}
-    for label, family, i, t_off in param_grid(d):
-        if family == "alpha_it":
-            rec = by_it[(i, t_off)]
-            passes[label] = rec.satisfied
-            resamples[label] = redraws["rows"][i - 1]
-        elif family == "alpha_i":
-            rec = by_alpha[i]
-            # the level-i inequalities live on the beta record
-            passes[label] = rec.rank_hypothesis_ok and by_beta[i].satisfied
-            resamples[label] = redraws["rows"][i - 2]
-        else:
-            rec = by_beta[i]
-            passes[label] = rec.satisfied and (i == 1 or by_alpha[i].rank_hypothesis_ok)
+    for label, family, i, _ in param_grid(d):
+        values[label] = by_label[label].value
+        # alpha_i has no checks of its own: the level-i inequalities and the
+        # rank hypothesis it shares with beta_i live on the beta_i record
+        passes[label] = by_label[f"beta_{i}" if family == "alpha_i" else label].satisfied
+        if family == "beta_i":
             resamples[label] = redraws["cols"][i - 1]
-        values[label] = rec.value
+        else:  # alpha_i keeps the rows I_{i-1}
+            resamples[label] = redraws["rows"][i - 2 if family == "alpha_i" else i - 1]
 
     return TrialResult(
         generator=kind,
@@ -558,16 +532,13 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentRe
                     stacklevel=2,
                 )
 
-    summaries: dict[str, dict[str, BoxplotSummary]] = {}
-    grid = param_grid(config.d)
-    for kind in config.generators:
-        per_gen = [r for r in results if r.generator == kind]
-        if not per_gen:
-            continue
-        summaries[kind] = {
-            label: summarize_boxplot([r.values[label] for r in per_gen], label=label)
-            for label, _, _, _ in grid
-        }
+    labels = [label for label, _, _, _ in param_grid(config.d)]
+    values: dict[str, dict[str, list[float]]] = {}
+    for res in results:  # (generator, trial) order
+        per_gen = values.setdefault(res.generator, {label: [] for label in labels})
+        for label, vals in per_gen.items():
+            vals.append(res.values[label])
+    summaries = summarize_values(values)
 
     out = ExperimentResult(
         config=config, results=results, failures=failures, summaries=summaries, threads=threads
@@ -599,22 +570,26 @@ def version_stamp() -> str:
     return stamp
 
 
-def summary_payload(results, summaries, config, failures=None, threads=None) -> dict:
-    """The summary.json document (dict form); ``threads`` is the run's thread plan."""
+def summary_payload(results, config, failures=None, threads=None) -> dict:
+    """The run's record in summary.json; ``threads`` is the run's thread plan.
+
+    :func:`write_summary` sets ``version``, ``quartile_method`` and
+    ``summaries``; they are listed here only to fix their place in the file.
+    """
     n_viol, n_hyp = _count_outcomes(results)
     return {
         "config": config.to_dict(),
-        "version": version_stamp(),
+        "version": None,
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "rank_tol": config.rank_tol,
-        "quartile_method": QUARTILE_METHOD,
+        "quartile_method": None,
         "trials_completed": len(results),
         "trials_failed": list(failures or []),
         "bound_violations": n_viol,
         "rank_hypothesis_failures": n_hyp,
         "threads": threads,
-        "summaries": _summaries_json(summaries),
+        "summaries": None,
     }
 
 
@@ -645,8 +620,50 @@ def _summaries_json(summaries: dict[str, dict[str, BoxplotSummary]]) -> dict:
     }
 
 
+def summarize_values(values: dict[str, dict[str, list[float]]]) -> dict:
+    """``{generator: {label: [values]}}`` -> ``{generator: {label: BoxplotSummary}}``.
+
+    Generators and labels keep the order of ``values``.
+    """
+    return {
+        kind: {label: summarize_boxplot(vals, label=label) for label, vals in per_gen.items()}
+        for kind, per_gen in values.items()
+    }
+
+
+def write_summary(out_dir, summaries, record: dict, emit_svg: bool = True) -> dict:
+    """Write summary.json and, if ``emit_svg``, one boxplot SVG per generator.
+
+    summary.json is ``record`` with ``version``, ``quartile_method`` and
+    ``summaries`` set here; every other key of ``record`` is kept in place.
+    Each SVG has one box per label, in the order of ``summaries[generator]``.
+    """
+    summary_path = os.path.join(out_dir, "summary.json")
+    doc = {
+        **record,
+        "version": version_stamp(),
+        "quartile_method": QUARTILE_METHOD,
+        "summaries": _summaries_json(summaries),
+    }
+    with open(summary_path, "w", encoding="utf-8") as f:
+        json.dump(doc, f, indent=2)
+        f.write("\n")
+
+    paths = {"summary_json": summary_path}
+    if emit_svg:
+        for kind, per_gen in summaries.items():
+            svg_path = os.path.join(out_dir, f"boxplot_{kind}.svg")
+            write_boxplot_svg(
+                svg_path,
+                f"Sampling factors — {kind} cores",
+                list(per_gen.values()),
+            )
+            paths[f"svg_{kind}"] = svg_path
+    return paths
+
+
 def write_outputs(
-    results, summaries, config: ExperimentConfig, output_dir=None, failures=None, threads=None
+    results, summaries, config: ExperimentConfig, failures=None, threads=None
 ) -> dict:
     """Write trials.csv, summary.json, and (optionally) per-generator SVGs.
 
@@ -654,7 +671,7 @@ def write_outputs(
     identical runs produce byte-identical files apart from the trailing
     wall-time column.
     """
-    out_dir = os.fspath(output_dir) if output_dir is not None else config.output_dir
+    out_dir = config.output_dir
     os.makedirs(out_dir, exist_ok=True)
     grid = param_grid(config.d)
     by_key = {(r.generator, r.trial): r for r in results}
@@ -685,23 +702,5 @@ def write_outputs(
                         + "\n"
                     )
 
-    summary_path = os.path.join(out_dir, "summary.json")
-    payload = summary_payload(results, summaries, config, failures=failures, threads=threads)
-    with open(summary_path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2)
-        f.write("\n")
-
-    paths = {"trials_csv": csv_path, "summary_json": summary_path}
-    if config.emit_svg:
-        for kind in config.generators:
-            if kind not in summaries:
-                continue
-            svg_path = os.path.join(out_dir, f"boxplot_{kind}.svg")
-            ordered = [summaries[kind][label] for label, _, _, _ in grid]
-            write_boxplot_svg(
-                svg_path,
-                f"Sampling factors — {kind} cores",
-                ordered,
-            )
-            paths[f"svg_{kind}"] = svg_path
-    return paths
+    record = summary_payload(results, config, failures=failures, threads=threads)
+    return {"trials_csv": csv_path, **write_summary(out_dir, summaries, record, config.emit_svg)}

@@ -327,8 +327,10 @@ def check_rank_preservation(
     return RankPreservationReport(True, expected, observed, observed == expected)
 
 
-def _check(name: str, lhs: float, rhs: float, slack: float) -> BoundCheck:
-    return BoundCheck(name, float(lhs), float(rhs), slack, bool(lhs <= rhs * (1.0 + slack)))
+def _check(name: str, lhs: float, rhs: float) -> BoundCheck:
+    return BoundCheck(
+        name, float(lhs), float(rhs), BOUND_SLACK, bool(lhs <= rhs * (1.0 + BOUND_SLACK))
+    )
 
 
 def _record(
@@ -382,7 +384,6 @@ def check_row_sampling_bounds(
     t: TTTensor,
     nested: Sequence[IndexSet],
     rank_tol: float = DEFAULT_RANK_TOL,
-    slack: float = BOUND_SLACK,
     svds: Sequence[ThinSVD] | None = None,
 ) -> list[InheritanceRecord]:
     """Verify the inheritance inequalities for every row-sampled subtensor.
@@ -419,13 +420,12 @@ def check_row_sampling_bounds(
                 continue
             sub_rep = unfolding_report(t_off, ssvd)
             checks = (
-                _check("mu1", sub_rep.mu1, a**2 * parent.kappa**2 * parent.mu1, slack),
-                _check("mu2", sub_rep.mu2, parent.mu2, slack),
+                _check("mu1", sub_rep.mu1, a**2 * parent.kappa**2 * parent.mu1),
+                _check("mu2", sub_rep.mu2, parent.mu2),
                 _check(
                     "kappa",
                     sub_rep.kappa,
                     a * np.sqrt(parent.mu1 * parent.rank) * parent.kappa,
-                    slack,
                 ),
             )
             records.append(_record("alpha_it", i, t_off, a, parent, checks))
@@ -437,7 +437,6 @@ def check_column_sampling_bounds(
     nested: Sequence[IndexSet],
     J_sets: Sequence[IndexSet],
     rank_tol: float = DEFAULT_RANK_TOL,
-    slack: float = BOUND_SLACK,
     svds: Sequence[ThinSVD] | None = None,
 ) -> list[InheritanceRecord]:
     """Verify the inheritance inequalities for every column submatrix.
@@ -494,15 +493,15 @@ def check_column_sampling_bounds(
         kap, mu1, mu2, r = parent.kappa, parent.mu1, parent.mu2, parent.rank
         if i == 1:
             checks = (
-                _check("mu1", c_rep.mu1, mu1, slack),
-                _check("mu2", c_rep.mu2, b**2 * kap**2 * mu2, slack),
-                _check("kappa", c_rep.kappa, b * np.sqrt(mu2 * r) * kap, slack),
+                _check("mu1", c_rep.mu1, mu1),
+                _check("mu2", c_rep.mu2, b**2 * kap**2 * mu2),
+                _check("kappa", c_rep.kappa, b * np.sqrt(mu2 * r) * kap),
             )
         else:
             checks = (
-                _check("mu1", c_rep.mu1, a**2 * b**2 * kap**2 * r * mu1 * mu2, slack),
-                _check("mu2", c_rep.mu2, b**2 * kap**2 * mu2, slack),
-                _check("kappa", c_rep.kappa, a * b * np.sqrt(mu1 * mu2) * r * kap, slack),
+                _check("mu1", c_rep.mu1, a**2 * b**2 * kap**2 * r * mu1 * mu2),
+                _check("mu2", c_rep.mu2, b**2 * kap**2 * mu2),
+                _check("kappa", c_rep.kappa, a * b * np.sqrt(mu1 * mu2) * r * kap),
             )
         records.append(_record("beta_i", i, None, b, parent, checks))
     return records

@@ -201,6 +201,45 @@ def test_report_flags_recorded_violations(config_path, tmp_path, capsys):
     assert "bound failures present" in capsys.readouterr().out
 
 
+def test_report_keeps_the_run_record(config_path, tmp_path):
+    assert main(["run", "--config", str(config_path)]) == EXIT_OK
+    out_dir = tmp_path / "out"
+    run_doc = json.loads((out_dir / "summary.json").read_text())
+    run_svg = (out_dir / "boxplot_gaussian.svg").read_bytes()
+    assert main(["report", "--in", str(out_dir)]) == EXIT_OK
+    doc = json.loads((out_dir / "summary.json").read_text())
+    for key in ("config", "threads", "trials_failed", "bound_violations",
+                "rank_hypothesis_failures"):
+        assert doc[key] == run_doc[key]
+    assert list(doc) == list(run_doc)
+    assert doc["summaries"] == run_doc["summaries"]
+    assert (out_dir / "boxplot_gaussian.svg").read_bytes() == run_svg
+
+
+@pytest.mark.parametrize(
+    "field, bad, message",
+    [(5, "abc", "value 'abc' is not a number"), (8, None, "fewer than 9 fields")],
+)
+def test_report_malformed_trials_csv_is_usage_error(config_path, tmp_path, capsys,
+                                                    field, bad, message):
+    assert main(["run", "--config", str(config_path)]) == EXIT_OK
+    csv_path = tmp_path / "out" / "trials.csv"
+    lines = csv_path.read_text().splitlines(keepends=True)
+    fields = lines[3].rstrip("\n").split(",")
+    lines[3] = ",".join(fields[:field] + ([] if bad is None else [bad]) + fields[field + 1:]) + "\n"
+    csv_path.write_text("".join(lines))
+    assert main(["report", "--in", str(tmp_path / "out")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"trials.csv, line 4: {message}" in err
+
+
+def test_report_malformed_summary_json_is_usage_error(config_path, tmp_path, capsys):
+    assert main(["run", "--config", str(config_path)]) == EXIT_OK
+    (tmp_path / "out" / "summary.json").write_text("[1, 2]")
+    assert main(["report", "--in", str(tmp_path / "out")]) == EXIT_USAGE
+    assert "summary.json: not a JSON object" in capsys.readouterr().err
+
+
 def test_report_missing_csv_is_usage_error(tmp_path, capsys):
     rc = main(["report", "--in", str(tmp_path)])
     assert rc == EXIT_USAGE
@@ -252,6 +291,18 @@ def test_unknown_config_field_is_usage_error(tmp_path, capsys):
     rc = main(["run", "--config", str(path)])
     assert rc == EXIT_USAGE
     assert "unknown config fields" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("trials", "x"), ("rank_tol", "a"), ("max_resample", [1]), ("sample_sizes_I", ["a", 1, 2])],
+)
+def test_malformed_config_value_is_usage_error(config_path, capsys, field, value):
+    raw = json.loads(config_path.read_text())
+    config_path.write_text(json.dumps({**raw, field: value}))
+    rc = main(["run", "--config", str(config_path)])
+    assert rc == EXIT_USAGE
+    assert f"error: {field}:" in capsys.readouterr().err
 
 
 def test_help_exits_zero(capsys):

@@ -312,6 +312,34 @@ def test_run_trial_cells_differ():
     assert a.values != b.values
 
 
+def test_run_trial_maps_records_and_redraws_to_labels(monkeypatch):
+    # alpha_i carries no checks: its pass is beta_i's, and its redraws are
+    # those of its rows I_{i-1}
+    real_sample = experiment_mod._sample_level
+    real_cols = experiment_mod.check_column_sampling_bounds
+
+    def tagged_sample(*args):
+        cand, _ = real_sample(*args)
+        stream, level = args[6], args[7]
+        return cand, 10 * level + (5 if stream == "cols" else 0)
+
+    def beta_2_violated(*args, **kwargs):
+        records = real_cols(*args, **kwargs)
+        for n, rec in enumerate(records):
+            if rec.label == "beta_2":
+                failed = dataclasses.replace(rec.checks[0], satisfied=False)
+                records[n] = dataclasses.replace(rec, checks=(failed,) + rec.checks[1:])
+        return records
+
+    monkeypatch.setattr(experiment_mod, "_sample_level", tagged_sample)
+    monkeypatch.setattr(experiment_mod, "check_column_sampling_bounds", beta_2_violated)
+    res = run_trial(_small_config(), "gaussian", 0)
+    assert {label for label, ok in res.bound_pass.items() if not ok} == {"alpha_2", "beta_2"}
+    for label, family, i, _ in param_grid(4):
+        level = i - 1 if family == "alpha_i" else i
+        assert res.resamples[label] == 10 * level + (5 if family == "beta_i" else 0)
+
+
 def test_run_trial_rejects_bad_cell():
     cfg = _small_config()
     with pytest.raises(ConfigError):
@@ -624,6 +652,7 @@ def test_written_svg_per_generator(written_run):
 
 def test_write_outputs_without_svg(tmp_path):
     cfg = _small_config(trials=1, generators=("gaussian",), emit_svg=False)
+    cfg = cfg.replace(output_dir=str(tmp_path))
     res = run_trial(cfg, "gaussian", 0)
     summaries = {
         "gaussian": {
@@ -631,7 +660,7 @@ def test_write_outputs_without_svg(tmp_path):
             for label, _, _, _ in param_grid(4)
         }
     }
-    paths = write_outputs([res], summaries, cfg, output_dir=tmp_path)
+    paths = write_outputs([res], summaries, cfg)
     assert (tmp_path / "trials.csv").exists()
     assert (tmp_path / "summary.json").exists()
     assert not list(tmp_path.glob("*.svg"))
