@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -95,7 +96,30 @@ def param_grid(d: int) -> list[tuple[str, str, int, int | None]]:
     return grid
 
 
-def _items(values, kind=int) -> tuple:
+def _integer(value) -> int:
+    """``value`` as an int; a bool, a fraction or a non-number is refused."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
+
+def _real(value) -> float:
+    """``value`` as a float; a bool or a string is refused."""
+    if isinstance(value, (bool, str)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _boolean(value) -> bool:
+    """``value`` itself if it is a bool; ``bool()`` would read "false" as True."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _items(values, kind=_integer) -> tuple:
     """``values`` as a tuple of ``kind``; a bare string is not a list."""
     if isinstance(values, str):
         raise TypeError(f"expected a list, got {values!r}")
@@ -146,7 +170,7 @@ class ExperimentConfig:
             seen.add(g)
 
         for name in ("trials", "master_seed", "max_resample"):
-            convert(name, int)
+            convert(name, _integer)
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.master_seed < 0:
@@ -173,7 +197,7 @@ class ExperimentConfig:
                     f"|J_{i}|={sizes_J[i - 1]} must lie in [r_{i}={ranks[i - 1]}, {Q}]"
                 )
 
-        convert("rank_tol", float)
+        convert("rank_tol", _real)
         if not (0.0 <= self.rank_tol < 1.0):
             raise ConfigError(f"rank_tol must be in [0, 1), got {self.rank_tol}")
         if self.max_resample < 0:
@@ -181,7 +205,7 @@ class ExperimentConfig:
         if not isinstance(self.output_dir, (str, os.PathLike)):
             raise ConfigError("output_dir must be a path")
         convert("output_dir", os.fspath)
-        convert("emit_svg", bool)
+        convert("emit_svg", _boolean)
 
     @property
     def d(self) -> int:

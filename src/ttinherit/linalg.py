@@ -125,7 +125,7 @@ def thin_qr(M) -> tuple[np.ndarray, np.ndarray]:
     m, n = M.shape
     if m < n:
         raise DomainError(f"thin_qr needs rows >= cols, got {m} x {n}")
-    return np.linalg.qr(M, mode="reduced")
+    return scipy.linalg.qr(M, mode="economic", check_finite=False)
 
 
 def numerical_rank(sigma, rank_tol: float = DEFAULT_RANK_TOL) -> int:

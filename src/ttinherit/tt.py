@@ -17,6 +17,7 @@ looks like it touches an unfolding really touches only L_i and R_i, so a
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 from .errors import CapacityError, DomainError, NumericError, RankZeroError, StructuralError
 from .linalg import DEFAULT_RANK_TOL, ThinSVD, numerical_rank
@@ -24,7 +25,6 @@ from .multiindex import IndexSet, Shape
 
 __all__ = [
     "DENSE_CAP",
-    "DEFAULT_BLOCK_ROWS",
     "INTERFACE_ELEM_CAP",
     "TTTensor",
     "validate",
@@ -41,7 +41,6 @@ __all__ = [
 ]
 
 DENSE_CAP = 10**7  # default cap on dense materialization, in entries
-DEFAULT_BLOCK_ROWS = 1 << 16  # row-block size for the interface recurrences
 INTERFACE_ELEM_CAP = 1 << 27  # ~1 GiB of float64 per interface matrix
 
 
@@ -153,47 +152,36 @@ def _check_block(t: TTTensor, i: int, rows: IndexSet, J: IndexSet) -> None:
         raise DomainError("row and column index sets must be nonempty")
 
 
-def _left_chain(cores, upto: int, block_rows: int, max_elems: int) -> np.ndarray:
+def _left_chain(cores, upto: int, max_elems: int) -> np.ndarray:
     """Contract cores[0:upto] into the (prod n_j) x r_upto interface matrix.
 
-    The recurrence L_k[p + P*j, :] = L_{k-1}[p, :] @ cores[k][:, j, :] is run
-    on an F-ordered (P, n, r) buffer in row blocks, so the final reshape to
-    (P*n, r) is a view and peak memory stays at one buffer.
+    The recurrence L_k[p + P*j, b] = sum_a L_{k-1}[p, a] * cores[k][a, j, b]
+    is one GEMM per step: with the core laid out C-contiguous as
+    M[b*n + j, a], the product M @ L.T is a C-ordered (r_out*n, P) array
+    whose reshape to (r_out, n*P) and transpose is the F-ordered
+    (P*n, r_out) interface, with no copy.
     """
     L = cores[0][0]  # (n_1, r_1)
     for k in range(1, upto):
         core = cores[k]
         P = L.shape[0]
-        n, r_out = core.shape[1], core.shape[2]
+        r_in, n, r_out = core.shape
         if P * n * r_out > max_elems:
             raise CapacityError(
                 f"interface matrix would hold {P * n * r_out} elements (cap {max_elems})"
             )
-        out = np.empty((P, n, r_out), order="F")
-        for p0 in range(0, P, block_rows):
-            p1 = min(p0 + block_rows, P)
-            np.einsum("pa,ajb->pjb", L[p0:p1], core, out=out[p0:p1])
-        L = out.reshape(P * n, r_out, order="F")
+        M = np.ascontiguousarray(core.transpose(2, 1, 0)).reshape(r_out * n, r_in)
+        L = (M @ L.T).reshape(r_out, n * P).T
     return L
 
 
-def left_interface(
-    t: TTTensor,
-    i: int,
-    block_rows: int = DEFAULT_BLOCK_ROWS,
-    max_elems: int = INTERFACE_ELEM_CAP,
-) -> np.ndarray:
+def left_interface(t: TTTensor, i: int, max_elems: int = INTERFACE_ELEM_CAP) -> np.ndarray:
     """L_i: rows are the first i modes linearized (first index fastest), cols r_i."""
     _check_position(t, i)
-    return _left_chain(t.cores, i, block_rows, max_elems)
+    return _left_chain(t.cores, i, max_elems)
 
 
-def right_interface(
-    t: TTTensor,
-    i: int,
-    block_rows: int = DEFAULT_BLOCK_ROWS,
-    max_elems: int = INTERFACE_ELEM_CAP,
-) -> np.ndarray:
+def right_interface(t: TTTensor, i: int, max_elems: int = INTERFACE_ELEM_CAP) -> np.ndarray:
     """R_i: rows are modes i+1..d linearized (index i+1 fastest), cols r_i."""
     _check_position(t, i)
     cores = t.cores
@@ -206,12 +194,8 @@ def right_interface(
             raise CapacityError(
                 f"interface matrix would hold {n * Q * r_in} elements (cap {max_elems})"
             )
-        out = np.empty((n, Q, r_in), order="F")
-        for q0 in range(0, Q, block_rows):
-            q1 = min(q0 + block_rows, Q)
-            # out[j, q, a] = sum_b core[a, j, b] * R[q, b]
-            np.einsum("ajb,qb->jqa", core, R[q0:q1], out=out[:, q0:q1, :])
-        R = out.reshape(n * Q, r_in, order="F")
+        # out[a, q, j] = sum_b R[q, b] * core[a, j, b]; row j + n*q of R_k is out[:, q, j]
+        R = np.matmul(R, core.transpose(0, 2, 1)).reshape(r_in, Q * n).T
     return R
 
 
@@ -219,10 +203,11 @@ def _factor_pair_svd(L: np.ndarray, R: np.ndarray, rank_tol: float) -> ThinSVD:
     """Compact SVD of L @ R.T from thin QRs of the two factors.
 
     Only the small (width x width) core matrix is ever decomposed densely;
-    the product L @ R.T is never formed.
+    the product L @ R.T is never formed.  The QRs skip scipy's finiteness
+    scan: ThinSVD checks that the factors it is given are finite.
     """
-    QL, SL = np.linalg.qr(L, mode="reduced")
-    QR, SR = np.linalg.qr(R, mode="reduced")
+    QL, SL = scipy.linalg.qr(L, mode="economic", check_finite=False)
+    QR, SR = scipy.linalg.qr(R, mode="economic", check_finite=False)
     M = SL @ SR.T
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
     r = numerical_rank(s, rank_tol)
@@ -295,7 +280,7 @@ def to_dense(t: TTTensor, cap: int = DENSE_CAP) -> np.ndarray:
     size = t.size
     if size > cap:
         raise CapacityError(f"dense tensor would hold {size} entries (cap {cap})")
-    full = _left_chain(t.cores, t.d, DEFAULT_BLOCK_ROWS, INTERFACE_ELEM_CAP)
+    full = _left_chain(t.cores, t.d, INTERFACE_ELEM_CAP)
     return full.reshape(t.shape, order="F")
 
 

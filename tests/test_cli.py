@@ -295,7 +295,23 @@ def test_unknown_config_field_is_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("trials", "x"), ("rank_tol", "a"), ("max_resample", [1]), ("sample_sizes_I", ["a", 1, 2])],
+    [
+        ("trials", "x"),
+        ("rank_tol", "a"),
+        ("max_resample", [1]),
+        ("sample_sizes_I", ["a", 1, 2]),
+        # values int()/float()/bool() would truncate or cast rather than refuse
+        ("trials", 2.7),
+        ("trials", True),
+        ("master_seed", False),
+        ("max_resample", 1.5),
+        ("shape", [6.9, 6, 6, 6]),
+        ("ranks", [2, True, 2]),
+        ("sample_sizes_J", [4, 6.5, 4]),
+        ("rank_tol", False),
+        ("emit_svg", "false"),
+        ("emit_svg", 0),
+    ],
 )
 def test_malformed_config_value_is_usage_error(config_path, capsys, field, value):
     raw = json.loads(config_path.read_text())
@@ -303,6 +319,7 @@ def test_malformed_config_value_is_usage_error(config_path, capsys, field, value
     rc = main(["run", "--config", str(config_path)])
     assert rc == EXIT_USAGE
     assert f"error: {field}:" in capsys.readouterr().err
+    assert not (config_path.parent / "out").exists()
 
 
 def test_help_exits_zero(capsys):

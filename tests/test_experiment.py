@@ -162,6 +162,17 @@ def test_misspelled_config_fields_are_rejected():
         paper_preset(trails=3)
 
 
+def test_integral_config_numbers_are_kept_as_ints():
+    raw = {"shape": [6.0, 6, 6, 6], "ranks": [2, 3, 2], "trials": 2.0, "master_seed": np.int64(7),
+           "max_resample": 25.0, "sample_sizes_I": [4, 6.0, 4], "rank_tol": 0, "emit_svg": False}
+    cfg = ExperimentConfig.from_dict(raw)
+    assert tuple(cfg.shape) == (6, 6, 6, 6) and cfg.sample_sizes_I == (4, 6, 4)
+    assert (cfg.trials, cfg.master_seed, cfg.max_resample) == (2, 7, 25)
+    assert all(type(v) is int for v in (*cfg.shape, *cfg.sample_sizes_I, cfg.trials,
+                                        cfg.master_seed, cfg.max_resample))
+    assert cfg.rank_tol == 0.0 and cfg.emit_svg is False
+
+
 def test_default_sample_sizes_clip_to_pools():
     sizes_I, sizes_J = ExperimentConfig.default_sample_sizes((20, 20, 20, 20), (2, 3, 2))
     assert sizes_I == (8, 12, 8) and sizes_J == (8, 12, 8)

@@ -1,10 +1,16 @@
 """Tensor-train structure: cores, entries, interfaces, structured SVDs."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttinherit import (
     CapacityError,
@@ -31,6 +37,8 @@ from ttinherit import (
 from ttinherit.oracle import dense_unfolding
 
 from conftest import make_tt, rel_err
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # ---------------------------------------------------------------- validation
 
@@ -164,14 +172,73 @@ def test_interfaces_reject_out_of_range_position(hand_tt):
             right_interface(hand_tt, bad)
 
 
-def test_interface_row_blocking_is_transparent():
-    t = make_tt("uniform", (6, 5, 4), (3, 2), seed=8)
-    assert np.allclose(
-        left_interface(t, 2, block_rows=4), left_interface(t, 2), atol=0, rtol=0
+@st.composite
+def _chains(draw):
+    """A TT with d in {2, 3, 5}, modes of size 1-4, and unequal neighbouring ranks."""
+    d = draw(st.sampled_from((2, 3, 5)))
+    shape = draw(st.lists(st.integers(1, 4), min_size=d, max_size=d))
+    ranks = [1]
+    for _ in range(d - 1):
+        ranks.append(draw(st.sampled_from([r for r in (2, 3, 4) if r != ranks[-1]])))
+    ranks.append(1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return TTTensor([rng.standard_normal((ranks[k], shape[k], ranks[k + 1])) for k in range(d)])
+
+
+@settings(max_examples=60)
+@given(_chains())
+def test_interface_rows_multiply_out_to_entries(t):
+    # entry() chains the core slices itself, so it shares no code with the
+    # GEMM layout of left_interface/right_interface (to_dense does)
+    entries = np.empty(t.shape)
+    scale = np.empty(t.shape)  # the same chains over |cores| bound the roundoff
+    t_abs = TTTensor([np.abs(c) for c in t.cores])
+    for idx in itertools.product(*(range(n) for n in t.shape)):
+        multi = [j + 1 for j in idx]
+        entries[idx] = entry(t, multi)
+        scale[idx] = entry(t_abs, multi)
+    for i in range(1, t.d):
+        L = left_interface(t, i)
+        R = right_interface(t, i)
+        rows = int(np.prod(t.shape[:i]))
+        assert L.shape == (rows, t.ranks[i - 1])
+        assert R.shape == (t.size // rows, t.ranks[i - 1])
+        want = entries.reshape(rows, -1, order="F")
+        bound = 1e-13 * scale.reshape(rows, -1, order="F")
+        assert np.all(np.abs(L @ R.T - want) <= bound)
+
+
+def test_interfaces_agree_bitwise_across_blas_thread_counts():
+    # 1e6-row interfaces at paper geometry; OpenBLAS splits GEMM and QR work
+    # over threads, which must not change a single bit
+    script = (
+        "import hashlib, numpy as np\n"
+        "from ttinherit import TTTensor, left_interface, right_interface, unfolding_svd\n"
+        "rng = np.random.default_rng(3)\n"
+        "r = (1, 2, 3, 2, 1)\n"
+        "t = TTTensor([rng.standard_normal((r[k], 100, r[k + 1])) for k in range(4)])\n"
+        "h = hashlib.sha256()\n"
+        "for a in (left_interface(t, 3), right_interface(t, 1)):\n"
+        "    assert a.shape == (10**6, 2)\n"
+        "    h.update(np.ascontiguousarray(a).tobytes())\n"
+        "for i in (1, 2, 3):\n"
+        "    s = unfolding_svd(t, i)\n"
+        "    for a in (s.W, s.sigma, s.V):\n"
+        "        h.update(a.tobytes())\n"
+        "print(h.hexdigest())\n"
     )
-    assert np.allclose(
-        right_interface(t, 1, block_rows=4), right_interface(t, 1), atol=0, rtol=0
-    )
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 def test_interface_capacity_cap():
