@@ -12,7 +12,9 @@ on top of the config file; ``--seed``/``--trials`` override single fields.
 through the writer ``run`` uses; of an existing summary.json it replaces only
 ``summaries``, ``version`` and ``quartile_method`` and keeps the run's record.
 Worker parallelism is controlled by the TT_INHERIT_THREADS environment
-variable (0 or unset = one worker per CPU this process may use, at most 4).
+variable.  0 or unset means auto: one worker when the largest interface
+matrix of the configured tensor holds fewer than 2^16 entries, else one per
+CPU this process may use, at most 4.  There are never more workers than trials.
 While the trials run, every loaded OpenBLAS gets max(1, min(current,
 cpus // workers)) threads, so workers times BLAS threads does not exceed the
 CPUs; OPENBLAS_NUM_THREADS, which sets ``current``, is only a ceiling.  The

@@ -54,7 +54,10 @@ def load_tt(path) -> tuple[TTTensor, dict]:
         magic = f.read(len(MAGIC))
         if magic != MAGIC:
             raise DomainError(f"{path}: not a TT container (bad magic {magic!r})")
-        (hlen,) = struct.unpack("<I", f.read(4))
+        field = f.read(4)
+        if len(field) != 4:
+            raise DomainError(f"{path}: truncated container header length")
+        (hlen,) = struct.unpack("<I", field)
         try:
             header = json.loads(f.read(hlen).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -68,6 +71,8 @@ def load_tt(path) -> tuple[TTTensor, dict]:
             raise DomainError(f"{path}: malformed container header: {exc}") from exc
         if len(shape) != d or len(ranks) != d - 1:
             raise DomainError(f"{path}: header shape/ranks inconsistent with d={d}")
+        if min(shape + ranks) < 1:
+            raise DomainError(f"{path}: header sizes must be >= 1, got shape {shape}, ranks {ranks}")
         bounds = [1] + ranks + [1]
         cores = []
         for k in range(d):

@@ -58,6 +58,8 @@ __all__ = [
     "write_summary",
     "write_outputs",
     "resolve_workers",
+    "largest_interface_elems",
+    "POOL_MIN_INTERFACE_ELEMS",
     "version_stamp",
 ]
 
@@ -476,8 +478,35 @@ def run_trial(config: ExperimentConfig, kind: str, trial: int) -> TrialResult:
     )
 
 
-def resolve_workers() -> int:
-    """Worker count from TT_INHERIT_THREADS (0 or unset = auto, capped at 4)."""
+# Auto mode runs one worker when the largest interface matrix of the run's
+# tensor holds fewer entries than this.  Below it a trial's LAPACK calls are
+# too short to keep the GIL released, and two workers finish a run more
+# slowly than one.  On 2 CPUs, n^4 tensors of ranks (2, 3, 2) break even
+# between 54,000 and 65,536 entries, and of ranks (8, 8, 8) between 32,768
+# and 64,000; d = 6 tensors break even higher, between 118,098 and 200,000
+# (BENCH_pool_rule.json, "crossover").
+POOL_MIN_INTERFACE_ELEMS = 1 << 16
+
+
+def largest_interface_elems(config: ExperimentConfig) -> int:
+    """Entries of the run's largest interface matrix, max_i max(P_i, Q_i) * r_i.
+
+    It is the quantity :data:`~ttinherit.tt.INTERFACE_ELEM_CAP` bounds.
+    """
+    shape = config.shape
+    return max(
+        max(shape.prefix_size(i), shape.suffix_size(i)) * r
+        for i, r in enumerate(config.ranks, start=1)
+    )
+
+
+def resolve_workers(config: ExperimentConfig | None = None) -> int:
+    """Worker count from TT_INHERIT_THREADS; 0 or unset means auto.
+
+    Auto is one worker when ``config``'s largest interface matrix holds fewer
+    than :data:`POOL_MIN_INTERFACE_ELEMS` entries, else one per CPU this
+    process may use, at most 4.  Without ``config`` auto is the latter.
+    """
     raw = os.environ.get("TT_INHERIT_THREADS", "0").strip()
     try:
         n = int(raw)
@@ -485,9 +514,11 @@ def resolve_workers() -> int:
         raise ConfigError(f"TT_INHERIT_THREADS must be an integer, got {raw!r}")
     if n < 0:
         raise ConfigError(f"TT_INHERIT_THREADS must be >= 0, got {n}")
-    if n == 0:
-        return max(1, min(4, available_cpus()))
-    return n
+    if n > 0:
+        return n
+    if config is not None and largest_interface_elems(config) < POOL_MIN_INTERFACE_ELEMS:
+        return 1
+    return max(1, min(4, available_cpus()))
 
 
 @dataclass
@@ -531,7 +562,8 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentRe
     """Run the full generators x trials grid; optionally write all artifacts.
 
     Trials are independent and may run on a small thread pool (numpy releases
-    the GIL inside LAPACK); results are collected in deterministic
+    the GIL inside LAPACK) of :func:`resolve_workers` threads, never more than
+    there are trials; results are collected in deterministic
     (generator, trial) order regardless of scheduling.  While the pool runs,
     each worker gets its share of the CPUs as OpenBLAS threads
     (:func:`~ttinherit.linalg.blas_thread_budget`).  A trial that raises
@@ -542,7 +574,7 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentRe
     tasks = [(kind, trial) for kind in config.generators for trial in range(config.trials)]
     results: list[TrialResult] = []
     failures: list[dict] = []
-    workers = resolve_workers()
+    workers = min(resolve_workers(config), len(tasks))
     with blas_thread_budget(workers) as threads, ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(run_trial, config, kind, trial) for kind, trial in tasks]
         for (kind, trial), fut in zip(tasks, futures):

@@ -103,3 +103,21 @@ def test_rejects_inconsistent_header(tmp_path):
     path.write_bytes(MAGIC + struct.pack("<I", len(header)) + header)
     with pytest.raises(DomainError):
         load_tt(path)
+
+
+def test_rejects_truncated_header_length(tmp_path):
+    path = tmp_path / "t.ttc"
+    path.write_bytes(MAGIC + b"\x05\x00")  # two of the four length bytes
+    with pytest.raises(DomainError, match="header length"):
+        load_tt(path)
+
+
+@pytest.mark.parametrize(
+    "shape, ranks", [([2, -3], [2]), ([0, 3], [2]), ([2, 3], [0]), ([2, 3, 2], [2, -1])]
+)
+def test_rejects_sizes_below_one(tmp_path, shape, ranks):
+    header = json.dumps({"d": len(shape), "shape": shape, "ranks": ranks, "metadata": {}}).encode()
+    path = tmp_path / "t.ttc"
+    path.write_bytes(MAGIC + struct.pack("<I", len(header)) + header)
+    with pytest.raises(DomainError, match="must be >= 1"):
+        load_tt(path)

@@ -482,6 +482,54 @@ def test_resolve_workers_counts_the_cpus_the_process_may_use(monkeypatch):
         assert resolve_workers() == workers
 
 
+def _deep_geometry(**overrides):
+    return ExperimentConfig(
+        shape=(10,) * 6, ranks=(2, 3, 4, 3, 2), generators=KINDS, trials=20, master_seed=42
+    ).replace(**overrides)
+
+
+# (config builder, largest interface in entries, workers when auto on 8 CPUs);
+# 31^4 and 32^4 sit just below and at POOL_MIN_INTERFACE_ELEMS = 2^16
+WORKER_RULE_CASES = {
+    "desk": (desk_preset, 16_000, 1),
+    "paper": (paper_preset, 2_000_000, 4),
+    "deep": (_deep_geometry, 200_000, 4),
+    "31^4": (lambda **kw: desk_preset(shape=(31,) * 4, **kw), 59_582, 1),
+    "32^4": (lambda **kw: desk_preset(shape=(32,) * 4, **kw), 65_536, 4),
+}
+
+
+@pytest.mark.parametrize("case", list(WORKER_RULE_CASES))
+def test_auto_workers_follow_the_largest_interface(monkeypatch, tmp_path, case):
+    build, elems, auto = WORKER_RULE_CASES[case]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.delenv("TT_INHERIT_THREADS", raising=False)
+    cfg = build(trials=2, output_dir=str(tmp_path), emit_svg=False)  # 6 tasks
+    assert experiment_mod.largest_interface_elems(cfg) == elems
+    assert (elems < experiment_mod.POOL_MIN_INTERFACE_ELEMS) == (auto == 1)
+    assert resolve_workers() == 4  # no config: one per CPU, at most 4
+    pools = []
+
+    class RecordingPool(experiment_mod.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    def no_trial(config, kind, trial):
+        raise TrialError("not run")
+
+    monkeypatch.setattr(experiment_mod, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(experiment_mod, "run_trial", no_trial)
+    for raw, want in ((None, auto), ("0", auto), ("2", 2)):
+        if raw is not None:
+            monkeypatch.setenv("TT_INHERIT_THREADS", raw)
+        assert resolve_workers(cfg) == want
+        with pytest.warns(RuntimeWarning, match="not run"):
+            out = run_experiment(cfg, write=True)
+        doc = json.loads((tmp_path / "summary.json").read_text())
+        assert pools[-1] == out.threads["workers"] == doc["threads"]["workers"] == want
+
+
 # ---------------------------------------------------------------- BLAS threads
 
 
@@ -538,6 +586,19 @@ def test_run_experiment_gives_each_worker_its_blas_share(monkeypatch, openblas, 
             for lib in openblas
         ],
     }
+
+
+def test_pool_never_has_more_workers_than_trials(monkeypatch, openblas):
+    # 2 tasks on 8 CPUs: 2 workers with 8 // 2 BLAS threads each (capped at
+    # the 3 they had), not 4 workers with 8 // 4
+    monkeypatch.setenv("TT_INHERIT_THREADS", "4")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    seen = _reading_blas_threads(monkeypatch, openblas)
+    out = run_experiment(_small_config(trials=1), write=False)
+    assert len(seen) == 2
+    assert set(seen) == {(3,) * len(openblas)}
+    assert out.threads["workers"] == 2
+    assert [e["threads_per_worker"] for e in out.threads["openblas"]] == [3] * len(openblas)
 
 
 def test_blas_threads_are_restored_when_a_trial_raises(monkeypatch, openblas):
