@@ -6,8 +6,9 @@
     ttinherit report   --in DIR
 
 Exit codes: 0 success, 1 bound violations (or failed trials), 2 usage or
-configuration errors.  ``--scale`` overlays the preset geometry/trial count
-on top of the config file; ``--seed``/``--trials`` override single fields.
+configuration errors.  ``--scale`` overlays the preset geometry (shape,
+ranks and sample sizes) on top of the config file; ``--seed``/``--trials``
+override single fields.
 ``report`` summarizes DIR/trials.csv and writes summary.json and the SVGs
 through the writer ``run`` uses; of an existing summary.json it replaces only
 ``summaries``, ``version`` and ``quartile_method`` and keeps the run's record.

@@ -66,7 +66,9 @@ class ThinSVD:
 
     ``W`` is (m, r) and ``V`` is (n, r), both with orthonormal columns to
     within :data:`ORTHONORMALITY_TOL`; ``sigma`` is strictly positive and
-    non-increasing.  Instances validate on construction.
+    non-increasing.  Instances validate on construction.  ``W`` and ``V``
+    are stored column-major (Fortran order), so each of the r columns of a
+    tall factor is contiguous for the checks and row norms that read it.
     """
 
     W: np.ndarray
@@ -74,8 +76,8 @@ class ThinSVD:
     V: np.ndarray
 
     def __post_init__(self):
-        W = np.ascontiguousarray(self.W, dtype=np.float64)
-        V = np.ascontiguousarray(self.V, dtype=np.float64)
+        W = np.asfortranarray(self.W, dtype=np.float64)
+        V = np.asfortranarray(self.V, dtype=np.float64)
         sigma = np.asarray(self.sigma, dtype=np.float64).reshape(-1)
         if W.ndim != 2 or V.ndim != 2:
             raise DomainError("ThinSVD factors must be 2-d")

@@ -205,15 +205,28 @@ def _factor_pair_svd(L: np.ndarray, R: np.ndarray, rank_tol: float) -> ThinSVD:
     Only the small (width x width) core matrix is ever decomposed densely;
     the product L @ R.T is never formed.  The QRs skip scipy's finiteness
     scan: ThinSVD checks that the factors it is given are finite.
+
+    A writeable ``L`` or ``R`` is consumed: scipy factors it in place, so
+    pass only arrays built for this call (fresh interfaces and fancy-indexed
+    blocks are).  Read-only inputs, such as the core views behind
+    ``left_interface(t, 1)`` and ``right_interface(t, d - 1)``, are copied
+    first.  That guard is a correctness condition, not tuning: scipy's
+    ``overwrite_a`` writes through the read-only flag.  W and V come out
+    column-major, the layout ThinSVD stores.
     """
-    QL, SL = scipy.linalg.qr(L, mode="economic", check_finite=False)
-    QR, SR = scipy.linalg.qr(R, mode="economic", check_finite=False)
+    QL, SL = scipy.linalg.qr(
+        L, mode="economic", overwrite_a=L.flags.writeable, check_finite=False
+    )
+    QR, SR = scipy.linalg.qr(
+        R, mode="economic", overwrite_a=R.flags.writeable, check_finite=False
+    )
     M = SL @ SR.T
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
     r = numerical_rank(s, rank_tol)
     if r == 0:
         raise RankZeroError("matrix product is numerically zero")
-    return ThinSVD(QL @ U[:, :r], s[:r], QR @ Vt[:r].T)
+    # (B.T @ Q.T).T is the F-ordered Q @ B in one GEMM
+    return ThinSVD((U[:, :r].T @ QL.T).T, s[:r], (Vt[:r] @ QR.T).T)
 
 
 def unfolding_svd(t: TTTensor, i: int, rank_tol: float = DEFAULT_RANK_TOL) -> ThinSVD:

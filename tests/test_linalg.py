@@ -227,7 +227,8 @@ def test_thin_svd_container_validates_orthonormality():
 
 def test_thin_svd_container_is_read_only():
     W, s, V = _valid_factors()
-    svd = ThinSVD(W, s, V)
+    svd = ThinSVD(np.ascontiguousarray(W), s, V)
+    assert svd.W.flags.f_contiguous and svd.V.flags.f_contiguous  # stored column-major
     with pytest.raises(ValueError):
         svd.W[0, 0] = 9.0
     with pytest.raises(ValueError):

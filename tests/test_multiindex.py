@@ -44,23 +44,35 @@ def test_shape_rejects_bad_dims():
 
 
 def test_index_set_sorts_and_validates():
-    s = IndexSet([5, 2, 9], 10)
-    assert list(s) == [2, 5, 9]
-    assert len(s) == 3
-    assert 5 in s and 3 not in s
-    assert np.array_equal(s.zero_based(), [1, 4, 8])
-    assert not s.indices.flags.writeable
+    # sorted input skips the sort, unsorted input is sorted; either way the
+    # set holds its own read-only copy
+    for given in ([5, 2, 9], [2, 5, 9], [9, 5, 2]):
+        raw = np.array(given, dtype=np.int64)
+        s = IndexSet(raw, 10)
+        assert list(s) == [2, 5, 9]
+        assert len(s) == 3
+        assert 5 in s and 3 not in s
+        assert np.array_equal(s.zero_based(), [1, 4, 8])
+        assert not s.indices.flags.writeable
+        raw[0] = 7
+        assert list(s) == [2, 5, 9] and raw.flags.writeable
 
 
 def test_index_set_rejects_duplicates_and_out_of_domain():
-    with pytest.raises(DomainError):
-        IndexSet([1, 1, 2], 10)
-    with pytest.raises(DomainError):
-        IndexSet([0, 1], 10)
-    with pytest.raises(DomainError):
-        IndexSet([1, 11], 10)
-    with pytest.raises(DomainError):
-        IndexSet([1], 0)
+    cases = [
+        ([1, 1, 2], 10, "distinct"),  # sorted, adjacent duplicates
+        ([1, 2, 2, 3], 10, "distinct"),
+        ([2, 1, 2], 10, "distinct"),  # unsorted duplicates
+        ([0, 1], 10, r"lie in \[1, 10\]"),
+        ([1, 11], 10, r"lie in \[1, 10\]"),
+        # unsorted and out of domain: the domain error comes first
+        ([11, 3, 3], 10, r"lie in \[1, 10\], got range \[3, 11\]"),
+        ([5, 0, 2], 10, r"got range \[0, 5\]"),
+        ([1], 0, "domain must be >= 1"),
+    ]
+    for given, domain, message in cases:
+        with pytest.raises(DomainError, match=message):
+            IndexSet(given, domain)
 
 
 def test_index_set_full_subset_equality():

@@ -20,6 +20,8 @@ from ttinherit import (
     RankZeroError,
     StructuralError,
     TTTensor,
+    check_column_sampling_bounds,
+    check_row_sampling_bounds,
     column_submatrix,
     entry,
     left_interface,
@@ -36,7 +38,7 @@ from ttinherit import (
 )
 from ttinherit.oracle import dense_unfolding
 
-from conftest import make_tt, rel_err
+from conftest import make_tt, rel_err, sample_valid_sets
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -262,6 +264,7 @@ def test_unfolding_svd_orthogonality_at_scale():
     for i in range(1, 4):
         svd = unfolding_svd(t, i)
         r = svd.rank
+        assert svd.W.flags.f_contiguous and svd.V.flags.f_contiguous
         assert np.abs(svd.W.T @ svd.W - np.eye(r)).max() <= 1e-10
         assert np.abs(svd.V.T @ svd.V - np.eye(r)).max() <= 1e-10
 
@@ -395,6 +398,31 @@ def test_submatrix_svd_matches_dense_block_svd():
     assert s_struct.rank == s_dense.rank
     assert rel_err(s_struct.sigma, s_dense.sigma) <= 1e-10
     assert rel_err(s_struct.reconstruct(), block) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "shape, ranks, sizes",
+    [
+        ((5, 4, 3, 6), (2, 3, 2), (3, 5, 4)),
+        ((3, 4, 2, 3, 5), (1, 3, 3, 2), (2, 4, 4, 3)),
+    ],
+)
+def test_factoring_never_writes_into_the_cores(shape, ranks, sizes):
+    # the unfolding SVDs factor their interfaces in place; at i = 1 and
+    # i = d - 1 an interface is a view of a core, which must stay untouched
+    # (with r_1 = 1 the left view is F-contiguous too, so both guards count)
+    t = make_tt("gaussian", shape, ranks, seed=23)
+    before = [c.tobytes() for c in t.cores]
+    tt_rank_numerical(t)
+    for i in range(1, t.d):
+        unfolding_svd(t, i)
+    I_sets, J_sets, _ = sample_valid_sets(t, sizes, sizes, seed=23)
+    for i in range(1, t.d):
+        submatrix_svd(t, i, I_sets[i - 1], J_sets[i - 1])
+        row_restrict(t, i, I_sets[i - 1])
+    check_row_sampling_bounds(t, I_sets)
+    check_column_sampling_bounds(t, I_sets, J_sets)
+    assert [c.tobytes() for c in t.cores] == before
 
 
 def test_submatrix_svd_rejects_bad_sets():
