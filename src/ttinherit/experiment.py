@@ -39,6 +39,7 @@ from .properties import (
     InheritanceRecord,
     check_column_sampling_bounds,
     check_row_sampling_bounds,
+    unfolding_report,
     unfolding_svd,
 )
 from .svgplot import write_boxplot_svg
@@ -415,8 +416,8 @@ def run_trial(config: ExperimentConfig, kind: str, trial: int) -> TrialResult:
     tol = config.rank_tol
     t = generate(GeneratorSpec(kind, config.shape, config.ranks, seed=trial_seed), tol)
     d = t.d
-    svds = [unfolding_svd(t, k, tol) for k in range(1, d)]
-    ranks = tuple(s.rank for s in svds)
+    # one report per parent unfolding, shared by both bound suites
+    parents = [unfolding_report(k, unfolding_svd(t, k, tol)) for k in range(1, d)]
 
     # all row levels, then all column levels.  Row sets are nested: level i
     # samples from level i-1 refined by mode i.  Column sets are independent
@@ -425,7 +426,7 @@ def run_trial(config: ExperimentConfig, kind: str, trial: int) -> TrialResult:
     redraws: dict[str, list[int]] = {"rows": [], "cols": []}
     for stream in ("rows", "cols"):
         for i in range(1, d):
-            svd_i = svds[i - 1]
+            svd_i = parents[i - 1].svd
             if stream == "rows":
                 prev = sets["rows"][-1] if i > 1 else IndexSet.full(1)
                 pool = kron_extend(prev, t.shape[i - 1])
@@ -437,7 +438,7 @@ def run_trial(config: ExperimentConfig, kind: str, trial: int) -> TrialResult:
                 pool,
                 size,
                 lambda c, f=factor: f[c.zero_based(), :],
-                ranks[i - 1],
+                svd_i.rank,
                 tol,
                 trial_seed,
                 stream,
@@ -448,8 +449,8 @@ def run_trial(config: ExperimentConfig, kind: str, trial: int) -> TrialResult:
             redraws[stream].append(tries)
     I_sets, J_sets = sets["rows"], sets["cols"]
 
-    records_rows = check_row_sampling_bounds(t, I_sets, tol, svds=svds)
-    records_cols = check_column_sampling_bounds(t, I_sets, J_sets, tol, svds=svds)
+    records_rows = check_row_sampling_bounds(t, I_sets, tol, parents=parents)
+    records_cols = check_column_sampling_bounds(t, I_sets, J_sets, tol, parents=parents)
 
     by_label = {rec.label: rec for rec in records_rows + records_cols}
     values: dict[str, float] = {}

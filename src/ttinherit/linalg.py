@@ -76,8 +76,9 @@ class ThinSVD:
     V: np.ndarray
 
     def __post_init__(self):
-        W = np.asfortranarray(self.W, dtype=np.float64)
-        V = np.asfortranarray(self.V, dtype=np.float64)
+        # views: the read-only flag set below must not reach the caller's arrays
+        W = np.asfortranarray(self.W, dtype=np.float64).view()
+        V = np.asfortranarray(self.V, dtype=np.float64).view()
         sigma = np.asarray(self.sigma, dtype=np.float64).reshape(-1)
         if W.ndim != 2 or V.ndim != 2:
             raise DomainError("ThinSVD factors must be 2-d")

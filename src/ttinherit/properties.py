@@ -28,7 +28,7 @@ slack) means a bug, not bad luck.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -95,13 +95,15 @@ class IncoherencePair:
 
 @dataclass(frozen=True)
 class UnfoldingReport:
-    """Rank, incoherence, conditioning, and spectrum of one unfolding."""
+    """Rank, incoherence, conditioning, and spectrum of one unfolding, with
+    the compact SVD they were read from."""
 
     i: int
     rank: int
     mu: IncoherencePair
     kappa: float
     sigma: np.ndarray
+    svd: ThinSVD = field(repr=False, compare=False)
 
     def __post_init__(self):
         if self.rank < 1:
@@ -188,6 +190,7 @@ def unfolding_report(i: int, svd: ThinSVD) -> UnfoldingReport:
         mu=incoherence(svd, m, n),
         kappa=condition_number(svd),
         sigma=svd.sigma,
+        svd=svd,
     )
 
 
@@ -384,7 +387,7 @@ def check_row_sampling_bounds(
     t: TTTensor,
     nested: Sequence[IndexSet],
     rank_tol: float = DEFAULT_RANK_TOL,
-    svds: Sequence[ThinSVD] | None = None,
+    parents: Sequence[UnfoldingReport] | None = None,
 ) -> list[InheritanceRecord]:
     """Verify the inheritance inequalities for every row-sampled subtensor.
 
@@ -397,12 +400,13 @@ def check_row_sampling_bounds(
         kappa(sub) <= alpha_it * sqrt(mu1 * r_k) * kappa
 
     Records are ordered by (i, t).  A failed rank hypothesis flags the
-    record and skips its checks instead of raising.
+    record and skips its checks instead of raising.  ``parents``, the
+    :func:`tt_incoherence` reports of ``t``, may be passed to share them
+    with the column suite.
     """
     validate_nested(t, nested)
-    if svds is None:
-        svds = [unfolding_svd(t, k, rank_tol) for k in range(1, t.d)]
-    parents = [unfolding_report(k, svds[k - 1]) for k in range(1, t.d)]
+    if parents is None:
+        parents = tt_incoherence(t, rank_tol)
     records = []
     for i in range(1, t.d):
         I_i = nested[i - 1]
@@ -411,7 +415,7 @@ def check_row_sampling_bounds(
             k = i + t_off - 1
             parent = parents[k - 1]
             try:
-                a = alpha_it(t, I_i, i, t_off, rank_tol, svd=svds[k - 1])
+                a = alpha_it(t, I_i, i, t_off, rank_tol, svd=parent.svd)
                 ssvd = unfolding_svd(sub, t_off, rank_tol)
             except (SingularityError, RankZeroError):
                 a, ssvd = float("nan"), None
@@ -437,7 +441,7 @@ def check_column_sampling_bounds(
     nested: Sequence[IndexSet],
     J_sets: Sequence[IndexSet],
     rank_tol: float = DEFAULT_RANK_TOL,
-    svds: Sequence[ThinSVD] | None = None,
+    parents: Sequence[UnfoldingReport] | None = None,
 ) -> list[InheritanceRecord]:
     """Verify the inheritance inequalities for every column submatrix.
 
@@ -453,7 +457,8 @@ def check_column_sampling_bounds(
 
     Returns, per level, an "alpha_i" record (i >= 2, carrying the row
     factor, no checks of its own) followed by a "beta_i" record carrying
-    the three inequalities.
+    the three inequalities.  ``parents`` is as in
+    :func:`check_row_sampling_bounds`.
     """
     validate_nested(t, nested)
     shp = Shape(t.shape)
@@ -466,9 +471,8 @@ def check_column_sampling_bounds(
             )
         if len(J) == 0:
             raise DomainError(f"J_{i} is empty")
-    if svds is None:
-        svds = [unfolding_svd(t, k, rank_tol) for k in range(1, t.d)]
-    parents = [unfolding_report(k, svds[k - 1]) for k in range(1, t.d)]
+    if parents is None:
+        parents = tt_incoherence(t, rank_tol)
     records = []
     for i in range(1, t.d):
         parent = parents[i - 1]
@@ -478,8 +482,8 @@ def check_column_sampling_bounds(
         a = ALPHA_1 if i == 1 else float("nan")
         b = float("nan")
         try:
-            a = alpha_i(t, I_prev, i, rank_tol, svd=svds[i - 1])
-            b = beta_i(t, J, i, rank_tol, svd=svds[i - 1])
+            a = alpha_i(t, I_prev, i, rank_tol, svd=parent.svd)
+            b = beta_i(t, J, i, rank_tol, svd=parent.svd)
             csvd = submatrix_svd(t, i, rows, J, rank_tol)
         except (SingularityError, RankZeroError):
             csvd = None

@@ -12,6 +12,15 @@ matrices L_i (prod(n_1..n_i) x r_i) and R_i (prod(n_{i+1}..n_d) x r_i) come
 from contracting the chain up to / after position i.  Everything here that
 looks like it touches an unfolding really touches only L_i and R_i, so a
 100^4 tensor costs megabytes, not gigabytes.
+
+Each tensor also carries its two orthogonal forms, built on first use by
+one sweep of small per-core QRs each, as in TT-SVD and TT-rounding
+(Oseledets, "Tensor-Train Decomposition", SIAM J. Sci. Comput. 33(5),
+2011, section 3): a left-orthogonal TT ``A`` with small factors ``S_i`` so
+that ``L_i = left_interface(A, i) @ S_i``, and a right-orthogonal TT ``B``
+with ``R_i = right_interface(B, i) @ T_i``.  The interfaces of ``A`` and
+``B`` have orthonormal columns, so the SVD of T_<i> needs only the SVD of
+the r x r matrix ``S_i @ T_i.T``; no QR of a tall interface ever runs.
 """
 
 from __future__ import annotations
@@ -32,6 +41,8 @@ __all__ = [
     "to_dense",
     "left_interface",
     "right_interface",
+    "left_orthogonal_form",
+    "right_orthogonal_form",
     "unfolding_svd",
     "submatrix_svd",
     "tt_rank_numerical",
@@ -78,19 +89,25 @@ class TTTensor:
     ``cores[k]`` has shape ``(r_k, n_{k+1}, r_{k+1})`` (0-based k); the
     constructor copies its inputs to read-only float64 arrays and validates
     the chain.  ``ranks`` are the *declared* ranks (core widths); see
-    :func:`tt_rank_numerical` for the numerical ones.
+    :func:`tt_rank_numerical` for the numerical ones.  The orthogonal forms
+    (:func:`left_orthogonal_form`, :func:`right_orthogonal_form`) are cached
+    on the tensor once built.
     """
 
-    __slots__ = ("cores", "shape", "ranks")
+    __slots__ = ("cores", "shape", "ranks", "_forms")
 
     def __init__(self, cores):
         cores = tuple(np.array(c, dtype=np.float64, order="C", copy=True) for c in cores)
         shape, ranks = _validate_cores(cores)
+        self._set(cores, shape, ranks)
+
+    def _set(self, cores, shape, ranks) -> None:
         for c in cores:
             c.setflags(write=False)
         object.__setattr__(self, "cores", cores)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "ranks", ranks)
+        object.__setattr__(self, "_forms", [None, None])  # [(A, S), (B, T)]
 
     def __setattr__(self, name, value):
         raise AttributeError("TTTensor is immutable")
@@ -199,28 +216,113 @@ def right_interface(t: TTTensor, i: int, max_elems: int = INTERFACE_ELEM_CAP) ->
     return R
 
 
-def _factor_pair_svd(L: np.ndarray, R: np.ndarray, rank_tol: float) -> ThinSVD:
-    """Compact SVD of L @ R.T from thin QRs of the two factors.
+def _form_tensor(cores) -> TTTensor:
+    """A TTTensor over cores this module built from a validated chain.
 
-    Only the small (width x width) core matrix is ever decomposed densely;
-    the product L @ R.T is never formed.  The QRs skip scipy's finiteness
-    scan: ThinSVD checks that the factors it is given are finite.
-
-    A writeable ``L`` or ``R`` is consumed: scipy factors it in place, so
-    pass only arrays built for this call (fresh interfaces and fancy-indexed
-    blocks are).  Read-only inputs, such as the core views behind
-    ``left_interface(t, 1)`` and ``right_interface(t, d - 1)``, are copied
-    first.  That guard is a correctness condition, not tuning: scipy's
-    ``overwrite_a`` writes through the read-only flag.  W and V come out
-    column-major, the layout ThinSVD stores.
+    Skips the constructor's copy and checks, which a sweep step would
+    otherwise pay once per core.
     """
-    QL, SL = scipy.linalg.qr(
-        L, mode="economic", overwrite_a=L.flags.writeable, check_finite=False
+    t = object.__new__(TTTensor)
+    t._set(
+        tuple(cores),
+        tuple(c.shape[1] for c in cores),
+        tuple(c.shape[2] for c in cores[:-1]),
     )
-    QR, SR = scipy.linalg.qr(
-        R, mode="economic", overwrite_a=R.flags.writeable, check_finite=False
-    )
-    M = SL @ SR.T
+    return t
+
+
+def _qr(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Economic QR that consumes ``X`` when it is writeable.
+
+    Pass only arrays built for the call (sweep steps and fancy-indexed
+    blocks are); a read-only array, such as a view of a core, is copied
+    first.  The guard is a correctness condition, not tuning: scipy's
+    ``overwrite_a`` writes through the read-only flag.  Q comes out
+    column-major.
+    """
+    return scipy.linalg.qr(X, mode="economic", overwrite_a=X.flags.writeable, check_finite=False)
+
+
+def _left_core(Q: np.ndarray, n: int) -> np.ndarray:
+    """Core (r, n, q) whose left-rank-fastest unfolding is Q, rows a + r*j."""
+    return Q.reshape(-1, n, Q.shape[1], order="F")
+
+
+def _right_core(Q: np.ndarray, n: int) -> np.ndarray:
+    """Core (q, n, r) whose mode-fastest unfolding is Q, rows j + n*b."""
+    return Q.reshape(n, -1, Q.shape[1], order="F").transpose(2, 0, 1)
+
+
+def left_orthogonal_form(t: TTTensor) -> tuple[TTTensor, tuple[np.ndarray, ...]]:
+    """``(A, S)``: a left-orthogonal TT ``A`` of the same tensor and the
+    ``r'_i x r_i`` factors ``S[i - 1]`` with
+    ``left_interface(t, i) = left_interface(A, i) @ S[i - 1]``.
+
+    One left-to-right sweep: each step QR-factors the current core with the
+    previous factor multiplied in, ``S_{i-1} G_i`` in its left-rank-fastest
+    unfolding, keeps Q as core i of ``A`` and passes R on.  The last core
+    of ``A`` carries the tensor's scale.  Where a declared rank exceeds
+    ``r'_{i-1} n_i``, the form's rank ``r'_i`` is the smaller number.
+    Built once per tensor and cached on it.
+    """
+    form = t._forms[0]
+    if form is None:
+        cores, S = [], []
+        X = t.cores[0][0]  # L_1
+        for k in range(1, t.d):
+            Q, R = _qr(X)
+            cores.append(_left_core(Q, t.shape[k - 1]))
+            S.append(R)
+            core = t.cores[k]
+            # X[a + q*j, b] = sum_c R[a, c] * core[c, j, b], column-major
+            X = np.matmul(core.transpose(2, 1, 0), R.T).reshape(core.shape[2], -1).T
+        cores.append(_left_core(X, t.shape[-1]))
+        form = t._forms[0] = (_form_tensor(cores), tuple(S))
+    return form
+
+
+def _right_step(core: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Y[j + n*b, a] = sum_c core[a, j, c] * R[b, c], column-major."""
+    return np.matmul(R, core.transpose(0, 2, 1)).reshape(core.shape[0], -1).T
+
+
+def _right_form(first: np.ndarray, tail: tuple, T: tuple) -> tuple[TTTensor, tuple]:
+    """``(B, T)`` for a tensor whose first core is ``first``, given the
+    orthonormal cores 2..d of ``B`` and the factors ``T`` of its right sweep."""
+    B = _form_tensor((_right_core(_right_step(first, T[0]), first.shape[1]),) + tail)
+    return B, T
+
+
+def right_orthogonal_form(t: TTTensor) -> tuple[TTTensor, tuple[np.ndarray, ...]]:
+    """``(B, T)``: a right-orthogonal TT ``B`` of the same tensor and the
+    ``r''_i x r_i`` factors ``T[i - 1]`` with
+    ``right_interface(t, i) = right_interface(B, i) @ T[i - 1]``.
+
+    The mirror of :func:`left_orthogonal_form`, sweeping from the last core
+    to the second; the first core of ``B`` carries the tensor's scale.
+    :func:`row_restrict` hands its subtensor this sweep, since the two
+    share their trailing cores.
+    """
+    form = t._forms[1]
+    if form is None:
+        tail, T = [], []
+        Y = t.cores[-1][:, :, 0].T  # R_{d-1}
+        for k in range(t.d - 1, 0, -1):
+            Q, R = _qr(Y)
+            tail.append(_right_core(Q, t.shape[k]))
+            T.append(R)
+            if k > 1:
+                Y = _right_step(t.cores[k - 1], R)
+        form = t._forms[1] = _right_form(t.cores[0], tuple(tail[::-1]), tuple(T[::-1]))
+    return form
+
+
+def _svd_between(QL: np.ndarray, M: np.ndarray, QR: np.ndarray, rank_tol: float) -> ThinSVD:
+    """Compact SVD of ``QL @ M @ QR.T`` for QL, QR with orthonormal columns.
+
+    Only the small core matrix M is decomposed densely; W and V come from
+    one GEMM each, column-major, the layout ThinSVD stores.
+    """
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
     r = numerical_rank(s, rank_tol)
     if r == 0:
@@ -229,9 +331,28 @@ def _factor_pair_svd(L: np.ndarray, R: np.ndarray, rank_tol: float) -> ThinSVD:
     return ThinSVD((U[:, :r].T @ QL.T).T, s[:r], (Vt[:r] @ QR.T).T)
 
 
+def _factor_pair_svd(L: np.ndarray, R: np.ndarray, rank_tol: float) -> ThinSVD:
+    """Compact SVD of L @ R.T for sampled blocks L and R, from thin QRs of both.
+
+    The product is never formed.  Writeable inputs are consumed (see
+    :func:`_qr`).
+    """
+    QL, SL = _qr(L)
+    QR, SR = _qr(R)
+    return _svd_between(QL, SL @ SR.T, QR, rank_tol)
+
+
 def unfolding_svd(t: TTTensor, i: int, rank_tol: float = DEFAULT_RANK_TOL) -> ThinSVD:
-    """Compact SVD of the i-th unfolding, computed from the interface factors."""
-    return _factor_pair_svd(left_interface(t, i), right_interface(t, i), rank_tol)
+    """Compact SVD of the i-th unfolding from the tensor's orthogonal forms.
+
+    T_<i> = left_interface(A, i) @ (S_i @ T_i.T) @ right_interface(B, i).T
+    with orthonormal outer factors, so only the r x r middle is decomposed.
+    """
+    A, S = left_orthogonal_form(t)
+    B, T = right_orthogonal_form(t)
+    QL = left_interface(A, i)
+    QR = right_interface(B, i)
+    return _svd_between(QL, S[i - 1] @ T[i - 1].T, QR, rank_tol)
 
 
 def tt_rank_numerical(t: TTTensor, rank_tol: float = DEFAULT_RANK_TOL) -> tuple[int, ...]:
@@ -243,7 +364,8 @@ def row_restrict(t: TTTensor, i: int, I: IndexSet) -> TTTensor:
     """Subtensor keeping rows I of the i-th unfolding: shape (|I|, n_{i+1}, ..., n_d).
 
     The selected rows of L_i become the new first core; the trailing cores
-    are shared unchanged, so the result is again a TT of d - i + 1 modes.
+    are shared unchanged, so the result is again a TT of d - i + 1 modes,
+    and it inherits the parent's right sweep over them.
     """
     _check_position(t, i)
     P = Shape(t.shape).prefix_size(i)
@@ -251,9 +373,12 @@ def row_restrict(t: TTTensor, i: int, I: IndexSet) -> TTTensor:
         raise DomainError(f"index-set domain {I.domain} != prod of first {i} mode sizes {P}")
     if len(I) == 0:
         raise DomainError("row index set must be nonempty")
-    L = left_interface(t, i)
-    G = L[I.zero_based(), :][None, :, :]
-    return TTTensor((G,) + t.cores[i:])
+    A, S = left_orthogonal_form(t)
+    B, T = right_orthogonal_form(t)
+    G = left_interface(A, i)[I.zero_based(), :] @ S[i - 1]
+    sub = TTTensor((G[None, :, :],) + t.cores[i:])
+    sub._forms[1] = _right_form(sub.cores[0], B.cores[i:], T[i - 1 :])
+    return sub
 
 
 def column_submatrix(
@@ -278,13 +403,15 @@ def submatrix_svd(
     """Compact SVD of :func:`column_submatrix` without materializing it.
 
     Identical result (up to roundoff) to ``thin_svd(column_submatrix(...))``
-    but costs 2 thin QRs of (selected rows of) the interface factors plus a
-    width x width SVD, so it works at scales where the dense block would not
-    fit in memory.
+    but costs 2 thin QRs of the selected rows of the interface factors, read
+    from the orthogonal forms, plus a width x width SVD, so it works at
+    scales where the dense block would not fit in memory.
     """
     _check_block(t, i, rows, J)
-    L = left_interface(t, i)[rows.zero_based(), :]
-    R = right_interface(t, i)[J.zero_based(), :]
+    A, S = left_orthogonal_form(t)
+    B, T = right_orthogonal_form(t)
+    L = left_interface(A, i)[rows.zero_based(), :] @ S[i - 1]
+    R = right_interface(B, i)[J.zero_based(), :] @ T[i - 1]
     return _factor_pair_svd(L, R, rank_tol)
 
 

@@ -235,6 +235,18 @@ def test_thin_svd_container_is_read_only():
         svd.sigma[0] = 9.0
 
 
+def test_thin_svd_leaves_the_callers_arrays_writeable():
+    # a factor already column-major is stored without a copy; the read-only
+    # flag must go on ThinSVD's own view of it, not on the caller's array
+    A = np.random.default_rng(5).standard_normal((6, 3))
+    W = np.asfortranarray(thin_qr(A)[0])
+    s = np.array([3.0, 2.0, 1.0])
+    svd = ThinSVD(W, s, W.copy())
+    assert np.shares_memory(svd.W, W)
+    assert W.flags.writeable and s.flags.writeable
+    assert not svd.W.flags.writeable and not svd.sigma.flags.writeable
+
+
 # ---------------------------------------------------------------- BLAS threads
 
 

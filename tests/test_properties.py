@@ -270,8 +270,8 @@ def test_row_bounds_full_sampling():
 def test_row_bounds_random_sampling_all_hold():
     for kind, seed in (("gaussian", 55), ("hadamard", 56), ("uniform", 57)):
         t = make_tt(kind, (8, 8, 8, 8), (2, 3, 2), seed=seed)
-        I_sets, _, svds = sample_valid_sets(t, (4, 6, 4), (4, 6, 4), seed=seed)
-        records = check_row_sampling_bounds(t, I_sets, svds=svds)
+        I_sets, _, _ = sample_valid_sets(t, (4, 6, 4), (4, 6, 4), seed=seed)
+        records = check_row_sampling_bounds(t, I_sets, parents=tt_incoherence(t))
         for rec in records:
             assert rec.rank_hypothesis_ok
             assert rec.satisfied, (kind, rec.i, rec.t, rec.checks)
@@ -281,8 +281,8 @@ def test_row_bounds_random_sampling_all_hold():
 
 def test_row_bounds_no_amplification_is_exact():
     t = make_tt("gaussian", (8, 8, 8, 8), (2, 3, 2), seed=58)
-    I_sets, _, svds = sample_valid_sets(t, (4, 6, 4), (4, 6, 4), seed=58)
-    for rec in check_row_sampling_bounds(t, I_sets, svds=svds):
+    I_sets, _, _ = sample_valid_sets(t, (4, 6, 4), (4, 6, 4), seed=58)
+    for rec in check_row_sampling_bounds(t, I_sets):
         (mu2_check,) = [c for c in rec.checks if c.name == "mu2"]
         assert mu2_check.lhs <= mu2_check.rhs * (1 + 1e-10)
 
@@ -337,8 +337,8 @@ def test_column_bounds_full_sampling():
 def test_column_bounds_random_sampling_all_hold():
     for kind, seed in (("gaussian", 62), ("hadamard", 63), ("uniform", 64)):
         t = make_tt(kind, (8, 8, 8, 8), (2, 3, 2), seed=seed)
-        I_sets, J_sets, svds = sample_valid_sets(t, (4, 6, 4), (4, 6, 4), seed=seed)
-        records = check_column_sampling_bounds(t, I_sets, J_sets, svds=svds)
+        I_sets, J_sets, _ = sample_valid_sets(t, (4, 6, 4), (4, 6, 4), seed=seed)
+        records = check_column_sampling_bounds(t, I_sets, J_sets, parents=tt_incoherence(t))
         assert len(records) == 5
         for rec in records:
             assert rec.rank_hypothesis_ok
@@ -348,8 +348,8 @@ def test_column_bounds_random_sampling_all_hold():
 
 def test_column_bounds_level_one_mu1_is_exact():
     t = make_tt("gaussian", (8, 8, 8, 8), (2, 3, 2), seed=65)
-    I_sets, J_sets, svds = sample_valid_sets(t, (4, 6, 4), (4, 6, 4), seed=65)
-    records = check_column_sampling_bounds(t, I_sets, J_sets, svds=svds)
+    I_sets, J_sets, _ = sample_valid_sets(t, (4, 6, 4), (4, 6, 4), seed=65)
+    records = check_column_sampling_bounds(t, I_sets, J_sets)
     (beta1,) = [r for r in records if r.label == "beta_1"]
     (mu1_check,) = [c for c in beta1.checks if c.name == "mu1"]
     assert mu1_check.lhs <= mu1_check.rhs * (1 + 1e-10)

@@ -37,6 +37,7 @@ from ttinherit import (
     validate,
 )
 from ttinherit.oracle import dense_unfolding
+from ttinherit.tt import left_orthogonal_form, right_orthogonal_form
 
 from conftest import make_tt, rel_err, sample_valid_sets
 
@@ -307,6 +308,89 @@ def test_declared_ranks_can_exceed_numerical():
     assert tt_rank_numerical(t) == (1,)
 
 
+# ---------------------------------------------------------------- orthogonal forms
+
+
+@st.composite
+def _any_chains(draw):
+    """A TT with d in {2, 3, 5}, modes of size 1-4 and declared ranks 1-5.
+
+    Ranks above n_k * r_{k-1} make the forms' ranks shrink; a duplicated
+    mode slice or rank slice makes a core, and the unfoldings through it,
+    rank deficient.
+    """
+    d = draw(st.sampled_from((2, 3, 5)))
+    shape = draw(st.lists(st.integers(1, 4), min_size=d, max_size=d))
+    ranks = [1] + draw(st.lists(st.integers(1, 5), min_size=d - 1, max_size=d - 1)) + [1]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cores = [rng.standard_normal((ranks[k], shape[k], ranks[k + 1])) for k in range(d)]
+    k = draw(st.integers(0, d - 1))
+    axis = draw(st.sampled_from((None, 1, 2)))
+    if axis is not None and cores[k].shape[axis] >= 2:
+        src = [slice(None)] * 3
+        dst = [slice(None)] * 3
+        src[axis], dst[axis] = 0, 1
+        cores[k][tuple(dst)] = cores[k][tuple(src)]
+    return TTTensor(cores), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_any_chains())
+def test_orthogonal_forms_and_the_svds_they_give(case):
+    t, seed = case
+    X = to_dense(t)
+    scale = np.abs(X).max()
+    (A, S), (B, T) = left_orthogonal_form(t), right_orthogonal_form(t)
+    assert left_orthogonal_form(t)[0] is A and right_orthogonal_form(t)[0] is B  # cached
+    assert np.abs(to_dense(A) - X).max() <= 1e-13 * scale
+    assert np.abs(to_dense(B) - X).max() <= 1e-13 * scale
+    for k in range(t.d - 1):
+        left = A.cores[k].reshape(-1, A.ranks[k], order="F")
+        assert np.abs(left.T @ left - np.eye(A.ranks[k])).max() <= 1e-14
+        right = B.cores[k + 1].reshape(B.ranks[k], -1)
+        assert np.abs(right @ right.T - np.eye(B.ranks[k])).max() <= 1e-14
+    rng = np.random.default_rng(seed)
+    for i in range(1, t.d):
+        assert A.ranks[i - 1] <= t.ranks[i - 1] and B.ranks[i - 1] <= t.ranks[i - 1]
+        L, R = left_interface(t, i), right_interface(t, i)
+        assert rel_err(left_interface(A, i) @ S[i - 1], L) <= 1e-13
+        assert rel_err(right_interface(B, i) @ T[i - 1], R) <= 1e-13
+        unf = dense_unfolding(X, i)
+        s_struct, s_dense = unfolding_svd(t, i), thin_svd(unf)
+        assert s_struct.rank == s_dense.rank
+        assert rel_err(s_struct.sigma, s_dense.sigma) <= 1e-12
+        assert rel_err(s_struct.reconstruct(), unf) <= 1e-12
+        P, Q = unf.shape
+        rows = IndexSet(rng.choice(P, rng.integers(1, P + 1), replace=False) + 1, P)
+        cols = IndexSet(rng.choice(Q, rng.integers(1, Q + 1), replace=False) + 1, Q)
+        block = column_submatrix(t, i, rows, cols)
+        b_struct, b_dense = submatrix_svd(t, i, rows, cols), thin_svd(block)
+        assert b_struct.rank == b_dense.rank
+        assert rel_err(b_struct.sigma, b_dense.sigma) <= 1e-12
+        assert rel_err(b_struct.reconstruct(), block) <= 1e-12
+    zeroed = list(t.cores)
+    zeroed[seed % t.d] = np.zeros_like(zeroed[seed % t.d])
+    z = TTTensor(zeroed)
+    for i in range(1, t.d):
+        with pytest.raises(RankZeroError):
+            unfolding_svd(z, i)
+
+
+def test_row_restrict_inherits_the_parents_right_form():
+    t = make_tt("gaussian", (4, 3, 5, 2, 3), (2, 3, 3, 2), seed=31)
+    B, T = right_orthogonal_form(t)
+    I = IndexSet([1, 2, 5, 7, 11, 12], 12)
+    for i in range(1, t.d):
+        P = int(np.prod(t.shape[:i]))
+        sub = row_restrict(t, i, IndexSet(I.zero_based()[I.zero_based() < P] + 1, P))
+        B_sub, T_sub = right_orthogonal_form(sub)
+        assert B_sub.cores[1] is B.cores[i]  # shared, not recomputed
+        B_new, T_new = right_orthogonal_form(TTTensor(sub.cores))
+        assert len(B_sub.cores) == len(B_new.cores) and len(T_sub) == len(T_new)
+        for got, want in zip(B_sub.cores + T_sub, B_new.cores + T_new):
+            assert np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------- row_restrict
 
 
@@ -408,11 +492,17 @@ def test_submatrix_svd_matches_dense_block_svd():
     ],
 )
 def test_factoring_never_writes_into_the_cores(shape, ranks, sizes):
-    # the unfolding SVDs factor their interfaces in place; at i = 1 and
-    # i = d - 1 an interface is a view of a core, which must stay untouched
-    # (with r_1 = 1 the left view is F-contiguous too, so both guards count)
-    t = make_tt("gaussian", shape, ranks, seed=23)
+    # the sweeps and the sampled-block SVDs factor their inputs in place;
+    # each sweep starts from a view of the first or last core, which must
+    # stay untouched (with r_1 = 1 the left view is F-contiguous too).  The
+    # tensor is fresh, because generate() has built the forms of its own
+    t = TTTensor(make_tt("gaussian", shape, ranks, seed=23).cores)
     before = [c.tobytes() for c in t.cores]
+    # the forms are cached and read by everything below, so they must stay
+    # untouched too; row_restrict hands its subtensor the parent's right form
+    (A, S), (B, T) = left_orthogonal_form(t), right_orthogonal_form(t)
+    assert [c.tobytes() for c in t.cores] == before
+    forms = [a.tobytes() for a in A.cores + S + B.cores + T]
     tt_rank_numerical(t)
     for i in range(1, t.d):
         unfolding_svd(t, i)
@@ -423,6 +513,7 @@ def test_factoring_never_writes_into_the_cores(shape, ranks, sizes):
     check_row_sampling_bounds(t, I_sets)
     check_column_sampling_bounds(t, I_sets, J_sets)
     assert [c.tobytes() for c in t.cores] == before
+    assert [a.tobytes() for a in A.cores + S + B.cores + T] == forms
 
 
 def test_submatrix_svd_rejects_bad_sets():
