@@ -41,7 +41,6 @@ from .linalg import (
     numerical_rank,
     pinv_spectral_norm,
     row_two_inf_norm,
-    thin_qr,
     thin_svd,
 )
 from .tt import (
@@ -115,7 +114,6 @@ __all__ = [
     # linalg
     "DEFAULT_RANK_TOL",
     "ThinSVD",
-    "thin_qr",
     "thin_svd",
     "numerical_rank",
     "pinv_spectral_norm",

@@ -24,6 +24,7 @@ import struct
 import numpy as np
 
 from .errors import DomainError
+from .multiindex import _integer
 from .tt import TTTensor
 
 __all__ = ["MAGIC", "save_tt", "load_tt"]
@@ -63,9 +64,9 @@ def load_tt(path) -> tuple[TTTensor, dict]:
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DomainError(f"{path}: corrupt container header: {exc}") from exc
         try:
-            d = int(header["d"])
-            shape = [int(n) for n in header["shape"]]
-            ranks = [int(r) for r in header["ranks"]]
+            d = _integer(header["d"])
+            shape = [_integer(n) for n in header["shape"]]
+            ranks = [_integer(r) for r in header["ranks"]]
             metadata = header.get("metadata", {})
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"{path}: malformed container header: {exc}") from exc

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import operator
 import os
 import subprocess
 import sys
@@ -28,12 +27,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import __version__
-from .errors import ConfigError, DomainError, TrialError
-from .linalg import available_cpus, blas_thread_budget, numerical_rank
-from .multiindex import IndexSet, Shape, derived_rng, derived_seed, kron_extend, sample_without_replacement
+from .errors import ConfigError, DomainError, SingularityError, TrialError
+from .linalg import available_cpus, blas_thread_budget, pinv_spectral_norm
+from .multiindex import IndexSet, Shape, _integer, derived_rng, derived_seed, kron_extend
+from .multiindex import sample_without_replacement
 from .generators import KINDS, GeneratorSpec, generate
 from .properties import (
     InheritanceRecord,
@@ -97,15 +96,6 @@ def param_grid(d: int) -> list[tuple[str, str, int, int | None]]:
     for i in range(1, d):
         grid.append((f"beta_{i}", "beta_i", i, None))
     return grid
-
-
-def _integer(value) -> int:
-    """``value`` as an int; a bool, a fraction or a non-number is refused."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not hasattr(value, "__index__"):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return operator.index(value)
 
 
 def _real(value) -> float:
@@ -382,37 +372,40 @@ def summarize_boxplot(values, label: str = "") -> BoxplotSummary:
     )
 
 
-def _sample_level(pool, size, factor_rows, rank, rank_tol, trial_seed, stream, level, max_resample):
-    """Sample one index set, resampling until its factor rows keep full rank.
+def _sample_level(pool, size, factor, rank_tol, trial_seed, stream, level, max_resample):
+    """Sample one index set, resampling until its rows of ``factor`` keep full rank.
 
-    ``factor_rows(candidate)`` returns the (|set| x r) block of the relevant
-    orthonormal factor; the hypothesis is full column rank at rank_tol.
-    Returns (index set, resample count).
+    ``factor`` is the orthonormal singular factor the set indexes (W for row
+    sets, V for column sets).  A draw is kept when its (|set| x r) block of
+    ``factor`` passes :func:`~ttinherit.linalg.pinv_spectral_norm`, the full
+    column rank test at ``rank_tol`` that the bounds hypothesize; the k-th
+    redraw comes from the stream (trial_seed, stream, level, k).  Returns
+    (index set, resample count); raises :class:`TrialError` when
+    ``max_resample`` redraws all fail.
     """
-    tries = 0
-    while True:
+    for tries in range(max_resample + 1):
         rng = derived_rng(trial_seed, stream, level, tries)
         cand = sample_without_replacement(pool, size, rng)
-        sub = factor_rows(cand)
-        s = scipy.linalg.svdvals(sub)
-        if numerical_rank(s, rank_tol) == rank:
-            return cand, tries
-        tries += 1
-        if tries > max_resample:
-            raise TrialError(
-                f"level {level} ({stream}): rank hypothesis still failing after "
-                f"{max_resample} resamples"
-            )
+        try:
+            pinv_spectral_norm(factor[cand.zero_based(), :], rank_tol)
+        except SingularityError:
+            continue
+        return cand, tries
+    raise TrialError(
+        f"level {level} ({stream}): rank hypothesis still failing after "
+        f"{max_resample} resamples"
+    )
 
 
 def run_trial(config: ExperimentConfig, kind: str, trial: int) -> TrialResult:
     """Generate, sample, evaluate, and check one (generator, trial) cell."""
     if kind not in config.generators:
         raise ConfigError(f"generator {kind!r} not in config")
-    if not 0 <= int(trial) < config.trials:
+    trial = _integer(trial, ConfigError)
+    if not 0 <= trial < config.trials:
         raise ConfigError(f"trial index {trial} out of range [0, {config.trials})")
     start = time.perf_counter()
-    trial_seed = derived_seed(config.master_seed, "trial", kind, int(trial))
+    trial_seed = derived_seed(config.master_seed, "trial", kind, trial)
     tol = config.rank_tol
     t = generate(GeneratorSpec(kind, config.shape, config.ranks, seed=trial_seed), tol)
     d = t.d
@@ -435,15 +428,7 @@ def run_trial(config: ExperimentConfig, kind: str, trial: int) -> TrialResult:
                 pool = IndexSet.full(config.shape.suffix_size(i))
                 size, factor = config.sample_sizes_J[i - 1], svd_i.V
             cand, tries = _sample_level(
-                pool,
-                size,
-                lambda c, f=factor: f[c.zero_based(), :],
-                svd_i.rank,
-                tol,
-                trial_seed,
-                stream,
-                i,
-                config.max_resample,
+                pool, size, factor, tol, trial_seed, stream, i, config.max_resample
             )
             sets[stream].append(cand)
             redraws[stream].append(tries)
@@ -468,7 +453,7 @@ def run_trial(config: ExperimentConfig, kind: str, trial: int) -> TrialResult:
 
     return TrialResult(
         generator=kind,
-        trial=int(trial),
+        trial=trial,
         seed=trial_seed,
         values=values,
         bound_pass=passes,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, GenerationError, RankZeroError
 from .linalg import DEFAULT_RANK_TOL
-from .multiindex import Shape, derived_rng
+from .multiindex import Shape, _integer, derived_rng
 from .tt import TTTensor, tt_rank_numerical
 
 __all__ = ["KINDS", "GeneratorSpec", "generate"]
@@ -44,7 +44,7 @@ class GeneratorSpec:
             raise ConfigError(f"unknown generator kind {self.kind!r}; choose from {KINDS}")
         shape = self.shape if isinstance(self.shape, Shape) else Shape(tuple(self.shape))
         object.__setattr__(self, "shape", shape)
-        ranks = tuple(int(r) for r in self.ranks)
+        ranks = tuple(_integer(r, ConfigError) for r in self.ranks)
         d = len(shape)
         if d < 2:
             raise ConfigError("tensor must have at least 2 modes")
@@ -62,12 +62,14 @@ class GeneratorSpec:
                     f"rank is capped at {cap}"
                 )
         object.__setattr__(self, "ranks", ranks)
-        if int(self.seed) < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        object.__setattr__(self, "seed", int(self.seed))
-        if int(self.max_regen) < 0:
-            raise ConfigError(f"max_regen must be >= 0, got {self.max_regen}")
-        object.__setattr__(self, "max_regen", int(self.max_regen))
+        seed = _integer(self.seed, ConfigError)
+        if seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {seed}")
+        object.__setattr__(self, "seed", seed)
+        max_regen = _integer(self.max_regen, ConfigError)
+        if max_regen < 0:
+            raise ConfigError(f"max_regen must be >= 0, got {max_regen}")
+        object.__setattr__(self, "max_regen", max_regen)
 
 
 def _draw_core(rng: np.random.Generator, kind: str, dims: tuple[int, int, int]) -> np.ndarray:

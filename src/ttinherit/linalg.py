@@ -7,6 +7,11 @@ checks, a single numerical-rank convention (singular values above
 the zero-matrix / rank-deficient cases that the rest of the package needs
 to tell apart.
 
+Outside the dense oracle, singular values meet ``rank_tol`` only here:
+:func:`truncated_svd` decides the rank of every compact SVD, and
+:func:`pinv_spectral_norm` is the full-column-rank test of a sampled block,
+the rank hypothesis of every inheritance bound.
+
 The thread count of the OpenBLAS libraries behind those factorizations is
 set here too (:func:`blas_thread_budget`), so that a pool of trial threads
 does not run on top of as many BLAS threads each.
@@ -30,7 +35,7 @@ __all__ = [
     "DEFAULT_RANK_TOL",
     "ORTHONORMALITY_TOL",
     "ThinSVD",
-    "thin_qr",
+    "truncated_svd",
     "thin_svd",
     "numerical_rank",
     "pinv_spectral_norm",
@@ -122,15 +127,6 @@ class ThinSVD:
         return (self.W * self.sigma) @ self.V.T
 
 
-def thin_qr(M) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced QR of a tall-or-square matrix: ``M = Q @ R``, Q (m, n), R (n, n)."""
-    M = _require_matrix(M)
-    m, n = M.shape
-    if m < n:
-        raise DomainError(f"thin_qr needs rows >= cols, got {m} x {n}")
-    return scipy.linalg.qr(M, mode="economic", check_finite=False)
-
-
 def numerical_rank(sigma, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     """Number of singular values above ``rank_tol * sigma[0]``.
 
@@ -154,18 +150,23 @@ def numerical_rank(sigma, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     return int(np.count_nonzero(sigma > rank_tol * s0))
 
 
-def thin_svd(M, rank_tol: float = DEFAULT_RANK_TOL) -> ThinSVD:
-    """Compact SVD truncated to numerical rank; zero matrix raises.
+def truncated_svd(M: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL):
+    """``(U, s, Vt)`` of ``M`` cut to its :func:`numerical_rank`; rank 0 raises.
 
     Singular values at or below ``rank_tol`` times the largest are dropped
-    together with their vectors.
+    together with their vectors.  ``M`` must be a finite 2-d float array.
     """
-    M = _require_matrix(M)
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
     r = numerical_rank(s, rank_tol)
     if r == 0:
         raise RankZeroError("matrix is numerically zero; no compact SVD exists")
-    return ThinSVD(U[:, :r], s[:r], Vt[:r].T)
+    return U[:, :r], s[:r], Vt[:r]
+
+
+def thin_svd(M, rank_tol: float = DEFAULT_RANK_TOL) -> ThinSVD:
+    """Compact SVD truncated to numerical rank (:func:`truncated_svd`)."""
+    U, s, Vt = truncated_svd(_require_matrix(M), rank_tol)
+    return ThinSVD(U, s, Vt.T)
 
 
 def pinv_spectral_norm(M, rank_tol: float = DEFAULT_RANK_TOL) -> float:
@@ -173,7 +174,9 @@ def pinv_spectral_norm(M, rank_tol: float = DEFAULT_RANK_TOL) -> float:
 
     Computed as ``1 / sigma_min`` from singular values only (the
     pseudoinverse is never formed).  Raises :class:`SingularityError` if the
-    matrix is not numerically full column rank.
+    matrix is not numerically full column rank: fewer rows than columns, or
+    ``sigma_min <= rank_tol * sigma_max``, the rank convention of
+    :func:`numerical_rank`.  This is the package's full-column-rank test.
     """
     M = _require_matrix(M)
     m, n = M.shape

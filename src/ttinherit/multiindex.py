@@ -20,6 +20,7 @@ stream.
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -39,6 +40,20 @@ __all__ = [
 ]
 
 
+def _integer(value, error: type[Exception] = DomainError) -> int:
+    """``value`` as an int: an int, a numpy integer or an integral float.
+
+    A bool, a fraction or a non-number raises ``error``, so no entry point
+    truncates its input without a word.  Callers on the trial path test
+    ``type(value) is int`` first, so plain ints cost no call.
+    """
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise error(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class Shape:
     """Mode sizes ``(n_1, ..., n_d)`` of a tensor, all >= 1."""
@@ -46,7 +61,7 @@ class Shape:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(n) for n in self.dims)
+        dims = tuple(n if type(n) is int else _integer(n) for n in self.dims)
         if len(dims) == 0:
             raise DomainError("shape must have at least one mode")
         if any(n < 1 for n in dims):
@@ -95,17 +110,22 @@ class IndexSet:
     """A sorted set of distinct 1-based indices inside ``[1, domain]``.
 
     Stored as a read-only int64 array; may be empty.  Construction sorts the
-    input and rejects duplicates and out-of-domain entries.  Input that is
-    already strictly increasing, as every builder in this module produces,
-    skips the sort: one pass over it shows it sorted and distinct.
+    input and rejects duplicates, out-of-domain entries and entries that are
+    not integers (:func:`_integer`).  Input that is already strictly
+    increasing, as every builder in this module produces, skips the sort:
+    one pass over it shows it sorted and distinct.
     """
 
     indices: np.ndarray
     domain: int
 
     def __post_init__(self):
-        idx = np.array(self.indices, dtype=np.int64).reshape(-1)
-        dom = int(self.domain)
+        idx = np.array(self.indices).reshape(-1)
+        if idx.dtype.kind not in "iu":  # floats, bools, strings, ...
+            idx = np.array([_integer(q) for q in idx.tolist()], dtype=np.int64)
+        elif idx.dtype != np.int64:
+            idx = idx.astype(np.int64)
+        dom = self.domain if type(self.domain) is int else _integer(self.domain)
         if dom < 1:
             raise DomainError(f"index-set domain must be >= 1, got {dom}")
         increasing = bool(np.all(idx[1:] > idx[:-1]))
@@ -125,7 +145,9 @@ class IndexSet:
     @classmethod
     def full(cls, domain: int) -> "IndexSet":
         """The exhaustive set ``{1, ..., domain}``."""
-        return cls(np.arange(1, int(domain) + 1, dtype=np.int64), domain)
+        if type(domain) is not int:
+            domain = _integer(domain)
+        return cls(np.arange(1, domain + 1, dtype=np.int64), domain)
 
     @property
     def size(self) -> int:
@@ -210,7 +232,8 @@ def kron_extend(prefix: IndexSet, n: int) -> IndexSet:
     leading part is in ``prefix`` and whose new mode index is anything in
     ``[1, n]``:  ``{ q + (j - 1) * P : q in prefix, j in [1, n] }``, sorted.
     """
-    n = int(n)
+    if type(n) is not int:
+        n = _integer(n)
     if n < 1:
         raise DomainError(f"mode size must be >= 1, got {n}")
     P = prefix.domain

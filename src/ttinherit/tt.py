@@ -28,8 +28,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .errors import CapacityError, DomainError, NumericError, RankZeroError, StructuralError
-from .linalg import DEFAULT_RANK_TOL, ThinSVD, numerical_rank
+from .errors import CapacityError, DomainError, NumericError, StructuralError
+from .linalg import DEFAULT_RANK_TOL, ThinSVD, truncated_svd
 from .multiindex import IndexSet, Shape
 
 __all__ = [
@@ -323,23 +323,9 @@ def _svd_between(QL: np.ndarray, M: np.ndarray, QR: np.ndarray, rank_tol: float)
     Only the small core matrix M is decomposed densely; W and V come from
     one GEMM each, column-major, the layout ThinSVD stores.
     """
-    U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    r = numerical_rank(s, rank_tol)
-    if r == 0:
-        raise RankZeroError("matrix product is numerically zero")
+    U, s, Vt = truncated_svd(M, rank_tol)
     # (B.T @ Q.T).T is the F-ordered Q @ B in one GEMM
-    return ThinSVD((U[:, :r].T @ QL.T).T, s[:r], (Vt[:r] @ QR.T).T)
-
-
-def _factor_pair_svd(L: np.ndarray, R: np.ndarray, rank_tol: float) -> ThinSVD:
-    """Compact SVD of L @ R.T for sampled blocks L and R, from thin QRs of both.
-
-    The product is never formed.  Writeable inputs are consumed (see
-    :func:`_qr`).
-    """
-    QL, SL = _qr(L)
-    QR, SR = _qr(R)
-    return _svd_between(QL, SL @ SR.T, QR, rank_tol)
+    return ThinSVD((U.T @ QL.T).T, s, (Vt @ QR.T).T)
 
 
 def unfolding_svd(t: TTTensor, i: int, rank_tol: float = DEFAULT_RANK_TOL) -> ThinSVD:
@@ -405,14 +391,16 @@ def submatrix_svd(
     Identical result (up to roundoff) to ``thin_svd(column_submatrix(...))``
     but costs 2 thin QRs of the selected rows of the interface factors, read
     from the orthogonal forms, plus a width x width SVD, so it works at
-    scales where the dense block would not fit in memory.
+    scales where the dense block would not fit in memory.  The block
+    ``L @ R.T`` is never formed.
     """
     _check_block(t, i, rows, J)
     A, S = left_orthogonal_form(t)
     B, T = right_orthogonal_form(t)
-    L = left_interface(A, i)[rows.zero_based(), :] @ S[i - 1]
-    R = right_interface(B, i)[J.zero_based(), :] @ T[i - 1]
-    return _factor_pair_svd(L, R, rank_tol)
+    # the products are built for the call, so _qr consumes them
+    QL, SL = _qr(left_interface(A, i)[rows.zero_based(), :] @ S[i - 1])
+    QR, SR = _qr(right_interface(B, i)[J.zero_based(), :] @ T[i - 1])
+    return _svd_between(QL, SL @ SR.T, QR, rank_tol)
 
 
 def to_dense(t: TTTensor, cap: int = DENSE_CAP) -> np.ndarray:
@@ -448,12 +436,9 @@ def tt_svd_from_dense(
     cur = X
     for k in range(d - 1):
         M = cur.reshape(r_prev * shape[k], -1, order="F")
-        U, s, Vt = np.linalg.svd(M, full_matrices=False)
-        r = numerical_rank(s, rank_tol)
-        if r == 0:
-            raise RankZeroError("tensor is numerically zero")
-        cores.append(U[:, :r].reshape(r_prev, shape[k], r, order="F"))
-        cur = s[:r, None] * Vt[:r]
-        r_prev = r
+        U, s, Vt = truncated_svd(M, rank_tol)
+        cores.append(U.reshape(r_prev, shape[k], s.size, order="F"))
+        cur = s[:, None] * Vt
+        r_prev = s.size
     cores.append(cur.reshape(r_prev, shape[-1], 1, order="F"))
     return TTTensor(cores)

@@ -45,35 +45,38 @@ def rel_err(got, want) -> float:
     return float(np.abs(got - want).max() / scale)
 
 
-def sample_valid_sets(t: TTTensor, sizes_I, sizes_J, seed: int, rank_tol: float = 1e-9):
+def sample_valid_sets(
+    t: TTTensor, sizes_I, sizes_J, seed: int, rank_tol: float = 1e-9, redraws=None
+):
     """Nested row sets and independent column sets whose factor rows keep rank.
 
     Uses the sampler of ``run_trial`` itself: level-i row sets are drawn
     inside the previous level's refinement and redrawn (up to 49 times)
     until the corresponding rows of the left singular factor have full
     column rank; the same holds for column sets against the right factor.
+    A ``redraws`` list, when given, gets each level's redraw count appended.
     """
     shp = Shape(t.shape)
     svds = [unfolding_svd(t, i, rank_tol) for i in range(1, t.d)]
 
-    def draw(pool, size, factor, rank, stream, level):
-        cand, _ = _sample_level(
-            pool, size, lambda c: factor[c.zero_based(), :], rank, rank_tol, seed, stream, level, 49
-        )
+    def draw(pool, size, factor, stream, level):
+        cand, tries = _sample_level(pool, size, factor, rank_tol, seed, stream, level, 49)
+        if redraws is not None:
+            redraws.append(tries)
         return cand
 
     I_sets = []
     prev = IndexSet.full(1)
     for i in range(1, t.d):
         pool = kron_extend(prev, t.shape[i - 1])
-        cand = draw(pool, sizes_I[i - 1], svds[i - 1].W, svds[i - 1].rank, "rows", i)
+        cand = draw(pool, sizes_I[i - 1], svds[i - 1].W, "rows", i)
         I_sets.append(cand)
         prev = cand
 
     J_sets = []
     for i in range(1, t.d):
         pool = IndexSet.full(shp.suffix_size(i))
-        cand = draw(pool, sizes_J[i - 1], svds[i - 1].V, svds[i - 1].rank, "cols", i)
+        cand = draw(pool, sizes_J[i - 1], svds[i - 1].V, "cols", i)
         J_sets.append(cand)
 
     return I_sets, J_sets, svds

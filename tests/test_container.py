@@ -121,3 +121,14 @@ def test_rejects_sizes_below_one(tmp_path, shape, ranks):
     path.write_bytes(MAGIC + struct.pack("<I", len(header)) + header)
     with pytest.raises(DomainError, match="must be >= 1"):
         load_tt(path)
+
+
+@pytest.mark.parametrize(
+    "d, shape, ranks", [(2, [2.5, 3], [2]), (2, [2, 3], [True]), (2.5, [2, 3], [2]), (2, ["2", 3], [2])]
+)
+def test_rejects_sizes_that_are_not_integers(tmp_path, d, shape, ranks):
+    header = json.dumps({"d": d, "shape": shape, "ranks": ranks, "metadata": {}}).encode()
+    path = tmp_path / "t.ttc"
+    path.write_bytes(MAGIC + struct.pack("<I", len(header)) + header)
+    with pytest.raises(DomainError, match="expected an integer"):
+        load_tt(path)

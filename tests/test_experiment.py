@@ -18,13 +18,16 @@ from ttinherit import (
     ExperimentConfig,
     IndexSet,
     KINDS,
+    SingularityError,
     TrialError,
     desk_preset,
     paper_preset,
     param_grid,
+    pinv_spectral_norm,
     run_experiment,
     run_trial,
     summarize_boxplot,
+    thin_svd,
     write_outputs,
 )
 from ttinherit.experiment import CSV_COLUMNS, _sample_level, resolve_workers, version_stamp
@@ -262,11 +265,10 @@ def test_sample_level_returns_only_spanning_sets():
     # rows 3 and 4 of the factor are zero, so {1,2} is the only valid 2-subset
     W = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
     pool = IndexSet.full(4)
-    rows = lambda c: W[c.zero_based(), :]
     seen_retry = False
     seen_first_try = False
     for trial_seed in range(60):
-        cand, tries = _sample_level(pool, 2, rows, 2, 1e-9, trial_seed, "rows", 1, 200)
+        cand, tries = _sample_level(pool, 2, W, 1e-9, trial_seed, "rows", 1, 200)
         assert tuple(cand) == (1, 2)
         seen_retry = seen_retry or tries > 0
         seen_first_try = seen_first_try or tries == 0
@@ -276,17 +278,33 @@ def test_sample_level_returns_only_spanning_sets():
 def test_sample_level_is_deterministic():
     W = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
     pool = IndexSet.full(4)
-    rows = lambda c: W[c.zero_based(), :]
-    a = _sample_level(pool, 2, rows, 2, 1e-9, 5, "rows", 1, 200)
-    b = _sample_level(pool, 2, rows, 2, 1e-9, 5, "rows", 1, 200)
+    a = _sample_level(pool, 2, W, 1e-9, 5, "rows", 1, 200)
+    b = _sample_level(pool, 2, W, 1e-9, 5, "rows", 1, 200)
     assert tuple(a[0]) == tuple(b[0]) and a[1] == b[1]
 
 
 def test_sample_level_exhausts_budget():
     pool = IndexSet.full(4)
-    dead = lambda c: np.zeros((len(c), 2))
     with pytest.raises(TrialError):
-        _sample_level(pool, 2, dead, 2, 1e-9, 0, "rows", 1, 3)
+        _sample_level(pool, 2, np.zeros((4, 2)), 1e-9, 0, "rows", 1, 3)
+
+
+@pytest.mark.parametrize("factor, full_rank", [(1.0, False), (2.0, True)])
+def test_rank_tol_boundary_is_the_same_everywhere(factor, full_rank):
+    # singular values exactly (1, factor * rank_tol): at factor 1 the second
+    # one sits on the boundary and does not count; at factor 2 it does
+    tol = 1e-9
+    block = np.diag([1.0, factor * tol])
+    pool = IndexSet.full(2)  # a 2-subset of 2 rows: every draw is the whole block
+    assert thin_svd(block, tol).rank == (2 if full_rank else 1)
+    if full_rank:
+        assert pinv_spectral_norm(block, tol) == 1.0 / (factor * tol)
+        assert _sample_level(pool, 2, block, tol, 0, "rows", 1, 3) == (pool, 0)
+    else:
+        with pytest.raises(SingularityError):
+            pinv_spectral_norm(block, tol)
+        with pytest.raises(TrialError, match="after 3 resamples"):
+            _sample_level(pool, 2, block, tol, 0, "rows", 1, 3)
 
 
 # ---------------------------------------------------------------- single trial
@@ -331,7 +349,7 @@ def test_run_trial_maps_records_and_redraws_to_labels(monkeypatch):
 
     def tagged_sample(*args):
         cand, _ = real_sample(*args)
-        stream, level = args[6], args[7]
+        stream, level = args[5], args[6]
         return cand, 10 * level + (5 if stream == "cols" else 0)
 
     def beta_2_violated(*args, **kwargs):
@@ -359,6 +377,21 @@ def test_run_trial_rejects_bad_cell():
         run_trial(cfg, "gaussian", 3)  # trial index out of range
     with pytest.raises(ConfigError):
         run_trial(cfg, "gaussian", -1)
+
+
+@pytest.mark.parametrize("trial", [1.7, True, "1"])
+def test_run_trial_refuses_a_trial_index_that_is_not_an_integer(trial):
+    with pytest.raises(ConfigError, match="expected an integer"):
+        run_trial(_small_config(), "gaussian", trial)
+
+
+def test_run_trial_takes_an_integral_trial_index_of_any_type():
+    cfg = _small_config()
+    want = run_trial(cfg, "gaussian", 1).values
+    for trial in (1.0, np.int64(1)):
+        res = run_trial(cfg, "gaussian", trial)
+        assert res.trial == 1 and type(res.trial) is int
+        assert res.values == want
 
 
 # ---------------------------------------------------------------- full experiment

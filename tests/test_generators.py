@@ -55,6 +55,29 @@ def test_spec_rejects_bad_seed_and_retries():
         GeneratorSpec("gaussian", (4, 4), (2,), seed=0, max_regen=-1)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("ranks", (2.7, 2)),
+        ("ranks", (2, True)),
+        ("seed", 1.9),
+        ("seed", "1"),
+        ("max_regen", 2.5),
+        ("max_regen", False),
+    ],
+)
+def test_spec_refuses_integer_fields_that_are_not_integers(field, value):
+    fields = {"ranks": (2, 2), "seed": 1, "max_regen": 2, field: value}
+    with pytest.raises(ConfigError, match="expected an integer"):
+        GeneratorSpec("gaussian", (4, 4, 4), **fields)
+
+
+def test_spec_takes_integral_floats_and_numpy_integers():
+    spec = GeneratorSpec("gaussian", (4, 4, 4), (2.0, np.int64(2)), seed=np.uint64(1), max_regen=2.0)
+    assert spec.ranks == (2, 2) and spec.seed == 1 and spec.max_regen == 2
+    assert all(type(v) is int for v in (*spec.ranks, spec.seed, spec.max_regen))
+
+
 # ---------------------------------------------------------------- generation
 
 

@@ -1,4 +1,4 @@
-"""Dense factorization kernels: QR, compact SVD, rank, norms."""
+"""Dense factorization kernels: compact SVD, rank, norms."""
 
 import sys
 import threading
@@ -18,47 +18,11 @@ from ttinherit import (
     numerical_rank,
     pinv_spectral_norm,
     row_two_inf_norm,
-    thin_qr,
     thin_svd,
 )
 import ttinherit.linalg as linalg_mod
 from ttinherit.linalg import blas_thread_budget, loaded_openblas
 from ttinherit.multiindex import derived_rng
-
-# ---------------------------------------------------------------- thin_qr
-
-
-def test_thin_qr_identity():
-    Q, S = thin_qr(np.eye(3))
-    assert np.allclose(np.abs(Q), np.eye(3), atol=1e-14)
-    assert np.allclose(np.abs(S), np.eye(3), atol=1e-14)
-    assert np.allclose(Q @ S, np.eye(3), atol=1e-14)
-
-
-def test_thin_qr_normalizes_a_two_vector():
-    Q, S = thin_qr(np.array([[3.0], [4.0]]))
-    assert np.allclose(np.abs(Q), [[0.6], [0.8]], atol=1e-14)
-    assert np.allclose(np.abs(S), [[5.0]], atol=1e-14)
-    assert np.allclose(Q @ S, [[3.0], [4.0]], atol=1e-14)
-
-
-def test_thin_qr_residual_and_orthogonality_random():
-    rng = derived_rng(7, "qr")
-    M = rng.standard_normal((100, 3))
-    Q, S = thin_qr(M)
-    assert Q.shape == (100, 3) and S.shape == (3, 3)
-    scale = np.linalg.norm(M)
-    assert np.abs(M - Q @ S).max() <= 1e-12 * scale
-    assert np.abs(Q.T @ Q - np.eye(3)).max() <= 1e-12
-    assert np.allclose(S, np.triu(S))
-
-
-def test_thin_qr_rejects_wide_and_non_finite():
-    with pytest.raises(DomainError):
-        thin_qr(np.ones((2, 3)))
-    with pytest.raises(NumericError):
-        thin_qr(np.array([[1.0], [np.nan]]))
-
 
 # ---------------------------------------------------------------- numerical_rank
 
@@ -150,7 +114,7 @@ def test_pinv_spectral_norm_rank_deficient_raises():
 def test_pinv_spectral_norm_is_one_for_orthonormal_columns():
     for seed in range(5):
         M = derived_rng(seed, "orth").standard_normal((60, 4))
-        Q, _ = thin_qr(M)
+        Q, _ = np.linalg.qr(M)
         assert abs(pinv_spectral_norm(Q) - 1.0) <= 1e-12
 
 
@@ -171,7 +135,7 @@ def test_row_two_inf_norm_hand_values():
 
 def test_row_two_inf_norm_bounded_by_one_on_orthonormal_columns():
     for seed in range(5):
-        Q, _ = thin_qr(derived_rng(seed, "rowinf").standard_normal((50, 3)))
+        Q, _ = np.linalg.qr(derived_rng(seed, "rowinf").standard_normal((50, 3)))
         assert row_two_inf_norm(Q) <= 1.0 + 1e-12
 
 
@@ -180,7 +144,7 @@ def test_row_two_inf_norm_bounded_by_one_on_orthonormal_columns():
 
 def test_condition_number_hand_values():
     assert np.isclose(condition_number(thin_svd(np.diag([3.0, 1.0]))), 3.0, rtol=1e-14)
-    Q, _ = thin_qr(derived_rng(0, "cond").standard_normal((4, 4)))
+    Q, _ = np.linalg.qr(derived_rng(0, "cond").standard_normal((4, 4)))
     assert np.isclose(condition_number(thin_svd(Q)), 1.0, atol=1e-12)
     svd = thin_svd(np.array([[1.0, 1.0], [0.0, 1.0]]))
     assert np.isclose(condition_number(svd), np.sqrt((7.0 + 3.0 * np.sqrt(5.0)) / 2.0), rtol=1e-13)
@@ -196,8 +160,8 @@ def test_condition_number_at_least_one(seed):
 
 
 def _valid_factors():
-    W, _ = thin_qr(derived_rng(5, "tsvd").standard_normal((6, 2)))
-    V, _ = thin_qr(derived_rng(6, "tsvd").standard_normal((4, 2)))
+    W, _ = np.linalg.qr(derived_rng(5, "tsvd").standard_normal((6, 2)))
+    V, _ = np.linalg.qr(derived_rng(6, "tsvd").standard_normal((4, 2)))
     return W, np.array([2.0, 1.0]), V
 
 
@@ -239,7 +203,7 @@ def test_thin_svd_leaves_the_callers_arrays_writeable():
     # a factor already column-major is stored without a copy; the read-only
     # flag must go on ThinSVD's own view of it, not on the caller's array
     A = np.random.default_rng(5).standard_normal((6, 3))
-    W = np.asfortranarray(thin_qr(A)[0])
+    W = np.asfortranarray(np.linalg.qr(A)[0])
     s = np.array([3.0, 2.0, 1.0])
     svd = ThinSVD(W, s, W.copy())
     assert np.shares_memory(svd.W, W)

@@ -38,6 +38,10 @@ def test_shape_rejects_bad_dims():
         Shape((2, 0, 3))
     with pytest.raises(DomainError):
         Shape((2, -1))
+    for dims in ((True, 3), (2.5, 3), ("2", 3)):
+        with pytest.raises(DomainError, match="expected an integer"):
+            Shape(dims)
+    assert Shape((2.0, np.int64(3))).dims == (2, 3)
 
 
 # ---------------------------------------------------------------- IndexSet
@@ -86,6 +90,30 @@ def test_index_set_full_subset_equality():
     assert sub != IndexSet([2, 4], 7)
     empty = IndexSet([], 6)
     assert len(empty) == 0 and empty.is_subset_of(sub)
+
+
+def test_index_set_refuses_entries_and_domains_that_are_not_integers():
+    for indices, domain in (
+        ([1.5, 2.7], 3),
+        (np.array([1.0, 2.5]), 3),
+        ([True, False], 3),
+        (np.array([True, False]), 3),
+        (["1", "2"], 3),
+        ([1, 2], 3.5),
+        ([1, 2], True),
+    ):
+        with pytest.raises(DomainError, match="expected an integer"):
+            IndexSet(indices, domain)
+    with pytest.raises(DomainError, match="expected an integer"):
+        IndexSet.full(2.5)
+
+
+def test_index_set_takes_integral_floats_and_integer_arrays():
+    want = IndexSet(np.array([1, 3], dtype=np.int64), 3)
+    for indices in ([1.0, 3.0], np.array([3.0, 1.0]), np.array([1, 3], dtype=np.int32), [np.int64(1), 3]):
+        assert IndexSet(indices, 3.0) == want
+    assert IndexSet.full(np.int64(3)).domain == 3
+    assert IndexSet.full(3.0) == IndexSet.full(3)
 
 
 # ---------------------------------------------------------------- linearize / delinearize
@@ -199,6 +227,10 @@ def test_kron_extend_agrees_with_linearize():
 def test_kron_extend_rejects_bad_mode_size():
     with pytest.raises(DomainError):
         kron_extend(IndexSet([1], 2), 0)
+    for n in (2.9, True, "2"):
+        with pytest.raises(DomainError, match="expected an integer"):
+            kron_extend(IndexSet([1], 2), n)
+    assert kron_extend(IndexSet([1], 2), 2.0) == kron_extend(IndexSet([1], 2), 2)
 
 
 # ---------------------------------------------------------------- sampling
