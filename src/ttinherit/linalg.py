@@ -39,6 +39,7 @@ __all__ = [
     "thin_svd",
     "numerical_rank",
     "pinv_spectral_norm",
+    "max_row_norm",
     "row_two_inf_norm",
     "condition_number",
     "OpenBLAS",
@@ -52,6 +53,9 @@ DEFAULT_RANK_TOL = 1e-9
 # max elementwise deviation of W^T W from the identity tolerated by ThinSVD;
 # LAPACK factors of 1e6-row matrices stay below ~1e-14
 ORTHONORMALITY_TOL = 1e-12
+
+# rows per block of max_row_norm: 512 KiB of squared norms at most
+ROW_BLOCK = 1 << 16
 
 
 def _require_matrix(M, name="matrix") -> np.ndarray:
@@ -94,17 +98,21 @@ class ThinSVD:
             raise DomainError(
                 f"factor widths ({W.shape[1]}, {V.shape[1]}) do not match rank {r}"
             )
-        if not np.all(np.isfinite(W)) or not np.all(np.isfinite(V)) or not np.all(
-            np.isfinite(sigma)
-        ):
-            raise NumericError("ThinSVD factors contain non-finite entries")
+        # one pass over each tall factor: a non-finite entry makes its
+        # column's Gram diagonal non-finite, so the factors themselves are
+        # scanned only when a Gram (or sigma) is
+        with np.errstate(over="ignore", invalid="ignore"):
+            grams = (W.T @ W, V.T @ V)
+        if not all(np.isfinite(X).all() for X in (sigma, *grams)):
+            if not all(np.isfinite(X).all() for X in (W, V, sigma)):
+                raise NumericError("ThinSVD factors contain non-finite entries")
         if sigma[-1] <= 0.0:
             raise DomainError("singular values must be strictly positive")
         if np.any(np.diff(sigma) > 0):
             raise DomainError("singular values must be non-increasing")
-        for name, F in (("W", W), ("V", V)):
-            dev = np.abs(F.T @ F - np.eye(r)).max()
-            if dev > ORTHONORMALITY_TOL:
+        for name, G in zip("WV", grams):
+            dev = np.abs(G - np.eye(r)).max()
+            if not dev <= ORTHONORMALITY_TOL:  # a NaN deviation (overflowed Gram) fails too
                 raise DomainError(
                     f"{name} columns deviate from orthonormality by {dev:.3e}"
                 )
@@ -191,10 +199,23 @@ def pinv_spectral_norm(M, rank_tol: float = DEFAULT_RANK_TOL) -> float:
     return float(1.0 / s[-1])
 
 
+def max_row_norm(M: np.ndarray) -> float:
+    """Largest Euclidean row norm of a finite 2-d float64 array, unchecked.
+
+    Reads :data:`ROW_BLOCK` rows at a time, so no temporary as tall as ``M``
+    is made.  Each row's squared norm is the one a single ``einsum`` over
+    all of ``M`` gives, so the maximum is the same to the bit.
+    """
+    most = 0.0
+    for start in range(0, M.shape[0], ROW_BLOCK):
+        B = M[start : start + ROW_BLOCK]
+        most = max(most, np.einsum("ij,ij->i", B, B).max())
+    return float(np.sqrt(most))
+
+
 def row_two_inf_norm(M) -> float:
     """Largest Euclidean row norm, ``max_i ||M[i, :]||_2``."""
-    M = _require_matrix(M)
-    return float(np.sqrt(np.einsum("ij,ij->i", M, M).max()))
+    return max_row_norm(_require_matrix(M))
 
 
 def condition_number(svd: ThinSVD) -> float:

@@ -38,8 +38,8 @@ from .linalg import (
     DEFAULT_RANK_TOL,
     ThinSVD,
     condition_number,
+    max_row_norm,
     pinv_spectral_norm,
-    row_two_inf_norm,
 )
 from .multiindex import IndexSet, Shape, kron_extend
 from .tt import (
@@ -168,14 +168,18 @@ class InheritanceRecord:
 
 
 def incoherence(svd: ThinSVD, m: int, n: int) -> IncoherencePair:
-    """Tightest incoherence constants from a compact SVD of an m x n matrix."""
+    """Tightest incoherence constants from a compact SVD of an m x n matrix.
+
+    ``ThinSVD`` has already checked its factors, so their row norms are read
+    in one blocked pass each, with no second scan.
+    """
     if svd.W.shape[0] != m or svd.V.shape[0] != n:
         raise DomainError(
             f"SVD is of a {svd.W.shape[0]} x {svd.V.shape[0]} matrix, not {m} x {n}"
         )
     r = svd.rank
-    mu1 = (m / r) * row_two_inf_norm(svd.W) ** 2
-    mu2 = (n / r) * row_two_inf_norm(svd.V) ** 2
+    mu1 = (m / r) * max_row_norm(svd.W) ** 2
+    mu2 = (n / r) * max_row_norm(svd.V) ** 2
     return IncoherencePair(mu1, mu2)
 
 

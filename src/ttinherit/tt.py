@@ -21,6 +21,12 @@ that ``L_i = left_interface(A, i) @ S_i``, and a right-orthogonal TT ``B``
 with ``R_i = right_interface(B, i) @ T_i``.  The interfaces of ``A`` and
 ``B`` have orthonormal columns, so the SVD of T_<i> needs only the SVD of
 the r x r matrix ``S_i @ T_i.T``; no QR of a tall interface ever runs.
+
+The interfaces of ``A`` and ``B`` are cached on them, read-only, when first
+built, so every check of a tensor reads each one built once.  A subtensor
+from :func:`row_restrict` shares ``B``'s trailing cores and so also its
+cache of right interfaces.  Tensors from the :class:`TTTensor` constructor
+cache no interface.
 """
 
 from __future__ import annotations
@@ -91,23 +97,25 @@ class TTTensor:
     the chain.  ``ranks`` are the *declared* ranks (core widths); see
     :func:`tt_rank_numerical` for the numerical ones.  The orthogonal forms
     (:func:`left_orthogonal_form`, :func:`right_orthogonal_form`) are cached
-    on the tensor once built.
+    on the tensor once built, and their interfaces on the forms.
     """
 
-    __slots__ = ("cores", "shape", "ranks", "_forms")
+    __slots__ = ("cores", "shape", "ranks", "_forms", "_interfaces")
 
     def __init__(self, cores):
         cores = tuple(np.array(c, dtype=np.float64, order="C", copy=True) for c in cores)
         shape, ranks = _validate_cores(cores)
-        self._set(cores, shape, ranks)
+        self._set(cores, shape, ranks, None)
 
-    def _set(self, cores, shape, ranks) -> None:
+    def _set(self, cores, shape, ranks, interfaces) -> None:
         for c in cores:
             c.setflags(write=False)
         object.__setattr__(self, "cores", cores)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "ranks", ranks)
         object.__setattr__(self, "_forms", [None, None])  # [(A, S), (B, T)]
+        # None, or ({i: L_i}, {d - i: R_i}): built interfaces of a form tensor
+        object.__setattr__(self, "_interfaces", interfaces)
 
     def __setattr__(self, name, value):
         raise AttributeError("TTTensor is immutable")
@@ -169,7 +177,25 @@ def _check_block(t: TTTensor, i: int, rows: IndexSet, J: IndexSet) -> None:
         raise DomainError("row and column index sets must be nonempty")
 
 
-def _left_chain(cores, upto: int, max_elems: int) -> np.ndarray:
+def _check_capacity(cores, i: int, left: bool, max_elems: int) -> None:
+    """Refuse the i-th left (or right) interface of ``cores`` when any step
+    of its chain, not just the last, would hold more than ``max_elems``.
+
+    The count comes from the core shapes alone, so a cache hit is refused
+    exactly when a build would be.
+    """
+    rows = (cores[0] if left else cores[-1]).shape[1]
+    most = 0
+    for core in cores[1:i] if left else cores[-2 : i - 1 : -1]:
+        rows *= core.shape[1]
+        elems = rows * core.shape[2 if left else 0]
+        if elems > most:
+            most = elems
+    if most > max_elems:
+        raise CapacityError(f"interface matrix would hold {most} elements (cap {max_elems})")
+
+
+def _left_chain(cores, upto: int) -> np.ndarray:
     """Contract cores[0:upto] into the (prod n_j) x r_upto interface matrix.
 
     The recurrence L_k[p + P*j, b] = sum_a L_{k-1}[p, a] * cores[k][a, j, b]
@@ -181,43 +207,65 @@ def _left_chain(cores, upto: int, max_elems: int) -> np.ndarray:
     L = cores[0][0]  # (n_1, r_1)
     for k in range(1, upto):
         core = cores[k]
-        P = L.shape[0]
         r_in, n, r_out = core.shape
-        if P * n * r_out > max_elems:
-            raise CapacityError(
-                f"interface matrix would hold {P * n * r_out} elements (cap {max_elems})"
-            )
         M = np.ascontiguousarray(core.transpose(2, 1, 0)).reshape(r_out * n, r_in)
-        L = (M @ L.T).reshape(r_out, n * P).T
+        L = (M @ L.T).reshape(r_out, n * L.shape[0]).T
     return L
 
 
-def left_interface(t: TTTensor, i: int, max_elems: int = INTERFACE_ELEM_CAP) -> np.ndarray:
-    """L_i: rows are the first i modes linearized (first index fastest), cols r_i."""
-    _check_position(t, i)
-    return _left_chain(t.cores, i, max_elems)
+def _right_step(core: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Y[j + n*b, a] = sum_c core[a, j, c] * R[b, c], column-major."""
+    return np.matmul(R, core.transpose(0, 2, 1)).reshape(core.shape[0], -1).T
 
 
-def right_interface(t: TTTensor, i: int, max_elems: int = INTERFACE_ELEM_CAP) -> np.ndarray:
-    """R_i: rows are modes i+1..d linearized (index i+1 fastest), cols r_i."""
-    _check_position(t, i)
-    cores = t.cores
+def _right_chain(cores, i: int) -> np.ndarray:
+    """Contract cores[i:] into the (prod n_j) x r_i interface matrix."""
     R = cores[-1][:, :, 0].T  # (n_d, r_{d-1})
-    for k in range(t.d - 2, i - 1, -1):
-        core = cores[k]
-        Q = R.shape[0]
-        r_in, n = core.shape[0], core.shape[1]
-        if n * Q * r_in > max_elems:
-            raise CapacityError(
-                f"interface matrix would hold {n * Q * r_in} elements (cap {max_elems})"
-            )
-        # out[a, q, j] = sum_b R[q, b] * core[a, j, b]; row j + n*q of R_k is out[:, q, j]
-        R = np.matmul(R, core.transpose(0, 2, 1)).reshape(r_in, Q * n).T
+    for k in range(len(cores) - 2, i - 1, -1):
+        R = _right_step(cores[k], R)
     return R
 
 
-def _form_tensor(cores) -> TTTensor:
-    """A TTTensor over cores this module built from a validated chain.
+def _interface(t: TTTensor, side: int, key: int, chain, i: int) -> np.ndarray:
+    """``chain(t.cores, i)``, kept read-only in the tensor's interface cache
+    under ``key`` when the tensor has one (it is a form tensor)."""
+    if t._interfaces is None:
+        return chain(t.cores, i)
+    cache = t._interfaces[side]
+    X = cache.get(key)
+    if X is None:
+        X = chain(t.cores, i)
+        X.setflags(write=False)
+        cache[key] = X
+    return X
+
+
+def left_interface(t: TTTensor, i: int, max_elems: int = INTERFACE_ELEM_CAP) -> np.ndarray:
+    """L_i: rows are the first i modes linearized (first index fastest), cols r_i.
+
+    On a tensor of :func:`left_orthogonal_form` the result is built once,
+    cached and read-only.
+    """
+    _check_position(t, i)
+    _check_capacity(t.cores, i, True, max_elems)
+    return _interface(t, 0, i, _left_chain, i)
+
+
+def right_interface(t: TTTensor, i: int, max_elems: int = INTERFACE_ELEM_CAP) -> np.ndarray:
+    """R_i: rows are modes i+1..d linearized (index i+1 fastest), cols r_i.
+
+    On a tensor of :func:`right_orthogonal_form` the result is built once,
+    cached and read-only, keyed by the d - i trailing cores it contracts; a
+    subtensor of :func:`row_restrict` shares those cores and that cache.
+    """
+    _check_position(t, i)
+    _check_capacity(t.cores, i, False, max_elems)
+    return _interface(t, 1, t.d - i, _right_chain, i)
+
+
+def _form_tensor(cores, right: dict | None = None) -> TTTensor:
+    """A TTTensor over cores this module built from a validated chain, with
+    an interface cache whose right half is ``right`` when given.
 
     Skips the constructor's copy and checks, which a sweep step would
     otherwise pay once per core.
@@ -227,6 +275,7 @@ def _form_tensor(cores) -> TTTensor:
         tuple(cores),
         tuple(c.shape[1] for c in cores),
         tuple(c.shape[2] for c in cores[:-1]),
+        ({}, {} if right is None else right),
     )
     return t
 
@@ -281,15 +330,13 @@ def left_orthogonal_form(t: TTTensor) -> tuple[TTTensor, tuple[np.ndarray, ...]]
     return form
 
 
-def _right_step(core: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Y[j + n*b, a] = sum_c core[a, j, c] * R[b, c], column-major."""
-    return np.matmul(R, core.transpose(0, 2, 1)).reshape(core.shape[0], -1).T
-
-
-def _right_form(first: np.ndarray, tail: tuple, T: tuple) -> tuple[TTTensor, tuple]:
+def _right_form(
+    first: np.ndarray, tail: tuple, T: tuple, right: dict | None = None
+) -> tuple[TTTensor, tuple]:
     """``(B, T)`` for a tensor whose first core is ``first``, given the
-    orthonormal cores 2..d of ``B`` and the factors ``T`` of its right sweep."""
-    B = _form_tensor((_right_core(_right_step(first, T[0]), first.shape[1]),) + tail)
+    orthonormal cores 2..d of ``B``, the factors ``T`` of its right sweep
+    and, when ``tail`` comes from another form, that form's right cache."""
+    B = _form_tensor((_right_core(_right_step(first, T[0]), first.shape[1]),) + tail, right)
     return B, T
 
 
@@ -300,8 +347,8 @@ def right_orthogonal_form(t: TTTensor) -> tuple[TTTensor, tuple[np.ndarray, ...]
 
     The mirror of :func:`left_orthogonal_form`, sweeping from the last core
     to the second; the first core of ``B`` carries the tensor's scale.
-    :func:`row_restrict` hands its subtensor this sweep, since the two
-    share their trailing cores.
+    :func:`row_restrict` hands its subtensor this sweep and the interfaces
+    cached on ``B``, since the two share their trailing cores.
     """
     form = t._forms[1]
     if form is None:
@@ -351,7 +398,8 @@ def row_restrict(t: TTTensor, i: int, I: IndexSet) -> TTTensor:
 
     The selected rows of L_i become the new first core; the trailing cores
     are shared unchanged, so the result is again a TT of d - i + 1 modes,
-    and it inherits the parent's right sweep over them.
+    and it inherits the parent's right sweep over them and the right
+    interfaces cached on the parent's form.
     """
     _check_position(t, i)
     P = Shape(t.shape).prefix_size(i)
@@ -363,7 +411,7 @@ def row_restrict(t: TTTensor, i: int, I: IndexSet) -> TTTensor:
     B, T = right_orthogonal_form(t)
     G = left_interface(A, i)[I.zero_based(), :] @ S[i - 1]
     sub = TTTensor((G[None, :, :],) + t.cores[i:])
-    sub._forms[1] = _right_form(sub.cores[0], B.cores[i:], T[i - 1 :])
+    sub._forms[1] = _right_form(sub.cores[0], B.cores[i:], T[i - 1 :], B._interfaces[1])
     return sub
 
 
@@ -408,7 +456,8 @@ def to_dense(t: TTTensor, cap: int = DENSE_CAP) -> np.ndarray:
     size = t.size
     if size > cap:
         raise CapacityError(f"dense tensor would hold {size} entries (cap {cap})")
-    full = _left_chain(t.cores, t.d, INTERFACE_ELEM_CAP)
+    _check_capacity(t.cores, t.d, True, INTERFACE_ELEM_CAP)
+    full = _left_chain(t.cores, t.d)
     return full.reshape(t.shape, order="F")
 
 

@@ -18,7 +18,8 @@ from ttinherit import (
     kron_extend,
     unfolding_svd,
 )
-from ttinherit.experiment import _sample_level
+import ttinherit.experiment as experiment_mod
+from ttinherit.experiment import ExperimentConfig, _sample_level
 from ttinherit.multiindex import Shape
 
 # deterministic hypothesis runs: example generation is derived from the test
@@ -35,6 +36,38 @@ settings.load_profile("deterministic")
 def make_tt(kind: str, shape, ranks, seed: int, rank_tol: float = 1e-9) -> TTTensor:
     """A random TT tensor with verified numerical ranks."""
     return generate(GeneratorSpec(kind, Shape(tuple(shape)), tuple(ranks), seed=seed), rank_tol)
+
+
+def coherent(t: TTTensor) -> TTTensor:
+    """``t`` with every mode slice of its first core zeroed but the last two,
+    so only two rows of W_1 are nonzero; ranks up to 2 survive."""
+    first = t.cores[0].copy()
+    first[:, :-2, :] = 0.0
+    return TTTensor((first,) + t.cores[1:])
+
+
+def coherent_config() -> ExperimentConfig:
+    """A geometry whose coherent tensor (see :func:`coherent`) has only
+    rows 7 and 8 of W_1 nonzero: a level-1 draw of 2 of its 8 rows keeps
+    rank once in 28 tries, so a budget of 2 redraws often runs out.  At
+    this seed it runs out in trial 0 and not in trial 1."""
+    return ExperimentConfig(
+        shape=(8, 3, 3, 2),
+        ranks=(2, 3, 2),
+        generators=("gaussian",),
+        trials=2,
+        master_seed=4,
+        sample_sizes_I=(2, 6, 4),
+        sample_sizes_J=(2, 3, 2),
+        max_resample=2,
+        emit_svg=False,
+    )
+
+
+def serve_coherent_tensor(monkeypatch, cfg):
+    """Make every trial of ``cfg`` run on one coherent tensor of its geometry."""
+    t = coherent(make_tt("gaussian", cfg.shape, cfg.ranks, seed=71))
+    monkeypatch.setattr(experiment_mod, "generate", lambda spec, rank_tol: t)
 
 
 def rel_err(got, want) -> float:

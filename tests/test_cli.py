@@ -12,6 +12,8 @@ import ttinherit.cli as cli_mod
 from ttinherit import load_tt, run_experiment
 from ttinherit.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATIONS, build_parser, load_config, main
 
+from conftest import coherent_config, serve_coherent_tensor
+
 
 @pytest.fixture()
 def config_path(tmp_path):
@@ -123,6 +125,19 @@ def test_verify_failed_generation_exits_one_and_keeps_trials(tmp_path, capsys):
     assert rc == EXIT_VIOLATIONS
     assert "failed trials: 1" in out
     assert "gaussian  4 trials" in out and "hadamard  3 trials" in out
+    assert "VERIFY: FAIL" in out
+
+
+def test_verify_exits_one_when_a_coherent_tensor_exhausts_its_redraws(tmp_path, monkeypatch, capsys):
+    cfg = coherent_config()
+    serve_coherent_tensor(monkeypatch, cfg)
+    path = tmp_path / "coherent.json"
+    path.write_text(json.dumps(cfg.to_dict()))
+    with pytest.warns(RuntimeWarning, match="excluded"):
+        rc = main(["verify", "--config", str(path)])
+    out = capsys.readouterr().out
+    assert rc == EXIT_VIOLATIONS
+    assert "failed trials: 1" in out
     assert "VERIFY: FAIL" in out
 
 

@@ -33,6 +33,8 @@ from ttinherit import (
 from ttinherit.experiment import CSV_COLUMNS, _sample_level, resolve_workers, version_stamp
 from ttinherit.svgplot import render_boxplot_svg
 
+from conftest import coherent_config, serve_coherent_tensor
+
 # ---------------------------------------------------------------- parameter grid
 
 
@@ -471,6 +473,25 @@ def test_run_experiment_keeps_going_when_generation_fails(monkeypatch):
     assert [(f["generator"], f["trial"]) for f in out.failures] == [("hadamard", 3)]
     assert "no rank-(2, 2, 2) draw" in out.failures[0]["error"]
     assert set(out.summaries) == {"hadamard"}
+
+
+def test_a_coherent_tensor_that_exhausts_its_redraws_is_a_failed_trial(monkeypatch):
+    monkeypatch.setenv("TT_INHERIT_THREADS", "1")
+    cfg = coherent_config()
+    serve_coherent_tensor(monkeypatch, cfg)
+    with pytest.warns(RuntimeWarning, match="excluded"):
+        out = run_experiment(cfg, write=False)
+    assert out.failures == [
+        {
+            "generator": "gaussian",
+            "trial": 0,
+            "error": "level 1 (rows): rank hypothesis still failing after 2 resamples",
+        }
+    ]
+    # trial 1 found the two rows within its budget, and its bounds hold
+    (res,) = out.results
+    assert res.trial == 1 and res.resamples["alpha_1_1"] > 0
+    assert all(res.bound_pass.values())
 
 
 def test_run_experiment_summarizes_around_nan_values(monkeypatch, tmp_path):

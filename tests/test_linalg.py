@@ -21,7 +21,7 @@ from ttinherit import (
     thin_svd,
 )
 import ttinherit.linalg as linalg_mod
-from ttinherit.linalg import blas_thread_budget, loaded_openblas
+from ttinherit.linalg import blas_thread_budget, loaded_openblas, max_row_norm
 from ttinherit.multiindex import derived_rng
 
 # ---------------------------------------------------------------- numerical_rank
@@ -139,6 +139,19 @@ def test_row_two_inf_norm_bounded_by_one_on_orthonormal_columns():
         assert row_two_inf_norm(Q) <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("rows", [(1 << 16) - 1, 1 << 16, (1 << 16) + 1])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_max_row_norm_reads_every_block_bit_for_bit(rows, order):
+    # the largest row sits in the last block, which is partial except at 2^16
+    assert linalg_mod.ROW_BLOCK == 1 << 16
+    M = np.asarray(derived_rng(rows, "blocks").uniform(-1.0, 1.0, (rows, 3)), order=order)
+    M[-1] = [1.5, -1.25, 1.0]
+    want = np.sqrt(np.einsum("ij,ij->i", M, M).max())
+    assert want == np.sqrt(M[-1] @ M[-1])
+    assert max_row_norm(M) == want
+    assert row_two_inf_norm(M) == want
+
+
 # ---------------------------------------------------------------- condition_number
 
 
@@ -187,6 +200,32 @@ def test_thin_svd_container_validates_orthonormality():
         ThinSVD(W * 1.001, s, V)
     with pytest.raises(NumericError):
         ThinSVD(W, np.array([np.inf, 1.0]), V)
+
+
+@pytest.mark.parametrize("factor", ["W", "V"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_thin_svd_refuses_a_non_finite_entry(factor, bad):
+    # the Gram of the factor is the finiteness test; one bad entry anywhere
+    # must still raise NumericError, not a deviation from orthonormality
+    W, s, V = _valid_factors()
+    F = W if factor == "W" else V
+    F[F.shape[0] // 2, 1] = bad
+    with pytest.raises(NumericError):
+        ThinSVD(W, s, V)
+
+
+@pytest.mark.parametrize("signs", ["same", "mixed"])
+def test_thin_svd_refuses_a_finite_factor_whose_gram_overflows(signs):
+    # entries ~1e200 are finite, but their squares are not.  With one sign
+    # the Gram is +inf.  With column 2 negative in its lower half, OpenBLAS
+    # sums the 4096 rows in blocks, and the blocks' +inf and -inf add to a
+    # NaN off-diagonal: a deviation that compares False against any bound
+    _, s, V = _valid_factors()
+    W = np.full((4096, 2), 1e200)
+    if signs == "mixed":
+        W[2048:, 1] = -1e200
+    with pytest.raises(DomainError, match="orthonormality"):
+        ThinSVD(W, s, V)
 
 
 def test_thin_svd_container_is_read_only():

@@ -35,7 +35,7 @@ from ttinherit.multiindex import Shape, derived_rng
 from ttinherit.oracle import dense_alpha_it, dense_beta_i, dense_properties, dense_unfolding
 from ttinherit.properties import validate_nested
 
-from conftest import make_tt, rel_err, sample_valid_sets
+from conftest import coherent, make_tt, rel_err, sample_valid_sets
 
 # ---------------------------------------------------------------- incoherence
 
@@ -450,14 +450,6 @@ def _sampled_geometries(draw):
     return kind, shape, tuple(ranks), seed, tuple(sizes_I), tuple(sizes_J), coherent
 
 
-def _coherent(t: TTTensor) -> TTTensor:
-    """``t`` with every mode slice of its first core zeroed but the last two,
-    so only two rows of W_1 are nonzero; ranks up to 2 survive."""
-    first = t.cores[0].copy()
-    first[:, :-2, :] = 0.0
-    return TTTensor((first,) + t.cores[1:])
-
-
 def _agree_with_the_oracle(t: TTTensor, I_sets, J_sets) -> None:
     """Check every record of both suites on ``t`` against the dense oracle."""
     X = to_dense(t)
@@ -515,11 +507,11 @@ def _roundoff_block(t: TTTensor, I_sets, J_sets) -> bool:
 @settings(max_examples=100, deadline=None)
 @given(_sampled_geometries())
 def test_both_suites_agree_with_the_dense_oracle(case):
-    kind, shape, ranks, seed, sizes_I, sizes_J, coherent = case
+    kind, shape, ranks, seed, sizes_I, sizes_J, make_coherent = case
     try:
         t = make_tt(kind, shape, ranks, seed)
-        if coherent:
-            t = _coherent(t)
+        if make_coherent:
+            t = coherent(t)
         I_sets, J_sets, _ = sample_valid_sets(t, sizes_I, sizes_J, seed)
     except (GenerationError, TrialError):  # +-1 entries short of rank; budget spent
         reject()
@@ -531,7 +523,7 @@ def test_both_suites_agree_with_the_dense_oracle(case):
 def test_a_coherent_tensor_is_redrawn_and_agrees_with_the_dense_oracle():
     # only 2 of W_1's 4 rows are nonzero, so a 2-row draw holds both of them
     # only once in 6 tries on average
-    t = _coherent(make_tt("gaussian", (4, 3, 3, 2), (2, 3, 2), seed=71))
+    t = coherent(make_tt("gaussian", (4, 3, 3, 2), (2, 3, 2), seed=71))
     redraws = []
     I_sets, J_sets, _ = sample_valid_sets(t, (2, 6, 4), (2, 3, 2), seed=71, redraws=redraws)
     assert redraws[0] > 0
@@ -552,7 +544,7 @@ def test_roundoff_is_not_rank(case):
         # row 1 of W_2 (j_1 = j_2 = 1) is zero in exact arithmetic and ~1e-16
         # after the sweeps; alone it is a 1 x 1 block that passes the
         # relative test
-        t = _coherent(make_tt("gaussian", (3, 2, 2), (2, 1), seed=70))
+        t = coherent(make_tt("gaussian", (3, 2, 2), (2, 1), seed=70))
         row = unfolding_svd(t, 2).W[:1]
         assert 0.0 < np.abs(row).max() < 1e-15
         with pytest.raises(SingularityError):

@@ -250,6 +250,78 @@ def test_interface_capacity_cap():
         left_interface(t, 2, max_elems=50)
 
 
+# ---------------------------------------------------------------- interface cache
+
+
+def test_form_interfaces_are_cached_read_only_and_bitwise_a_fresh_build():
+    t = TTTensor(make_tt("gaussian", (4, 3, 5, 2), (2, 3, 2), seed=31).cores)
+    (A, _), (B, _) = left_orthogonal_form(t), right_orthogonal_form(t)
+    fresh_A, fresh_B = TTTensor(A.cores), TTTensor(B.cores)
+    for i in range(1, t.d):
+        for form, fresh, build in ((A, fresh_A, left_interface), (B, fresh_B, right_interface)):
+            X = build(form, i)
+            assert build(form, i) is X
+            assert not X.flags.writeable
+            with pytest.raises(ValueError):
+                X[0, 0] = 1.0
+            assert X.tobytes() == build(fresh, i).tobytes()
+
+
+def _random_chain(shape, ranks, seed):
+    """Cores of the declared ranks, not checked against the unfolding ranks."""
+    r = (1,) + tuple(ranks) + (1,)
+    rng = np.random.default_rng(seed)
+    return TTTensor([rng.standard_normal((r[k], n, r[k + 1])) for k, n in enumerate(shape)])
+
+
+def test_constructor_tensors_cache_no_interface():
+    # today's memory: each call builds its own writeable array
+    t = make_tt("gaussian", (4, 3, 5), (2, 3), seed=32)
+    for X, Y in ((left_interface(t, 2), left_interface(t, 2)), (right_interface(t, 1), right_interface(t, 1))):
+        assert not np.shares_memory(X, Y)
+        assert X.flags.writeable and np.array_equal(X, Y)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_a_cache_hit_is_refused_exactly_when_a_build_would_be(side):
+    # the largest array of each build is an intermediate step, not the
+    # interface returned: left, (3*4)*8 entries before the 24 x 1 result;
+    # right, (4*3)*8 before the 24 x 1 result
+    if side == "left":
+        t = _random_chain((3, 4, 2, 5), (3, 8, 1), seed=33)
+        form, build, i = left_orthogonal_form(t)[0], left_interface, 3
+    else:
+        t = _random_chain((5, 2, 4, 3), (1, 8, 3), seed=33)
+        form, build, i = right_orthogonal_form(t)[0], right_interface, 1
+    final = build(form, i).size  # now cached
+    assert final == 24
+    fresh = TTTensor(form.cores)
+    caps = range(1, 129)
+    refused = []
+    for cap in caps:
+        outcomes = []
+        for tensor in (form, fresh):
+            try:
+                build(tensor, i, max_elems=cap)
+                outcomes.append(False)
+            except CapacityError:
+                outcomes.append(True)
+        assert outcomes[0] == outcomes[1], cap
+        refused.append(outcomes[0])
+    assert refused == [cap < 96 for cap in caps]
+
+
+def test_a_row_restricted_subtensor_reads_the_parents_right_interfaces():
+    t = make_tt("gaussian", (4, 3, 5, 2), (2, 3, 2), seed=34)
+    B, _ = right_orthogonal_form(t)
+    I_sets, _, _ = sample_valid_sets(t, (2, 3, 2), (2, 3, 2), seed=34)
+    for i in range(1, t.d):
+        sub = row_restrict(t, i, I_sets[i - 1])
+        B_sub, _ = right_orthogonal_form(sub)
+        for k in range(1, sub.d):
+            assert right_interface(B_sub, k) is right_interface(B, i - 1 + k)
+
+
 # ---------------------------------------------------------------- unfolding_svd
 
 
@@ -506,6 +578,13 @@ def test_factoring_never_writes_into_the_cores(shape, ranks, sizes):
     tt_rank_numerical(t)
     for i in range(1, t.d):
         unfolding_svd(t, i)
+    # every interface of both forms is cached now; the suites read them all,
+    # and the subtensors of row_restrict share B's right ones
+    def cached():
+        return {(side, key): X.tobytes() for side in (0, 1) for key, X in (A, B)[side]._interfaces[side].items()}
+
+    interfaces = cached()
+    assert len(interfaces) == 2 * (t.d - 1)
     I_sets, J_sets, _ = sample_valid_sets(t, sizes, sizes, seed=23)
     for i in range(1, t.d):
         submatrix_svd(t, i, I_sets[i - 1], J_sets[i - 1])
@@ -514,6 +593,7 @@ def test_factoring_never_writes_into_the_cores(shape, ranks, sizes):
     check_column_sampling_bounds(t, I_sets, J_sets)
     assert [c.tobytes() for c in t.cores] == before
     assert [a.tobytes() for a in A.cores + S + B.cores + T] == forms
+    assert cached() == interfaces
 
 
 def test_submatrix_svd_rejects_bad_sets():
