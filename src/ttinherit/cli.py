@@ -1,8 +1,8 @@
 """Command-line entry point.
 
-    ttinherit run      --config cfg.json [--seed N] [--trials N] [--scale desk|paper] [--output-dir DIR]
+    ttinherit run      --config cfg.json [--seed N] [--trials N] [--scale desk|paper] [--output-dir DIR] [--no-svg]
     ttinherit verify   --config cfg.json [--seed N] [--trials N] [--scale desk|paper]
-    ttinherit generate --config cfg.json --out tensor.ttc [--generator KIND] [--seed N]
+    ttinherit generate --config cfg.json --out tensor.ttc [--generator KIND] [--seed N] [--scale desk|paper]
     ttinherit report   --in DIR
 
 Exit codes: 0 success, 1 bound violations (or failed trials), 2 usage or
@@ -58,10 +58,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_config=True):
-        p.add_argument("--config", required=needs_config, help="JSON config file")
+    def add_common(p, trials=True):
+        p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="override master_seed")
-        p.add_argument("--trials", type=int, default=None, help="override trial count")
+        if trials:
+            p.add_argument("--trials", type=int, default=None, help="override trial count")
         p.add_argument(
             "--scale",
             choices=("desk", "paper"),
@@ -78,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_verify)
 
     p_gen = sub.add_parser("generate", help="draw one TT tensor and serialize it")
-    add_common(p_gen)
+    add_common(p_gen, trials=False)
     p_gen.add_argument("--out", required=True, help="output container file")
     p_gen.add_argument(
         "--generator",
@@ -93,29 +94,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load_config(args) -> ExperimentConfig:
-    """Config file -> ExperimentConfig, with --scale/--seed/--trials overlays."""
+    """Config file -> ExperimentConfig, with the --scale, --seed, --trials,
+    --output-dir and --no-svg overrides applied in one validated replace."""
     with open(args.config, "r", encoding="utf-8") as f:
         raw = json.load(f)
-    cfg = ExperimentConfig.from_dict(raw)
+    overrides = {}
     if getattr(args, "scale", None):
         preset = desk_preset() if args.scale == "desk" else paper_preset()
-        cfg = cfg.replace(
-            shape=preset.shape,
-            ranks=preset.ranks,
-            sample_sizes_I=preset.sample_sizes_I,
-            sample_sizes_J=preset.sample_sizes_J,
-        )
-    if getattr(args, "seed", None) is not None:
-        if args.seed < 0:
-            raise TTInheritError(f"--seed must be >= 0, got {args.seed}")
-        cfg = cfg.replace(master_seed=args.seed)
-    if getattr(args, "trials", None) is not None:
-        cfg = cfg.replace(trials=args.trials)
-    if getattr(args, "output_dir", None):
-        cfg = cfg.replace(output_dir=args.output_dir)
+        for name in ("shape", "ranks", "sample_sizes_I", "sample_sizes_J"):
+            overrides[name] = getattr(preset, name)
+    for flag, name in (("seed", "master_seed"), ("trials", "trials"), ("output_dir", "output_dir")):
+        if getattr(args, flag, None) is not None:
+            overrides[name] = getattr(args, flag)
     if getattr(args, "no_svg", False):
-        cfg = cfg.replace(emit_svg=False)
-    return cfg
+        overrides["emit_svg"] = False
+    return ExperimentConfig.from_dict(raw).replace(**overrides)
 
 
 def _print_run_report(result) -> None:
@@ -161,7 +154,7 @@ def _cmd_run(args) -> int:
 def _cmd_generate(args) -> int:
     cfg = load_config(args)
     kind = args.generator or cfg.generators[0]
-    seed = cfg.master_seed if args.seed is None else args.seed
+    seed = cfg.master_seed
     spec = GeneratorSpec(kind, cfg.shape, cfg.ranks, seed=seed)
     t = generate(spec, cfg.rank_tol)
     save_tt(

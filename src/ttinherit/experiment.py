@@ -31,8 +31,8 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, DomainError, SingularityError, TrialError
 from .linalg import available_cpus, blas_thread_budget, pinv_spectral_norm
-from .multiindex import IndexSet, Shape, _integer, derived_rng, derived_seed, kron_extend
-from .multiindex import sample_without_replacement
+from .multiindex import IndexSet, Shape, _as_shape, _integer, derived_rng, derived_seed
+from .multiindex import kron_extend, sample_without_replacement
 from .generators import KINDS, GeneratorSpec, generate
 from .properties import (
     InheritanceRecord,
@@ -144,7 +144,7 @@ class ExperimentConfig:
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"{name}: {exc}") from exc
 
-        convert("shape", lambda v: v if isinstance(v, Shape) else Shape(_items(v)))
+        convert("shape", lambda v: _as_shape(_items(v)))
         convert("ranks", _items)
         shape, ranks, d = self.shape, self.ranks, len(self.shape)
         # rank count and geometry feasibility are the generator's concern;
@@ -195,8 +195,8 @@ class ExperimentConfig:
             raise ConfigError(f"rank_tol must be in [0, 1), got {self.rank_tol}")
         if self.max_resample < 0:
             raise ConfigError(f"max_resample must be >= 0, got {self.max_resample}")
-        if not isinstance(self.output_dir, (str, os.PathLike)):
-            raise ConfigError("output_dir must be a path")
+        if not isinstance(self.output_dir, (str, os.PathLike)) or not os.fspath(self.output_dir):
+            raise ConfigError(f"output_dir: expected a non-empty path, got {self.output_dir!r}")
         convert("output_dir", os.fspath)
         convert("emit_svg", _boolean)
 
@@ -207,8 +207,7 @@ class ExperimentConfig:
     @staticmethod
     def default_sample_sizes(shape, ranks) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """|I_i| = |J_i| = min(4 * r_i, pool size), the usual small multiple of rank."""
-        shape = shape if isinstance(shape, Shape) else Shape(tuple(shape))
-        ranks = tuple(int(r) for r in ranks)
+        shape, ranks = _as_shape(shape), _items(ranks)
         sizes_I = []
         prev = 1
         for i in range(1, len(shape)):

@@ -44,9 +44,10 @@ def _integer(value, error: type[Exception] = DomainError) -> int:
     """``value`` as an int: an int, a numpy integer or an integral float.
 
     A bool, a fraction or a non-number raises ``error``, so no entry point
-    truncates its input without a word.  Callers on the trial path test
-    ``type(value) is int`` first, so plain ints cost no call.
+    truncates its input without a word.
     """
+    if type(value) is int:
+        return value
     if isinstance(value, float) and value.is_integer():
         return int(value)
     if isinstance(value, bool) or not hasattr(value, "__index__"):
@@ -61,7 +62,7 @@ class Shape:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(n if type(n) is int else _integer(n) for n in self.dims)
+        dims = tuple(_integer(n) for n in self.dims)
         if len(dims) == 0:
             raise DomainError("shape must have at least one mode")
         if any(n < 1 for n in dims):
@@ -111,21 +112,23 @@ class IndexSet:
 
     Stored as a read-only int64 array; may be empty.  Construction sorts the
     input and rejects duplicates, out-of-domain entries and entries that are
-    not integers (:func:`_integer`).  Input that is already strictly
-    increasing, as every builder in this module produces, skips the sort:
-    one pass over it shows it sorted and distinct.
+    not integers (:func:`_integer`); the entries of a sequence are checked
+    before numpy would read ``[True, 2]`` as ``[1, 2]``.  Input that is
+    already strictly increasing, as every builder in this module produces,
+    skips the sort: one pass over it shows it sorted and distinct.
     """
 
     indices: np.ndarray
     domain: int
 
     def __post_init__(self):
-        idx = np.array(self.indices).reshape(-1)
-        if idx.dtype.kind not in "iu":  # floats, bools, strings, ...
-            idx = np.array([_integer(q) for q in idx.tolist()], dtype=np.int64)
-        elif idx.dtype != np.int64:
-            idx = idx.astype(np.int64)
-        dom = self.domain if type(self.domain) is int else _integer(self.domain)
+        idx = self.indices
+        if isinstance(idx, np.ndarray) and idx.dtype.kind in "iu":
+            idx = idx.reshape(-1).astype(np.int64)  # a copy: the set owns its array
+        else:  # a sequence, or an array of floats, bools, strings, ...
+            entries = idx.reshape(-1).tolist() if isinstance(idx, np.ndarray) else idx
+            idx = np.array([_integer(q) for q in entries], dtype=np.int64)
+        dom = _integer(self.domain)
         if dom < 1:
             raise DomainError(f"index-set domain must be >= 1, got {dom}")
         increasing = bool(np.all(idx[1:] > idx[:-1]))
@@ -145,8 +148,7 @@ class IndexSet:
     @classmethod
     def full(cls, domain: int) -> "IndexSet":
         """The exhaustive set ``{1, ..., domain}``."""
-        if type(domain) is not int:
-            domain = _integer(domain)
+        domain = _integer(domain)
         return cls(np.arange(1, domain + 1, dtype=np.int64), domain)
 
     @property
@@ -160,8 +162,13 @@ class IndexSet:
         return (int(q) for q in self.indices)
 
     def __contains__(self, q) -> bool:
-        pos = int(np.searchsorted(self.indices, int(q)))
-        return pos < self.indices.size and int(self.indices[pos]) == int(q)
+        """False for anything that is not an integer (:func:`_integer`)."""
+        try:
+            q = _integer(q)
+        except DomainError:
+            return False
+        pos = int(np.searchsorted(self.indices, q))
+        return pos < self.indices.size and int(self.indices[pos]) == q
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IndexSet):
@@ -198,7 +205,7 @@ def linearize(multi: Sequence[int], shape) -> int:
     linear = 0
     stride = 1
     for j, n in zip(multi, shp):
-        j = int(j)
+        j = _integer(j)
         if not 1 <= j <= n:
             raise DomainError(f"index {j} out of range [1, {n}]")
         linear += (j - 1) * stride
@@ -213,7 +220,7 @@ def delinearize(linear: int, shape) -> tuple[int, ...]:
     (2, 3)
     """
     shp = _as_shape(shape)
-    lin = int(linear)
+    lin = _integer(linear)
     if not 1 <= lin <= shp.size:
         raise DomainError(f"linear index {lin} out of range [1, {shp.size}]")
     rem = lin - 1
@@ -232,8 +239,7 @@ def kron_extend(prefix: IndexSet, n: int) -> IndexSet:
     leading part is in ``prefix`` and whose new mode index is anything in
     ``[1, n]``:  ``{ q + (j - 1) * P : q in prefix, j in [1, n] }``, sorted.
     """
-    if type(n) is not int:
-        n = _integer(n)
+    n = _integer(n)
     if n < 1:
         raise DomainError(f"mode size must be >= 1, got {n}")
     P = prefix.domain
@@ -250,7 +256,7 @@ def sample_without_replacement(pool: IndexSet, m: int, rng: np.random.Generator)
     ``rng``, so a given generator state yields one fixed sample.  ``m`` equal
     to the pool size returns the whole pool (and draws nothing).
     """
-    m = int(m)
+    m = _integer(m, SamplingError)
     if m < 0 or m > len(pool):
         raise SamplingError(f"cannot sample {m} from pool of {len(pool)}")
     if m == len(pool):
@@ -267,7 +273,7 @@ def sample_without_replacement(pool: IndexSet, m: int, rng: np.random.Generator)
 
 
 def _entropy_words(master_seed: int, tags: Iterable) -> list[int]:
-    seed = int(master_seed)
+    seed = _integer(master_seed)
     if seed < 0:
         raise DomainError(f"master seed must be non-negative, got {seed}")
     words = [seed]
@@ -275,12 +281,11 @@ def _entropy_words(master_seed: int, tags: Iterable) -> list[int]:
         if isinstance(tag, str):
             digest = hashlib.sha256(tag.encode("utf-8")).digest()
             words.append(int.from_bytes(digest[:8], "little"))
-        elif isinstance(tag, (int, np.integer)):
-            if int(tag) < 0:
-                raise DomainError(f"integer tags must be non-negative, got {tag}")
-            words.append(int(tag))
         else:
-            raise DomainError(f"tags must be str or int, got {type(tag).__name__}")
+            word = _integer(tag)
+            if word < 0:
+                raise DomainError(f"integer tags must be non-negative, got {tag}")
+            words.append(word)
     return words
 
 

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DomainError, NumericError, SearchError
+from .errors import DomainError, NumericError, RankZeroError, SearchError
 from .linalg import DEFAULT_RANK_TOL, numerical_rank, pinv_spectral_norm, thin_svd
 from .multiindex import IndexSet, Shape, kron_extend
 from .properties import UnfoldingReport, unfolding_report
-from .tt import TTTensor, row_restrict, to_dense, tt_rank_numerical
+from .tt import TTTensor, row_restrict, to_dense
 
 __all__ = [
     "dense_unfolding",
@@ -91,7 +91,8 @@ def cur_reconstruct_check(
     unfolding 1; if they do not, the report flags it (residual NaN) instead
     of raising.  Column selection is greedy QR pivoting on the kept rows;
     exhausting the pivots without reaching full rank raises
-    :class:`SearchError`.
+    :class:`SearchError`, and a numerically zero unfolding 1 raises
+    :class:`RankZeroError`.
     """
     X = to_dense(t)
     M1 = dense_unfolding(X, 1)
@@ -99,7 +100,9 @@ def cur_reconstruct_check(
         raise DomainError(f"I domain {I.domain} != first mode size {t.shape[0]}")
     if len(I) == 0:
         raise DomainError("I must be nonempty")
-    r1 = tt_rank_numerical(t, rank_tol)[0]
+    r1 = numerical_rank(scipy.linalg.svdvals(M1), rank_tol)
+    if r1 == 0:
+        raise RankZeroError("unfolding 1 is numerically zero")
     A = M1[I.zero_based(), :]
     s = scipy.linalg.svdvals(A)
     if numerical_rank(s, rank_tol) != r1:

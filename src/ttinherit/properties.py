@@ -41,9 +41,10 @@ from .linalg import (
     max_row_norm,
     pinv_spectral_norm,
 )
-from .multiindex import IndexSet, Shape, kron_extend
+from .multiindex import IndexSet, kron_extend
 from .tt import (
     TTTensor,
+    _check_index_set,
     row_restrict,
     submatrix_svd,
     tt_rank_numerical,
@@ -228,19 +229,12 @@ def _sampling_factor(
     """
     if not 1 <= i <= k <= t.d - 1:
         raise DomainError(f"need 1 <= level i <= unfolding k <= {t.d - 1}, got i={i}, k={k}")
-    shp = Shape(t.shape)
-    if side == "W":
-        N, name, modes = shp.prefix_size(i), "I_i", f"first {i}"
-    else:
-        N, name, modes = shp.suffix_size(i), "J_i", "trailing"
-    if kept.domain != N:
-        raise DomainError(f"{name} domain {kept.domain} != prod of {modes} mode sizes {N}")
-    if len(kept) == 0:
-        raise DomainError(f"{name} must be nonempty")
+    _check_index_set(t, i, kept, side == "W", "I_i" if side == "W" else "J_i")
     if svd is None:
         svd = unfolding_svd(t, k, rank_tol)
     F = svd.W if side == "W" else svd.V
     rows = _extended_rows(t, kept, i, k)
+    N = kept.domain  # checked above
     return float(np.sqrt(len(kept) / N) * pinv_spectral_norm(F[rows.zero_based(), :], rank_tol))
 
 
@@ -322,9 +316,10 @@ def check_rank_preservation(
     must equal the original's; when it fails, the report says so and
     ``passed`` is False without raising.
     """
-    expected = tt_rank_numerical(t, rank_tol)
+    svds = [unfolding_svd(t, i, rank_tol) for i in range(1, t.d)]
+    expected = tuple(svd.rank for svd in svds)
     try:
-        pinv_spectral_norm(unfolding_svd(t, 1, rank_tol).W[I.zero_based(), :], rank_tol)
+        pinv_spectral_norm(svds[0].W[I.zero_based(), :], rank_tol)
     except (SingularityError, DomainError):  # DomainError: I is empty
         return RankPreservationReport(False, expected, None, False)
     observed = tt_rank_numerical(row_restrict(t, 1, I), rank_tol)
@@ -368,16 +363,9 @@ def validate_nested(t: TTTensor, nested: Sequence[IndexSet]) -> None:
     """Require I_i to refine I_{i-1}: each I_i inside I_{i-1} extended by mode i."""
     if len(nested) != t.d - 1:
         raise DomainError(f"need {t.d - 1} row index sets, got {len(nested)}")
-    shp = Shape(t.shape)
     pool = IndexSet.full(1)  # I_0 = {1}
     for i, I_i in enumerate(nested, start=1):
-        P_i = shp.prefix_size(i)
-        if I_i.domain != P_i:
-            raise DomainError(
-                f"I_{i} domain {I_i.domain} != prod of first {i} mode sizes {P_i}"
-            )
-        if len(I_i) == 0:
-            raise DomainError(f"I_{i} is empty")
+        _check_index_set(t, i, I_i, True, f"I_{i}")
         allowed = kron_extend(pool, t.shape[i - 1])
         if not I_i.is_subset_of(allowed):
             raise DomainError(f"I_{i} is not contained in I_{i - 1} extended by mode {i}")
@@ -462,16 +450,10 @@ def check_column_sampling_bounds(
     :func:`check_row_sampling_bounds`.
     """
     validate_nested(t, nested)
-    shp = Shape(t.shape)
     if len(J_sets) != t.d - 1:
         raise DomainError(f"need {t.d - 1} column index sets, got {len(J_sets)}")
     for i, J in enumerate(J_sets, start=1):
-        if J.domain != shp.suffix_size(i):
-            raise DomainError(
-                f"J_{i} domain {J.domain} != prod of trailing mode sizes {shp.suffix_size(i)}"
-            )
-        if len(J) == 0:
-            raise DomainError(f"J_{i} is empty")
+        _check_index_set(t, i, J, False, f"J_{i}")
     if parents is None:
         parents = tt_incoherence(t, rank_tol)
     records = []

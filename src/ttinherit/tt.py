@@ -36,7 +36,7 @@ import scipy.linalg
 
 from .errors import CapacityError, DomainError, NumericError, StructuralError
 from .linalg import DEFAULT_RANK_TOL, ThinSVD, truncated_svd
-from .multiindex import IndexSet, Shape
+from .multiindex import IndexSet, Shape, _integer
 
 __all__ = [
     "DENSE_CAP",
@@ -148,7 +148,7 @@ def entry(t: TTTensor, multi) -> float:
         raise DomainError(f"multi-index length {len(multi)} != d={t.d}")
     v = None
     for k, (j, core) in enumerate(zip(multi, t.cores), start=1):
-        j = int(j)
+        j = _integer(j)
         if not 1 <= j <= core.shape[1]:
             raise DomainError(f"index {j} out of range [1, {core.shape[1]}] at mode {k}")
         slab = core[:, j - 1, :]
@@ -161,20 +161,23 @@ def _check_position(t: TTTensor, i: int) -> None:
         raise DomainError(f"unfolding position must be in [1, {t.d - 1}], got {i}")
 
 
+def _check_index_set(t: TTTensor, i: int, S: IndexSet, rows: bool, name: str) -> None:
+    """Refuse ``S``, an index set over the rows (``rows``) or the columns of
+    the i-th unfolding, unless its domain is P_i = prod(n_1..n_i) (or
+    Q_i = prod(n_{i+1}..n_d)) and it is not empty."""
+    shp = Shape(t.shape)
+    N, modes = (shp.prefix_size(i), f"first {i}") if rows else (shp.suffix_size(i), "trailing")
+    if S.domain != N:
+        raise DomainError(f"{name} domain {S.domain} != prod of {modes} mode sizes {N}")
+    if len(S) == 0:
+        raise DomainError(f"{name} must be nonempty")
+
+
 def _check_block(t: TTTensor, i: int, rows: IndexSet, J: IndexSet) -> None:
     """Domain checks for a block T_<i>(rows, J) of the i-th unfolding."""
     _check_position(t, i)
-    shp = Shape(t.shape)
-    if rows.domain != shp.prefix_size(i):
-        raise DomainError(
-            f"row domain {rows.domain} != prod of first {i} mode sizes {shp.prefix_size(i)}"
-        )
-    if J.domain != shp.suffix_size(i):
-        raise DomainError(
-            f"column domain {J.domain} != prod of trailing mode sizes {shp.suffix_size(i)}"
-        )
-    if len(rows) == 0 or len(J) == 0:
-        raise DomainError("row and column index sets must be nonempty")
+    _check_index_set(t, i, rows, True, "row set")
+    _check_index_set(t, i, J, False, "column set")
 
 
 def _check_capacity(cores, i: int, left: bool, max_elems: int) -> None:
@@ -402,11 +405,7 @@ def row_restrict(t: TTTensor, i: int, I: IndexSet) -> TTTensor:
     interfaces cached on the parent's form.
     """
     _check_position(t, i)
-    P = Shape(t.shape).prefix_size(i)
-    if I.domain != P:
-        raise DomainError(f"index-set domain {I.domain} != prod of first {i} mode sizes {P}")
-    if len(I) == 0:
-        raise DomainError("row index set must be nonempty")
+    _check_index_set(t, i, I, True, "row set")
     A, S = left_orthogonal_form(t)
     B, T = right_orthogonal_form(t)
     G = left_interface(A, i)[I.zero_based(), :] @ S[i - 1]

@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, overrides, exit codes."""
 
+import argparse
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -326,6 +328,7 @@ def test_unknown_config_field_is_usage_error(tmp_path, capsys):
         ("rank_tol", False),
         ("emit_svg", "false"),
         ("emit_svg", 0),
+        ("output_dir", ""),
     ],
 )
 def test_malformed_config_value_is_usage_error(config_path, capsys, field, value):
@@ -335,6 +338,19 @@ def test_malformed_config_value_is_usage_error(config_path, capsys, field, value
     assert rc == EXIT_USAGE
     assert f"error: {field}:" in capsys.readouterr().err
     assert not (config_path.parent / "out").exists()
+
+
+def test_usage_lines_name_every_option_of_their_subcommand():
+    lines = {
+        line.split()[1]: line
+        for line in cli_mod.__doc__.splitlines()
+        if line.lstrip().startswith("ttinherit ")
+    }
+    (subparsers,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(lines) == set(subparsers.choices)
+    for name, sub in subparsers.choices.items():
+        options = set(re.findall(r"--[\w-]+", sub.format_usage()))
+        assert set(re.findall(r"--[\w-]+", lines[name])) == options, name
 
 
 def test_help_exits_zero(capsys):

@@ -132,3 +132,12 @@ def test_rejects_sizes_that_are_not_integers(tmp_path, d, shape, ranks):
     path.write_bytes(MAGIC + struct.pack("<I", len(header)) + header)
     with pytest.raises(DomainError, match="expected an integer"):
         load_tt(path)
+
+
+def test_takes_integral_float_sizes(tmp_path):
+    header = json.dumps({"d": 2.0, "shape": [2.0, 3], "ranks": [1.0], "metadata": {}}).encode()
+    path = tmp_path / "t.ttc"
+    cores = np.arange(5.0).astype("<f8").tobytes()  # a 1x2x1 and a 1x3x1 core
+    path.write_bytes(MAGIC + struct.pack("<I", len(header)) + header + cores)
+    t, _ = load_tt(path)
+    assert t.shape == (2, 3) and t.ranks == (1,)

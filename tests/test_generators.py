@@ -61,6 +61,7 @@ def test_spec_rejects_bad_seed_and_retries():
         ("ranks", (2.7, 2)),
         ("ranks", (2, True)),
         ("seed", 1.9),
+        ("seed", True),
         ("seed", "1"),
         ("max_regen", 2.5),
         ("max_regen", False),

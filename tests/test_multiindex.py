@@ -7,11 +7,14 @@ from hypothesis import strategies as st
 
 from ttinherit import (
     DomainError,
+    ExperimentConfig,
     IndexSet,
     SamplingError,
+    TTTensor,
     delinearize,
     derived_rng,
     derived_seed,
+    entry,
     kron_extend,
     linearize,
     sample_without_replacement,
@@ -97,6 +100,7 @@ def test_index_set_refuses_entries_and_domains_that_are_not_integers():
         ([1.5, 2.7], 3),
         (np.array([1.0, 2.5]), 3),
         ([True, False], 3),
+        ([True, 2], 3),  # numpy would promote the bool to 1
         (np.array([True, False]), 3),
         (["1", "2"], 3),
         ([1, 2], 3.5),
@@ -104,16 +108,22 @@ def test_index_set_refuses_entries_and_domains_that_are_not_integers():
     ):
         with pytest.raises(DomainError, match="expected an integer"):
             IndexSet(indices, domain)
-    with pytest.raises(DomainError, match="expected an integer"):
-        IndexSet.full(2.5)
+    for domain in (2.5, True):
+        with pytest.raises(DomainError, match="expected an integer"):
+            IndexSet.full(domain)
+    I = IndexSet([1, 2], 3)
+    for q in (2.5, True, "2", None):
+        assert q not in I
 
 
 def test_index_set_takes_integral_floats_and_integer_arrays():
     want = IndexSet(np.array([1, 3], dtype=np.int64), 3)
     for indices in ([1.0, 3.0], np.array([3.0, 1.0]), np.array([1, 3], dtype=np.int32), [np.int64(1), 3]):
         assert IndexSet(indices, 3.0) == want
+    assert IndexSet([1, 3], np.int64(3)) == want
     assert IndexSet.full(np.int64(3)).domain == 3
     assert IndexSet.full(3.0) == IndexSet.full(3)
+    assert 3.0 in want and np.int64(3) in want and 2 not in want
 
 
 # ---------------------------------------------------------------- linearize / delinearize
@@ -227,10 +237,11 @@ def test_kron_extend_agrees_with_linearize():
 def test_kron_extend_rejects_bad_mode_size():
     with pytest.raises(DomainError):
         kron_extend(IndexSet([1], 2), 0)
-    for n in (2.9, True, "2"):
+    for n in (2.5, 2.9, True, "2"):
         with pytest.raises(DomainError, match="expected an integer"):
             kron_extend(IndexSet([1], 2), n)
-    assert kron_extend(IndexSet([1], 2), 2.0) == kron_extend(IndexSet([1], 2), 2)
+    for n in (2.0, np.int64(2)):
+        assert kron_extend(IndexSet([1], 2), n) == kron_extend(IndexSet([1], 2), 2)
 
 
 # ---------------------------------------------------------------- sampling
@@ -334,3 +345,40 @@ def test_derived_stream_rejects_bad_tags():
         derived_rng(1, -2)
     with pytest.raises(DomainError):
         derived_rng(1, 3.5)
+
+
+# ---------------------------------------------------------------- integers at the other entry points
+
+_TT_2x3 = TTTensor([np.ones((1, 2, 1)), np.array([[[1.0], [2.0], [3.0]]])])
+
+
+@pytest.mark.parametrize(
+    "error, call",
+    [
+        pytest.param(
+            SamplingError,
+            lambda v: sample_without_replacement(IndexSet.full(5), v, derived_rng(0, "s")),
+            id="sample_without_replacement",
+        ),
+        pytest.param(DomainError, lambda v: linearize((1, v), (2, 3)), id="linearize"),
+        pytest.param(DomainError, lambda v: delinearize(v, (2, 3)), id="delinearize"),
+        pytest.param(DomainError, lambda v: entry(_TT_2x3, (1, v)), id="entry"),
+        pytest.param(DomainError, lambda v: derived_rng(v, "a").random(2).tolist(), id="derived_rng-seed"),
+        pytest.param(DomainError, lambda v: derived_rng(1, "a", v).random(2).tolist(), id="derived_rng-tag"),
+        pytest.param(DomainError, lambda v: derived_seed(v, "a"), id="derived_seed-seed"),
+        pytest.param(DomainError, lambda v: derived_seed(1, v), id="derived_seed-tag"),
+        pytest.param(
+            DomainError,
+            lambda v: ExperimentConfig.default_sample_sizes((4, 4, 4), (v, 2)),
+            id="default_sample_sizes",
+        ),
+    ],
+)
+def test_entry_points_refuse_what_is_not_an_integer(error, call):
+    # no entry point truncates 2.5 or reads True as 1
+    for value in (2.5, True):
+        with pytest.raises(error, match="expected an integer"):
+            call(value)
+    want = call(2)
+    for value in (2.0, np.int64(2)):
+        assert call(value) == want

@@ -6,6 +6,7 @@ import pytest
 from ttinherit import (
     DomainError,
     IndexSet,
+    RankZeroError,
     TTTensor,
     sample_without_replacement,
     to_dense,
@@ -130,6 +131,12 @@ def test_cur_flags_rank_deficient_rows():
     assert not report.passed
     assert np.isnan(report.residual)
     assert report.J is None
+
+
+def test_cur_of_a_zero_tensor_raises_rank_zero():
+    t = TTTensor([np.zeros((1, 3, 2)), np.zeros((2, 3, 1))])
+    with pytest.raises(RankZeroError):
+        cur_reconstruct_check(t, IndexSet.full(3))
 
 
 def test_cur_rejects_bad_index_sets():
