@@ -5,10 +5,11 @@
     ttinherit generate --config cfg.json --out tensor.ttc [--generator KIND] [--seed N] [--scale desk|paper]
     ttinherit report   --in DIR
 
-Exit codes: 0 success, 1 bound violations (or failed trials), 2 usage or
-configuration errors.  ``--scale`` overlays the preset geometry (shape,
-ranks and sample sizes) on top of the config file; ``--seed``/``--trials``
-override single fields.
+Exit codes: 0 success; 1 bound violations, failed rank hypotheses or failed
+trials; 2 usage or configuration errors, or a file that cannot be read or
+written.  ``--scale`` overlays the preset geometry (shape, ranks and sample
+sizes) on top of the config file; ``--seed``/``--trials`` override single
+fields.
 ``report`` summarizes DIR/trials.csv and writes summary.json and the SVGs
 through the writer ``run`` uses; of an existing summary.json it replaces only
 ``summaries``, ``version`` and ``quartile_method`` and keeps the run's record.
@@ -114,7 +115,7 @@ def load_config(args) -> ExperimentConfig:
 def _print_run_report(result) -> None:
     cfg = result.config
     print(
-        f"shape {tuple(cfg.shape)}, ranks {cfg.ranks}, {cfg.trials} trials x "
+        f"shape {cfg.shape}, ranks {cfg.ranks}, {cfg.trials} trials x "
         f"{len(cfg.generators)} generators, master_seed {cfg.master_seed}"
     )
     for kind in cfg.generators:
@@ -134,6 +135,8 @@ def _print_run_report(result) -> None:
             f"{n_bad} failing parameters, {resamples} resamples"
         )
     print(f"bound violations: {result.bound_violations}")
+    if result.hypothesis_failures:
+        print(f"rank-hypothesis failures: {result.hypothesis_failures}")
     if result.failures:
         print(f"failed trials: {len(result.failures)}")
     for name, path in result.paths.items():
@@ -145,7 +148,7 @@ def _cmd_run(args) -> int:
     verify = args.command == "verify"
     result = run_experiment(load_config(args), write=not verify)
     _print_run_report(result)
-    ok = not (result.bound_violations or result.failures)
+    ok = not (result.bound_violations or result.hypothesis_failures or result.failures)
     if verify:
         print("VERIFY: OK" if ok else "VERIFY: FAIL")
     return EXIT_OK if ok else EXIT_VIOLATIONS
@@ -233,7 +236,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (TTInheritError, FileNotFoundError) as exc:
+    except (TTInheritError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except json.JSONDecodeError as exc:

@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, DomainError, SingularityError, TrialError
 from .linalg import available_cpus, blas_thread_budget, pinv_spectral_norm
-from .multiindex import IndexSet, Shape, _as_shape, _integer, derived_rng, derived_seed
+from .multiindex import IndexSet, Shape, _integer, derived_rng, derived_seed
 from .multiindex import kron_extend, sample_without_replacement
 from .generators import KINDS, GeneratorSpec, generate
 from .properties import (
@@ -144,7 +144,7 @@ class ExperimentConfig:
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"{name}: {exc}") from exc
 
-        convert("shape", lambda v: _as_shape(_items(v)))
+        convert("shape", lambda v: Shape(_items(v)))
         convert("ranks", _items)
         shape, ranks, d = self.shape, self.ranks, len(self.shape)
         # rank count and geometry feasibility are the generator's concern;
@@ -207,7 +207,7 @@ class ExperimentConfig:
     @staticmethod
     def default_sample_sizes(shape, ranks) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """|I_i| = |J_i| = min(4 * r_i, pool size), the usual small multiple of rank."""
-        shape, ranks = _as_shape(shape), _items(ranks)
+        shape, ranks = Shape(shape), _items(ranks)
         sizes_I = []
         prev = 1
         for i in range(1, len(shape)):
@@ -554,12 +554,15 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentRe
     (:func:`~ttinherit.linalg.blas_thread_budget`).  A trial that raises
     (it exhausts its resample budget, its tensor cannot be generated, ...) is
     excluded from the results with a warning and listed in ``failures``; the
-    other trials still run.
+    other trials still run.  With ``write`` the output directory is made
+    before the first trial, so a path that cannot be one fails at once.
     """
     tasks = [(kind, trial) for kind in config.generators for trial in range(config.trials)]
     results: list[TrialResult] = []
     failures: list[dict] = []
     workers = min(resolve_workers(config), len(tasks))
+    if write:
+        os.makedirs(config.output_dir, exist_ok=True)
     with blas_thread_budget(workers) as threads, ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(run_trial, config, kind, trial) for kind, trial in tasks]
         for (kind, trial), fut in zip(tasks, futures):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, GenerationError, RankZeroError
 from .linalg import DEFAULT_RANK_TOL
-from .multiindex import Shape, _as_shape, _integer, derived_rng
+from .multiindex import Shape, _integer, derived_rng
 from .tt import TTTensor, tt_rank_numerical
 
 __all__ = ["KINDS", "GeneratorSpec", "generate"]
@@ -42,7 +42,7 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown generator kind {self.kind!r}; choose from {KINDS}")
-        shape = _as_shape(self.shape)
+        shape = Shape(self.shape)
         object.__setattr__(self, "shape", shape)
         ranks = tuple(_integer(r, ConfigError) for r in self.ranks)
         d = len(shape)
@@ -106,5 +106,5 @@ def generate(spec: GeneratorSpec, rank_tol: float = DEFAULT_RANK_TOL) -> TTTenso
             pass
     raise GenerationError(
         f"no rank-{spec.ranks} draw in {spec.max_regen + 1} attempts "
-        f"(kind={spec.kind}, shape={tuple(spec.shape)}, seed={spec.seed})"
+        f"(kind={spec.kind}, shape={spec.shape}, seed={spec.seed})"
     )

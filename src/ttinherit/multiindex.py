@@ -20,6 +20,7 @@ stream.
 from __future__ import annotations
 
 import hashlib
+import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -55,55 +56,41 @@ def _integer(value, error: type[Exception] = DomainError) -> int:
     return operator.index(value)
 
 
-@dataclass(frozen=True)
-class Shape:
-    """Mode sizes ``(n_1, ..., n_d)`` of a tensor, all >= 1."""
+class Shape(tuple):
+    """Mode sizes ``(n_1, ..., n_d)`` of a tensor, all >= 1.
 
-    dims: tuple[int, ...]
+    A tuple of ints, so it compares, hashes and prints as the plain tuple;
+    every mode size passes :func:`_integer` on construction.
+    """
 
-    def __post_init__(self):
-        dims = tuple(_integer(n) for n in self.dims)
-        if len(dims) == 0:
+    __slots__ = ()
+
+    def __new__(cls, dims):
+        shape = super().__new__(cls, map(_integer, dims))
+        if len(shape) == 0:
             raise DomainError("shape must have at least one mode")
-        if any(n < 1 for n in dims):
-            raise DomainError(f"mode sizes must be >= 1, got {dims}")
-        object.__setattr__(self, "dims", dims)
-
-    def __len__(self) -> int:
-        return len(self.dims)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.dims)
-
-    def __getitem__(self, k):
-        return self.dims[k]
+        if any(n < 1 for n in shape):
+            raise DomainError(f"mode sizes must be >= 1, got {shape}")
+        return shape
 
     @property
     def size(self) -> int:
         """Total number of entries (exact int, no overflow)."""
-        return self.prefix_size(len(self.dims))
+        return math.prod(self)
 
     def prefix_size(self, i: int) -> int:
         """Product of the first ``i`` mode sizes (``i = 0`` gives 1)."""
-        if not 0 <= i <= len(self.dims):
-            raise DomainError(f"prefix length {i} out of range for d={len(self.dims)}")
-        out = 1
-        for n in self.dims[:i]:
-            out *= n
-        return out
+        i = _integer(i)
+        if not 0 <= i <= len(self):
+            raise DomainError(f"prefix length {i} out of range for d={len(self)}")
+        return math.prod(self[:i])
 
     def suffix_size(self, i: int) -> int:
         """Product of mode sizes after position ``i`` (``i = d`` gives 1)."""
-        if not 0 <= i <= len(self.dims):
-            raise DomainError(f"suffix start {i} out of range for d={len(self.dims)}")
-        out = 1
-        for n in self.dims[i:]:
-            out *= n
-        return out
-
-
-def _as_shape(shape) -> Shape:
-    return shape if isinstance(shape, Shape) else Shape(tuple(shape))
+        i = _integer(i)
+        if not 0 <= i <= len(self):
+            raise DomainError(f"suffix start {i} out of range for d={len(self)}")
+        return math.prod(self[i:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,7 +186,7 @@ def linearize(multi: Sequence[int], shape) -> int:
     >>> linearize((2, 3), (2, 3))
     6
     """
-    shp = _as_shape(shape)
+    shp = Shape(shape)
     if len(multi) != len(shp):
         raise DomainError(f"multi-index length {len(multi)} != number of modes {len(shp)}")
     linear = 0
@@ -219,7 +206,7 @@ def delinearize(linear: int, shape) -> tuple[int, ...]:
     >>> delinearize(6, (2, 3))
     (2, 3)
     """
-    shp = _as_shape(shape)
+    shp = Shape(shape)
     lin = _integer(linear)
     if not 1 <= lin <= shp.size:
         raise DomainError(f"linear index {lin} out of range [1, {shp.size}]")

@@ -41,10 +41,11 @@ from .linalg import (
     max_row_norm,
     pinv_spectral_norm,
 )
-from .multiindex import IndexSet, kron_extend
+from .multiindex import IndexSet, _integer, kron_extend
 from .tt import (
     TTTensor,
     _check_index_set,
+    _check_position,
     row_restrict,
     submatrix_svd,
     tt_rank_numerical,
@@ -168,16 +169,14 @@ class InheritanceRecord:
         return f"beta_{self.i}"
 
 
-def incoherence(svd: ThinSVD, m: int, n: int) -> IncoherencePair:
-    """Tightest incoherence constants from a compact SVD of an m x n matrix.
+def incoherence(svd: ThinSVD) -> IncoherencePair:
+    """Tightest incoherence constants from a compact SVD of an m x n matrix,
+    m x n read from ``svd.shape``.
 
     ``ThinSVD`` has already checked its factors, so their row norms are read
     in one blocked pass each, with no second scan.
     """
-    if svd.W.shape[0] != m or svd.V.shape[0] != n:
-        raise DomainError(
-            f"SVD is of a {svd.W.shape[0]} x {svd.V.shape[0]} matrix, not {m} x {n}"
-        )
+    m, n = svd.shape
     r = svd.rank
     mu1 = (m / r) * max_row_norm(svd.W) ** 2
     mu2 = (n / r) * max_row_norm(svd.V) ** 2
@@ -186,11 +185,10 @@ def incoherence(svd: ThinSVD, m: int, n: int) -> IncoherencePair:
 
 def unfolding_report(i: int, svd: ThinSVD) -> UnfoldingReport:
     """Package rank/incoherence/conditioning of one unfolding SVD."""
-    m, n = svd.shape
     return UnfoldingReport(
         i=i,
         rank=svd.rank,
-        mu=incoherence(svd, m, n),
+        mu=incoherence(svd),
         kappa=condition_number(svd),
         sigma=svd.sigma,
         svd=svd,
@@ -227,8 +225,9 @@ def _sampling_factor(
     i+1..k.  ``side`` "V": ``kept`` are columns of unfolding i = k,
     N = prod(n_{i+1}..n_d), F is the right factor V_k, and ``rows`` = ``kept``.
     """
-    if not 1 <= i <= k <= t.d - 1:
-        raise DomainError(f"need 1 <= level i <= unfolding k <= {t.d - 1}, got i={i}, k={k}")
+    i, k = _check_position(t, i), _check_position(t, k)
+    if k < i:
+        raise DomainError(f"need level i <= unfolding k, got i={i}, k={k}")
     _check_index_set(t, i, kept, side == "W", "I_i" if side == "W" else "J_i")
     if svd is None:
         svd = unfolding_svd(t, k, rank_tol)
@@ -253,7 +252,7 @@ def alpha_it(
     under full sampling and >= sqrt(|I_i| / prod(n_1..n_i)) always.  An
     ``svd`` of unfolding k may be passed to avoid recomputation.
     """
-    return _sampling_factor(t, I_i, i, i + t_off - 1, "W", rank_tol, svd)
+    return _sampling_factor(t, I_i, i, i + _integer(t_off) - 1, "W", rank_tol, svd)
 
 
 def alpha_i(
@@ -271,10 +270,9 @@ def alpha_i(
     :data:`ALPHA_1` = 1 (the level-1 bound has no row factor) and
     ``I_prev`` is ignored.
     """
+    i = _check_position(t, i)
     if i == 1:
         return ALPHA_1
-    if not 2 <= i <= t.d - 1:
-        raise DomainError(f"level i must be in [1, {t.d - 1}], got {i}")
     if I_prev is None:
         raise DomainError("I_prev is required for i >= 2")
     return alpha_it(t, I_prev, i - 1, 2, rank_tol, svd=svd)

@@ -61,7 +61,7 @@ DENSE_CAP = 10**7  # default cap on dense materialization, in entries
 INTERFACE_ELEM_CAP = 1 << 27  # ~1 GiB of float64 per interface matrix
 
 
-def _validate_cores(cores) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _validate_cores(cores) -> tuple[Shape, tuple[int, ...]]:
     """Check the chain structure; return (shape, ranks)."""
     if len(cores) < 2:
         raise StructuralError("a tensor train needs at least 2 cores")
@@ -84,7 +84,7 @@ def _validate_cores(cores) -> tuple[tuple[int, ...], tuple[int, ...]]:
                 f"rank mismatch at junction {k + 1}: core {k + 1} has right rank "
                 f"{cores[k].shape[2]} but core {k + 2} has left rank {cores[k + 1].shape[0]}"
             )
-    shape = tuple(int(c.shape[1]) for c in cores)
+    shape = Shape([c.shape[1] for c in cores])
     ranks = tuple(int(c.shape[2]) for c in cores[:-1])
     return shape, ranks
 
@@ -94,7 +94,8 @@ class TTTensor:
 
     ``cores[k]`` has shape ``(r_k, n_{k+1}, r_{k+1})`` (0-based k); the
     constructor copies its inputs to read-only float64 arrays and validates
-    the chain.  ``ranks`` are the *declared* ranks (core widths); see
+    the chain.  ``shape`` is the :class:`Shape` of mode sizes and ``ranks``
+    the *declared* ranks (core widths); see
     :func:`tt_rank_numerical` for the numerical ones.  The orthogonal forms
     (:func:`left_orthogonal_form`, :func:`right_orthogonal_form`) are cached
     on the tensor once built, and their interfaces on the forms.
@@ -126,7 +127,7 @@ class TTTensor:
 
     @property
     def size(self) -> int:
-        return Shape(self.shape).size
+        return self.shape.size
 
     def __repr__(self) -> str:
         return f"TTTensor(shape={self.shape}, ranks={self.ranks})"
@@ -156,16 +157,20 @@ def entry(t: TTTensor, multi) -> float:
     return float(v[0, 0])
 
 
-def _check_position(t: TTTensor, i: int) -> None:
+def _check_position(t: TTTensor, i: int) -> int:
+    """``i`` as an int (:func:`_integer`), refused unless it is an unfolding
+    position of ``t``, 1 <= i <= d - 1."""
+    i = _integer(i)
     if not 1 <= i <= t.d - 1:
         raise DomainError(f"unfolding position must be in [1, {t.d - 1}], got {i}")
+    return i
 
 
 def _check_index_set(t: TTTensor, i: int, S: IndexSet, rows: bool, name: str) -> None:
     """Refuse ``S``, an index set over the rows (``rows``) or the columns of
     the i-th unfolding, unless its domain is P_i = prod(n_1..n_i) (or
     Q_i = prod(n_{i+1}..n_d)) and it is not empty."""
-    shp = Shape(t.shape)
+    shp = t.shape
     N, modes = (shp.prefix_size(i), f"first {i}") if rows else (shp.suffix_size(i), "trailing")
     if S.domain != N:
         raise DomainError(f"{name} domain {S.domain} != prod of {modes} mode sizes {N}")
@@ -173,11 +178,12 @@ def _check_index_set(t: TTTensor, i: int, S: IndexSet, rows: bool, name: str) ->
         raise DomainError(f"{name} must be nonempty")
 
 
-def _check_block(t: TTTensor, i: int, rows: IndexSet, J: IndexSet) -> None:
-    """Domain checks for a block T_<i>(rows, J) of the i-th unfolding."""
-    _check_position(t, i)
+def _check_block(t: TTTensor, i: int, rows: IndexSet, J: IndexSet) -> int:
+    """Domain checks for a block T_<i>(rows, J) of the i-th unfolding; returns i."""
+    i = _check_position(t, i)
     _check_index_set(t, i, rows, True, "row set")
     _check_index_set(t, i, J, False, "column set")
+    return i
 
 
 def _check_capacity(cores, i: int, left: bool, max_elems: int) -> None:
@@ -249,7 +255,7 @@ def left_interface(t: TTTensor, i: int, max_elems: int = INTERFACE_ELEM_CAP) -> 
     On a tensor of :func:`left_orthogonal_form` the result is built once,
     cached and read-only.
     """
-    _check_position(t, i)
+    i = _check_position(t, i)
     _check_capacity(t.cores, i, True, max_elems)
     return _interface(t, 0, i, _left_chain, i)
 
@@ -261,7 +267,7 @@ def right_interface(t: TTTensor, i: int, max_elems: int = INTERFACE_ELEM_CAP) ->
     cached and read-only, keyed by the d - i trailing cores it contracts; a
     subtensor of :func:`row_restrict` shares those cores and that cache.
     """
-    _check_position(t, i)
+    i = _check_position(t, i)
     _check_capacity(t.cores, i, False, max_elems)
     return _interface(t, 1, t.d - i, _right_chain, i)
 
@@ -276,7 +282,7 @@ def _form_tensor(cores, right: dict | None = None) -> TTTensor:
     t = object.__new__(TTTensor)
     t._set(
         tuple(cores),
-        tuple(c.shape[1] for c in cores),
+        Shape([c.shape[1] for c in cores]),
         tuple(c.shape[2] for c in cores[:-1]),
         ({}, {} if right is None else right),
     )
@@ -384,6 +390,7 @@ def unfolding_svd(t: TTTensor, i: int, rank_tol: float = DEFAULT_RANK_TOL) -> Th
     T_<i> = left_interface(A, i) @ (S_i @ T_i.T) @ right_interface(B, i).T
     with orthonormal outer factors, so only the r x r middle is decomposed.
     """
+    i = _check_position(t, i)
     A, S = left_orthogonal_form(t)
     B, T = right_orthogonal_form(t)
     QL = left_interface(A, i)
@@ -404,7 +411,7 @@ def row_restrict(t: TTTensor, i: int, I: IndexSet) -> TTTensor:
     and it inherits the parent's right sweep over them and the right
     interfaces cached on the parent's form.
     """
-    _check_position(t, i)
+    i = _check_position(t, i)
     _check_index_set(t, i, I, True, "row set")
     A, S = left_orthogonal_form(t)
     B, T = right_orthogonal_form(t)
@@ -422,7 +429,7 @@ def column_submatrix(
     Built as L_i(rows, :) @ R_i(J, :).T; the full unfolding never exists.
     The *result* is dense, so its size is capped.
     """
-    _check_block(t, i, rows, J)
+    i = _check_block(t, i, rows, J)
     if len(rows) * len(J) > cap:
         raise CapacityError(f"submatrix would hold {len(rows) * len(J)} entries (cap {cap})")
     L = left_interface(t, i)[rows.zero_based(), :]
@@ -441,7 +448,7 @@ def submatrix_svd(
     scales where the dense block would not fit in memory.  The block
     ``L @ R.T`` is never formed.
     """
-    _check_block(t, i, rows, J)
+    i = _check_block(t, i, rows, J)
     A, S = left_orthogonal_form(t)
     B, T = right_orthogonal_form(t)
     # the products are built for the call, so _qr consumes them

@@ -35,7 +35,7 @@ settings.load_profile("deterministic")
 
 def make_tt(kind: str, shape, ranks, seed: int, rank_tol: float = 1e-9) -> TTTensor:
     """A random TT tensor with verified numerical ranks."""
-    return generate(GeneratorSpec(kind, Shape(tuple(shape)), tuple(ranks), seed=seed), rank_tol)
+    return generate(GeneratorSpec(kind, Shape(shape), tuple(ranks), seed=seed), rank_tol)
 
 
 def coherent(t: TTTensor) -> TTTensor:
@@ -89,7 +89,7 @@ def sample_valid_sets(
     column rank; the same holds for column sets against the right factor.
     A ``redraws`` list, when given, gets each level's redraw count appended.
     """
-    shp = Shape(t.shape)
+    shp = t.shape
     svds = [unfolding_svd(t, i, rank_tol) for i in range(1, t.d)]
 
     def draw(pool, size, factor, stream, level):

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, overrides, exit codes."""
 
 import argparse
+import dataclasses
 import json
 import re
 import shutil
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import ttinherit.cli as cli_mod
+import ttinherit.experiment as experiment_mod
 from ttinherit import load_tt, run_experiment
 from ttinherit.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATIONS, build_parser, load_config, main
 
@@ -80,6 +82,24 @@ def test_run_reports_failures_with_exit_one(config_path, monkeypatch, capsys):
     assert "failed trials: 1" in capsys.readouterr().out
 
 
+def test_run_makes_its_output_directory_before_the_first_trial(config_path, tmp_path,
+                                                               monkeypatch, capsys):
+    calls = []
+    real = experiment_mod.run_trial
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(experiment_mod, "run_trial", counted)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    rc = main(["run", "--config", str(config_path), "--output-dir", str(blocker / "sub")])
+    assert rc == EXIT_USAGE
+    assert "error:" in capsys.readouterr().err
+    assert calls == []
+
+
 # ---------------------------------------------------------------- verify
 
 
@@ -141,6 +161,28 @@ def test_verify_exits_one_when_a_coherent_tensor_exhausts_its_redraws(tmp_path, 
     assert rc == EXIT_VIOLATIONS
     assert "failed trials: 1" in out
     assert "VERIFY: FAIL" in out
+
+
+def test_a_failed_rank_hypothesis_exits_one_in_run_verify_and_report(tmp_path, monkeypatch,
+                                                                      capsys):
+    real = experiment_mod.check_row_sampling_bounds
+
+    def one_failed_hypothesis(t, nested, *args, **kwargs):
+        records = real(t, nested, *args, **kwargs)
+        records[0] = dataclasses.replace(records[0], checks=(), rank_hypothesis_ok=False)
+        return records
+
+    monkeypatch.setattr(experiment_mod, "check_row_sampling_bounds", one_failed_hypothesis)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"shape": [6, 6, 6], "ranks": [2, 2], "generators": ["gaussian"],
+                                "trials": 1, "master_seed": 0,
+                                "output_dir": str(tmp_path / "out")}))
+    assert main(["run", "--config", str(path)]) == EXIT_VIOLATIONS
+    assert "rank-hypothesis failures: 1" in capsys.readouterr().out
+    assert main(["verify", "--config", str(path)]) == EXIT_VIOLATIONS
+    out = capsys.readouterr().out
+    assert "rank-hypothesis failures: 1" in out and "VERIFY: FAIL" in out
+    assert main(["report", "--in", str(tmp_path / "out")]) == EXIT_VIOLATIONS
 
 
 # ---------------------------------------------------------------- generate
@@ -261,6 +303,32 @@ def test_report_missing_csv_is_usage_error(tmp_path, capsys):
     rc = main(["report", "--in", str(tmp_path)])
     assert rc == EXIT_USAGE
     assert "error:" in capsys.readouterr().err
+
+
+def _config_that_is_a_directory(tmp_path):
+    return ["run", "--config", str(tmp_path)]
+
+
+def _config_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"output_dir": "sortie-\u00e9"}'.encode("latin-1"))
+    return ["run", "--config", str(path)]
+
+
+def _trials_csv_that_is_a_directory(tmp_path):
+    (tmp_path / "trials.csv").mkdir()
+    return ["report", "--in", str(tmp_path)]
+
+
+@pytest.mark.parametrize(
+    "argv_in",
+    [_config_that_is_a_directory, _config_that_is_not_utf8, _trials_csv_that_is_a_directory],
+)
+def test_a_file_that_cannot_be_read_is_usage_error(tmp_path, capsys, argv_in):
+    rc = main(argv_in(tmp_path))
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 # ---------------------------------------------------------------- usage errors

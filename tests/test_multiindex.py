@@ -44,7 +44,7 @@ def test_shape_rejects_bad_dims():
     for dims in ((True, 3), (2.5, 3), ("2", 3)):
         with pytest.raises(DomainError, match="expected an integer"):
             Shape(dims)
-    assert Shape((2.0, np.int64(3))).dims == (2, 3)
+    assert Shape((2.0, np.int64(3))) == (2, 3)
 
 
 # ---------------------------------------------------------------- IndexSet

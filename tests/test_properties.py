@@ -22,9 +22,14 @@ from ttinherit import (
     check_column_sampling_bounds,
     check_rank_preservation,
     check_row_sampling_bounds,
+    column_submatrix,
     incoherence,
     kron_extend,
+    left_interface,
     pinv_spectral_norm,
+    right_interface,
+    row_restrict,
+    submatrix_svd,
     thin_svd,
     to_dense,
     tt_incoherence,
@@ -41,13 +46,13 @@ from conftest import coherent, make_tt, rel_err, sample_valid_sets
 
 
 def test_incoherence_of_identity():
-    pair = incoherence(thin_svd(np.eye(4)), 4, 4)
+    pair = incoherence(thin_svd(np.eye(4)))
     assert np.isclose(pair.mu1, 1.0, rtol=1e-12)
     assert np.isclose(pair.mu2, 1.0, rtol=1e-12)
 
 
 def test_incoherence_of_flat_rank_one():
-    pair = incoherence(thin_svd(np.ones((4, 6))), 4, 6)
+    pair = incoherence(thin_svd(np.ones((4, 6))))
     assert np.isclose(pair.mu1, 1.0, rtol=1e-12)
     assert np.isclose(pair.mu2, 1.0, rtol=1e-12)
 
@@ -55,7 +60,7 @@ def test_incoherence_of_flat_rank_one():
 def test_incoherence_of_spiked_rank_one():
     M = np.zeros((4, 4))
     M[0, 0] = 1.0
-    pair = incoherence(thin_svd(M), 4, 4)
+    pair = incoherence(thin_svd(M))
     assert np.isclose(pair.mu1, 4.0, rtol=1e-12)
     assert np.isclose(pair.mu2, 4.0, rtol=1e-12)
 
@@ -203,6 +208,39 @@ def test_beta_i_rejects_bad_arguments():
         beta_i(t, IndexSet([], 12), 1)
     with pytest.raises(DomainError):
         beta_i(t, IndexSet([1], 1), 3)
+
+
+# ---------------------------------------------------------------- unfolding positions
+
+# every entry point that takes an unfolding position or level p, called at p
+# on a 3 x 3 x 3 tensor of ranks (2, 2), where p = 1 is valid everywhere
+_I1, _J1 = IndexSet([1, 2], 3), IndexSet([1, 2, 3, 4], 9)
+POSITION_ENTRY_POINTS = {
+    "unfolding_svd": lambda t, p: unfolding_svd(t, p).sigma,
+    "left_interface": left_interface,
+    "right_interface": right_interface,
+    "row_restrict": lambda t, p: to_dense(row_restrict(t, p, _I1)),
+    "submatrix_svd": lambda t, p: submatrix_svd(t, p, IndexSet.full(3), _J1).sigma,
+    "column_submatrix": lambda t, p: column_submatrix(t, p, _I1, _J1),
+    "alpha_it.i": lambda t, p: alpha_it(t, _I1, p, 1),
+    "alpha_it.t_off": lambda t, p: alpha_it(t, _I1, 1, p),
+    "alpha_i": lambda t, p: alpha_i(t, None, p),
+    "beta_i": lambda t, p: beta_i(t, _J1, p),
+    "Shape.prefix_size": lambda t, p: t.shape.prefix_size(p),
+    "Shape.suffix_size": lambda t, p: t.shape.suffix_size(p),
+}
+
+
+@pytest.mark.parametrize("name", list(POSITION_ENTRY_POINTS))
+def test_positions_refuse_what_is_not_an_integer(name):
+    call = POSITION_ENTRY_POINTS[name]
+    t = make_tt("gaussian", (3, 3, 3), (2, 2), seed=50)
+    for bad in (True, 1.5):
+        with pytest.raises(DomainError, match="expected an integer"):
+            call(t, bad)
+    want = call(t, 1)
+    for same in (1.0, np.int64(1)):
+        assert np.array_equal(call(t, same), want)
 
 
 # ---------------------------------------------------------------- rank preservation

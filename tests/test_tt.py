@@ -18,6 +18,7 @@ from ttinherit import (
     IndexSet,
     NumericError,
     RankZeroError,
+    Shape,
     StructuralError,
     TTTensor,
     check_column_sampling_bounds,
@@ -88,6 +89,17 @@ def test_tensor_is_immutable_and_copies_input():
     with pytest.raises(ValueError):
         t.cores[0][0, 0, 0] = 5.0
     assert "shape" in repr(t)
+
+
+def test_shape_is_a_shape_equal_to_the_plain_tuple():
+    t = make_tt("gaussian", (3, 4, 5), (2, 2), seed=3)
+    A, _ = left_orthogonal_form(t)
+    sub = row_restrict(t, 1, IndexSet([1, 2], 3))
+    for x, want in ((t, (3, 4, 5)), (A, (3, 4, 5)), (sub, (2, 4, 5))):
+        assert isinstance(x.shape, Shape)
+        assert x.shape == want and hash(x.shape) == hash(want)
+        assert repr(x.shape) == repr(want)
+    assert t.size == 60
 
 
 # ---------------------------------------------------------------- entry / to_dense
