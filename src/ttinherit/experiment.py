@@ -17,6 +17,7 @@ standalone SVG boxplot per generator.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 import subprocess
@@ -374,9 +375,11 @@ def summarize_boxplot(values, label: str = "") -> BoxplotSummary:
 def _sample_level(pool, size, factor, rank_tol, trial_seed, stream, level, max_resample):
     """Sample one index set, resampling until its rows of ``factor`` keep full rank.
 
-    ``factor`` is the orthonormal singular factor the set indexes (W for row
-    sets, V for column sets).  A draw is kept when its (|set| x r) block of
-    ``factor`` passes :func:`~ttinherit.linalg.pinv_spectral_norm`, the full
+    ``factor(rows)`` returns the given 0-based rows of the orthonormal
+    singular factor the set indexes (W for row sets, V for column sets),
+    such as :meth:`~ttinherit.linalg.ThinSVD.factor_rows` of one side.  A
+    draw is kept when its (|set| x r) block of the factor passes
+    :func:`~ttinherit.linalg.pinv_spectral_norm`, the full
     column rank test at ``rank_tol`` that the bounds hypothesize; the k-th
     redraw comes from the stream (trial_seed, stream, level, k).  Returns
     (index set, resample count); raises :class:`TrialError` when
@@ -386,7 +389,7 @@ def _sample_level(pool, size, factor, rank_tol, trial_seed, stream, level, max_r
         rng = derived_rng(trial_seed, stream, level, tries)
         cand = sample_without_replacement(pool, size, rng)
         try:
-            pinv_spectral_norm(factor[cand.zero_based(), :], rank_tol)
+            pinv_spectral_norm(factor(cand.zero_based()), rank_tol)
         except SingularityError:
             continue
         return cand, tries
@@ -418,14 +421,14 @@ def run_trial(config: ExperimentConfig, kind: str, trial: int) -> TrialResult:
     redraws: dict[str, list[int]] = {"rows": [], "cols": []}
     for stream in ("rows", "cols"):
         for i in range(1, d):
-            svd_i = parents[i - 1].svd
             if stream == "rows":
                 prev = sets["rows"][-1] if i > 1 else IndexSet.full(1)
                 pool = kron_extend(prev, t.shape[i - 1])
-                size, factor = config.sample_sizes_I[i - 1], svd_i.W
+                size, side = config.sample_sizes_I[i - 1], "W"
             else:
                 pool = IndexSet.full(config.shape.suffix_size(i))
-                size, factor = config.sample_sizes_J[i - 1], svd_i.V
+                size, side = config.sample_sizes_J[i - 1], "V"
+            factor = functools.partial(parents[i - 1].svd.factor_rows, side)
             cand, tries = _sample_level(
                 pool, size, factor, tol, trial_seed, stream, i, config.max_resample
             )

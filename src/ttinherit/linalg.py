@@ -20,6 +20,7 @@ does not run on top of as many BLAS threads each.
 from __future__ import annotations
 
 import ctypes
+import math
 import os
 import threading
 from contextlib import contextmanager
@@ -69,58 +70,100 @@ def _require_matrix(M, name="matrix") -> np.ndarray:
     return M
 
 
-@dataclass(frozen=True, eq=False)
+_SIDES = {"W": 0, "V": 1}
+
+
+def _rotate(B: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """``B @ U``, column-major, as ``(U.T @ B.T).T`` in one GEMM.
+
+    Every row of a singular factor is made by this one product, whether the
+    factor is multiplied out whole, read a few rows at a time or a block at
+    a time, so a row has the same bits on every path.
+    """
+    return (U.T @ B.T).T
+
+
 class ThinSVD:
     """Compact SVD ``M = W @ diag(sigma) @ V.T`` truncated to numerical rank.
 
-    ``W`` is (m, r) and ``V`` is (n, r), both with orthonormal columns to
-    within :data:`ORTHONORMALITY_TOL`; ``sigma`` is strictly positive and
-    non-increasing.  Instances validate on construction.  ``W`` and ``V``
-    are stored column-major (Fortran order), so each of the r columns of a
-    tall factor is contiguous for the checks and row norms that read it.
+    Each singular factor is held as an orthonormal basis and a small
+    rotation, ``W = Q_W @ U_W`` and ``V = Q_V @ U_V``: ``Q`` is (m, q) and
+    ``U`` is (q, r).  ``ThinSVD(W, sigma, V)`` takes the factors themselves
+    (``U = I``); with ``rotations=(U_W, U_V)`` the first and third
+    arguments are the bases.  The bases are never copied or multiplied out
+    when the SVD is made, so a factor over 10^6 rows costs only its r x r
+    rotation: :meth:`factor_rows` reads a few rows as ``Q[rows] @ U`` and
+    :meth:`factor_max_row_norm` reads ``Q @ U`` in blocks of
+    :data:`ROW_BLOCK` rows.  ``W`` and ``V`` are multiplied out on first
+    read, column-major, and cached.
+
+    ``sigma`` must be strictly positive and non-increasing, and both factors
+    must have orthonormal columns: max |W^T W - I| <= :data:`ORTHONORMALITY_TOL`,
+    evaluated as ``U^T G U`` with ``G = Q^T Q``.  A caller that knows ``G``
+    without a pass over ``Q`` passes it in ``grams=(G_W, G_V)`` and vouches
+    for it; otherwise ``G`` is computed.  A non-finite entry in any input
+    raises :class:`NumericError`.  Everything stored is read-only.
     """
 
-    W: np.ndarray
-    sigma: np.ndarray
-    V: np.ndarray
+    __slots__ = ("sigma", "_bases", "_rotations", "_factors")
 
-    def __post_init__(self):
-        # views: the read-only flag set below must not reach the caller's arrays
-        W = np.asfortranarray(self.W, dtype=np.float64).view()
-        V = np.asfortranarray(self.V, dtype=np.float64).view()
-        sigma = np.asarray(self.sigma, dtype=np.float64).reshape(-1)
-        if W.ndim != 2 or V.ndim != 2:
-            raise DomainError("ThinSVD factors must be 2-d")
+    def __init__(self, W, sigma, V, rotations=(None, None), grams=(None, None)):
+        sigma = np.asarray(sigma, dtype=np.float64).reshape(-1)
         r = sigma.size
         if r == 0:
             raise RankZeroError("ThinSVD cannot hold an empty spectrum")
-        if W.shape[1] != r or V.shape[1] != r:
-            raise DomainError(
-                f"factor widths ({W.shape[1]}, {V.shape[1]}) do not match rank {r}"
-            )
-        # one pass over each tall factor: a non-finite entry makes its
-        # column's Gram diagonal non-finite, so the factors themselves are
-        # scanned only when a Gram (or sigma) is
+        eye = np.eye(r)
+        bases, rots, devs = [], [], []
         with np.errstate(over="ignore", invalid="ignore"):
-            grams = (W.T @ W, V.T @ V)
-        if not all(np.isfinite(X).all() for X in (sigma, *grams)):
-            if not all(np.isfinite(X).all() for X in (W, V, sigma)):
+            for name, Q, U, G in zip("WV", (W, V), rotations, grams):
+                # views: the read-only flag set below must not reach the caller's arrays
+                Q = np.asfortranarray(Q, dtype=np.float64).view()
+                U = None if U is None else np.asarray(U, dtype=np.float64).view()
+                G = None if G is None else np.asarray(G, dtype=np.float64)
+                if Q.ndim != 2 or (U is not None and U.ndim != 2):
+                    raise DomainError("ThinSVD factors must be 2-d")
+                q = Q.shape[1]
+                width = q if U is None else U.shape[1]
+                if width != r:
+                    raise DomainError(f"{name} has width {width}, which does not match rank {r}")
+                if U is not None and U.shape[0] != q:
+                    raise DomainError(f"{name} rotation has {U.shape[0]} rows for a basis of width {q}")
+                if G is not None and G.shape != (q, q):
+                    raise DomainError(f"{name} Gram has shape {G.shape} for a basis of width {q}")
+                if G is None:
+                    G = Q.T @ Q
+                WtW = G if U is None else U.T @ G @ U
+                devs.append(float(np.abs(WtW - eye).max()))
+                bases.append(Q)
+                rots.append(U)
+        # a non-finite entry anywhere makes sigma or a deviation non-finite,
+        # so the inputs themselves, Q among them, are scanned only then
+        rotated = tuple(U for U in rots if U is not None)
+        if not (np.isfinite(sigma).all() and all(map(math.isfinite, devs))):
+            if not all(np.isfinite(X).all() for X in (sigma, *rotated, *bases)):
                 raise NumericError("ThinSVD factors contain non-finite entries")
         if sigma[-1] <= 0.0:
             raise DomainError("singular values must be strictly positive")
         if np.any(np.diff(sigma) > 0):
             raise DomainError("singular values must be non-increasing")
-        for name, G in zip("WV", grams):
-            dev = np.abs(G - np.eye(r)).max()
+        for name, dev in zip("WV", devs):
             if not dev <= ORTHONORMALITY_TOL:  # a NaN deviation (overflowed Gram) fails too
                 raise DomainError(
                     f"{name} columns deviate from orthonormality by {dev:.3e}"
                 )
-        for arr in (W, sigma, V):
+        for arr in (sigma, *bases, *rotated):
             arr.setflags(write=False)
-        object.__setattr__(self, "W", W)
         object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "V", V)
+        object.__setattr__(self, "_bases", tuple(bases))
+        object.__setattr__(self, "_rotations", tuple(rots))
+        # a factor with U = I is its basis; a rotated one is built on first read
+        object.__setattr__(self, "_factors", [Q if U is None else None for Q, U in zip(bases, rots)])
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ThinSVD is immutable")
+
+    def __repr__(self) -> str:
+        return f"ThinSVD(shape={self.shape}, rank={self.rank})"
 
     @property
     def rank(self) -> int:
@@ -128,7 +171,46 @@ class ThinSVD:
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self.W.shape[0], self.V.shape[0])
+        return (self._bases[0].shape[0], self._bases[1].shape[0])
+
+    @property
+    def W(self) -> np.ndarray:
+        """The (m, r) left factor, multiplied out on first read."""
+        return self._factor(0)
+
+    @property
+    def V(self) -> np.ndarray:
+        """The (n, r) right factor, multiplied out on first read."""
+        return self._factor(1)
+
+    def _factor(self, side: int) -> np.ndarray:
+        F = self._factors[side]
+        if F is None:
+            F = self._factors[side] = self._materialize(side)
+        return F
+
+    def _materialize(self, side: int) -> np.ndarray:
+        """``Q @ U`` of one side as a read-only column-major array."""
+        F = _rotate(self._bases[side], self._rotations[side])
+        F.setflags(write=False)
+        return F
+
+    def _side(self, side: str) -> tuple[np.ndarray, np.ndarray | None]:
+        if side not in _SIDES:
+            raise DomainError(f"factor side must be 'W' or 'V', got {side!r}")
+        k = _SIDES[side]
+        return self._bases[k], self._rotations[k]
+
+    def factor_rows(self, side: str, rows) -> np.ndarray:
+        """``W[rows]`` (``side`` "W") or ``V[rows]`` (``side`` "V"), 0-based
+        ``rows``, read as ``Q[rows] @ U``, so no factor is multiplied out."""
+        Q, U = self._side(side)
+        return Q[rows] if U is None else _rotate(Q[rows], U)
+
+    def factor_max_row_norm(self, side: str) -> float:
+        """Largest Euclidean row norm of ``W`` or ``V`` (:func:`max_row_norm`
+        of ``Q`` rotated by ``U``), with no temporary as tall as the factor."""
+        return max_row_norm(*self._side(side))
 
     def reconstruct(self) -> np.ndarray:
         """Dense ``W @ diag(sigma) @ V.T`` (for small matrices / tests)."""
@@ -199,16 +281,20 @@ def pinv_spectral_norm(M, rank_tol: float = DEFAULT_RANK_TOL) -> float:
     return float(1.0 / s[-1])
 
 
-def max_row_norm(M: np.ndarray) -> float:
-    """Largest Euclidean row norm of a finite 2-d float64 array, unchecked.
+def max_row_norm(M: np.ndarray, U: np.ndarray | None = None) -> float:
+    """Largest Euclidean row norm of ``M @ U`` (of ``M`` when ``U`` is None),
+    for finite 2-d float64 arrays, unchecked.
 
-    Reads :data:`ROW_BLOCK` rows at a time, so no temporary as tall as ``M``
-    is made.  Each row's squared norm is the one a single ``einsum`` over
-    all of ``M`` gives, so the maximum is the same to the bit.
+    Reads :data:`ROW_BLOCK` rows of ``M`` at a time and rotates each block
+    by ``U``, so no temporary as tall as ``M`` is made.  Each row's squared
+    norm is the one a single ``einsum`` over all of ``M @ U`` gives, so the
+    maximum is the same to the bit.
     """
     most = 0.0
     for start in range(0, M.shape[0], ROW_BLOCK):
         B = M[start : start + ROW_BLOCK]
+        if U is not None:
+            B = _rotate(B, U)
         most = max(most, np.einsum("ij,ij->i", B, B).max())
     return float(np.sqrt(most))
 

@@ -93,6 +93,14 @@ class Shape(tuple):
         return math.prod(self[i:])
 
 
+def _domain(value) -> int:
+    """``value`` as an index-set domain: an integer (:func:`_integer`) >= 1."""
+    dom = _integer(value)
+    if dom < 1:
+        raise DomainError(f"index-set domain must be >= 1, got {dom}")
+    return dom
+
+
 @dataclass(frozen=True, eq=False)
 class IndexSet:
     """A sorted set of distinct 1-based indices inside ``[1, domain]``.
@@ -115,9 +123,7 @@ class IndexSet:
         else:  # a sequence, or an array of floats, bools, strings, ...
             entries = idx.reshape(-1).tolist() if isinstance(idx, np.ndarray) else idx
             idx = np.array([_integer(q) for q in entries], dtype=np.int64)
-        dom = _integer(self.domain)
-        if dom < 1:
-            raise DomainError(f"index-set domain must be >= 1, got {dom}")
+        dom = _domain(self.domain)
         increasing = bool(np.all(idx[1:] > idx[:-1]))
         if not increasing:
             idx.sort()
@@ -134,9 +140,18 @@ class IndexSet:
 
     @classmethod
     def full(cls, domain: int) -> "IndexSet":
-        """The exhaustive set ``{1, ..., domain}``."""
-        domain = _integer(domain)
-        return cls(np.arange(1, domain + 1, dtype=np.int64), domain)
+        """The exhaustive set ``{1, ..., domain}``.
+
+        Its array is built strictly increasing and in range, so the copy and
+        the scans of the constructor are skipped.
+        """
+        domain = _domain(domain)
+        idx = np.arange(1, domain + 1, dtype=np.int64)
+        idx.setflags(write=False)
+        full = object.__new__(cls)
+        object.__setattr__(full, "indices", idx)
+        object.__setattr__(full, "domain", domain)
+        return full
 
     @property
     def size(self) -> int:
@@ -239,24 +254,29 @@ def kron_extend(prefix: IndexSet, n: int) -> IndexSet:
 def sample_without_replacement(pool: IndexSet, m: int, rng: np.random.Generator) -> IndexSet:
     """Draw ``m`` distinct elements of ``pool`` uniformly, sorted ascending.
 
-    Uses a partial Fisher–Yates shuffle with all offsets drawn up front from
-    ``rng``, so a given generator state yields one fixed sample.  ``m`` equal
-    to the pool size returns the whole pool (and draws nothing).
+    Uses a partial Fisher–Yates shuffle of the pool's positions with all
+    offsets drawn up front from ``rng``, so a given generator state yields
+    one fixed sample.  Only the positions a swap has displaced are recorded,
+    so a draw costs O(m), not a copy of the pool.  ``m`` equal to the pool
+    size returns the pool itself (and draws nothing).
     """
     m = _integer(m, SamplingError)
     if m < 0 or m > len(pool):
         raise SamplingError(f"cannot sample {m} from pool of {len(pool)}")
     if m == len(pool):
-        return IndexSet(pool.indices, pool.domain)
+        return pool
     if m == 0:
         return IndexSet(np.empty(0, dtype=np.int64), pool.domain)
-    work = pool.indices.copy()
-    k = work.size
-    offsets = rng.integers(0, k - np.arange(m))
+    offsets = rng.integers(0, len(pool) - np.arange(m))
+    # step a swaps positions a and b >= a; position a is never touched again,
+    # so only b's new content needs recording
+    displaced: dict[int, int] = {}
+    picked = np.empty(m, dtype=np.int64)
     for a in range(m):
         b = a + int(offsets[a])
-        work[a], work[b] = work[b], work[a]
-    return IndexSet(np.sort(work[:m]), pool.domain)
+        picked[a] = displaced.get(b, b)
+        displaced[b] = displaced.get(a, a)
+    return IndexSet(np.sort(pool.indices[picked]), pool.domain)
 
 
 def _entropy_words(master_seed: int, tags: Iterable) -> list[int]:

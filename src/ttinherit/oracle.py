@@ -17,7 +17,7 @@ import scipy.linalg
 
 from .errors import DomainError, NumericError, RankZeroError, SearchError
 from .linalg import DEFAULT_RANK_TOL, numerical_rank, pinv_spectral_norm, thin_svd
-from .multiindex import IndexSet, Shape, kron_extend
+from .multiindex import IndexSet, Shape, _integer, kron_extend
 from .properties import UnfoldingReport, unfolding_report
 from .tt import TTTensor, row_restrict, to_dense
 
@@ -59,6 +59,7 @@ def mode_k_product(x, M, k: int) -> np.ndarray:
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2:
         raise DomainError(f"mode factor must be a matrix, got ndim={M.ndim}")
+    k = _integer(k)
     if not 1 <= k <= x.ndim:
         raise DomainError(f"mode k must be in [1, {x.ndim}], got {k}")
     if M.shape[1] != x.shape[k - 1]:

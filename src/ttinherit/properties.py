@@ -38,7 +38,6 @@ from .linalg import (
     DEFAULT_RANK_TOL,
     ThinSVD,
     condition_number,
-    max_row_norm,
     pinv_spectral_norm,
 )
 from .multiindex import IndexSet, _integer, kron_extend
@@ -173,13 +172,15 @@ def incoherence(svd: ThinSVD) -> IncoherencePair:
     """Tightest incoherence constants from a compact SVD of an m x n matrix,
     m x n read from ``svd.shape``.
 
-    ``ThinSVD`` has already checked its factors, so their row norms are read
-    in one blocked pass each, with no second scan.
+    ``ThinSVD`` has already checked its factors, so each factor's largest
+    row norm is read in one pass over its basis, block by block
+    (:data:`~ttinherit.linalg.ROW_BLOCK` rows) and rotated per block; no
+    factor is multiplied out and no temporary as tall as it is made.
     """
     m, n = svd.shape
     r = svd.rank
-    mu1 = (m / r) * max_row_norm(svd.W) ** 2
-    mu2 = (n / r) * max_row_norm(svd.V) ** 2
+    mu1 = (m / r) * svd.factor_max_row_norm("W") ** 2
+    mu2 = (n / r) * svd.factor_max_row_norm("V") ** 2
     return IncoherencePair(mu1, mu2)
 
 
@@ -231,10 +232,10 @@ def _sampling_factor(
     _check_index_set(t, i, kept, side == "W", "I_i" if side == "W" else "J_i")
     if svd is None:
         svd = unfolding_svd(t, k, rank_tol)
-    F = svd.W if side == "W" else svd.V
     rows = _extended_rows(t, kept, i, k)
     N = kept.domain  # checked above
-    return float(np.sqrt(len(kept) / N) * pinv_spectral_norm(F[rows.zero_based(), :], rank_tol))
+    block = svd.factor_rows(side, rows.zero_based())
+    return float(np.sqrt(len(kept) / N) * pinv_spectral_norm(block, rank_tol))
 
 
 def alpha_it(
@@ -317,7 +318,7 @@ def check_rank_preservation(
     svds = [unfolding_svd(t, i, rank_tol) for i in range(1, t.d)]
     expected = tuple(svd.rank for svd in svds)
     try:
-        pinv_spectral_norm(svds[0].W[I.zero_based(), :], rank_tol)
+        pinv_spectral_norm(svds[0].factor_rows("W", I.zero_based()), rank_tol)
     except (SingularityError, DomainError):  # DomainError: I is empty
         return RankPreservationReport(False, expected, None, False)
     observed = tt_rank_numerical(row_restrict(t, 1, I), rank_tol)

@@ -21,12 +21,17 @@ that ``L_i = left_interface(A, i) @ S_i``, and a right-orthogonal TT ``B``
 with ``R_i = right_interface(B, i) @ T_i``.  The interfaces of ``A`` and
 ``B`` have orthonormal columns, so the SVD of T_<i> needs only the SVD of
 the r x r matrix ``S_i @ T_i.T``; no QR of a tall interface ever runs.
+Its singular factors stay factored, ``W_i = left_interface(A, i) @ U`` and
+``V_i = right_interface(B, i) @ V'`` with r x r rotations, and their
+orthonormality is checked on Grams carried through the cores of ``A`` and
+``B`` (O(d n r^3)), so making the SVD reads no interface row at all.
 
-The interfaces of ``A`` and ``B`` are cached on them, read-only, when first
-built, so every check of a tensor reads each one built once.  A subtensor
-from :func:`row_restrict` shares ``B``'s trailing cores and so also its
-cache of right interfaces.  Tensors from the :class:`TTTensor` constructor
-cache no interface.
+The interfaces of ``A`` and ``B`` and their Grams are cached on them,
+read-only, when first built, so every check of a tensor reads each one
+built once, and the caches live and die with the form tensors.  A
+subtensor from :func:`row_restrict` shares ``B``'s trailing cores and so
+also its caches of right interfaces and Grams.  Tensors from the
+:class:`TTTensor` constructor cache no interface.
 """
 
 from __future__ import annotations
@@ -98,17 +103,17 @@ class TTTensor:
     the *declared* ranks (core widths); see
     :func:`tt_rank_numerical` for the numerical ones.  The orthogonal forms
     (:func:`left_orthogonal_form`, :func:`right_orthogonal_form`) are cached
-    on the tensor once built, and their interfaces on the forms.
+    on the tensor once built, and their interfaces and Grams on the forms.
     """
 
-    __slots__ = ("cores", "shape", "ranks", "_forms", "_interfaces")
+    __slots__ = ("cores", "shape", "ranks", "_forms", "_interfaces", "_grams")
 
     def __init__(self, cores):
         cores = tuple(np.array(c, dtype=np.float64, order="C", copy=True) for c in cores)
         shape, ranks = _validate_cores(cores)
-        self._set(cores, shape, ranks, None)
+        self._set(cores, shape, ranks, None, None)
 
-    def _set(self, cores, shape, ranks, interfaces) -> None:
+    def _set(self, cores, shape, ranks, interfaces, grams) -> None:
         for c in cores:
             c.setflags(write=False)
         object.__setattr__(self, "cores", cores)
@@ -117,6 +122,8 @@ class TTTensor:
         object.__setattr__(self, "_forms", [None, None])  # [(A, S), (B, T)]
         # None, or ({i: L_i}, {d - i: R_i}): built interfaces of a form tensor
         object.__setattr__(self, "_interfaces", interfaces)
+        # None, or ({i: L_i^T L_i}, {d - i: R_i^T R_i}): Grams of a form tensor
+        object.__setattr__(self, "_grams", grams)
 
     def __setattr__(self, name, value):
         raise AttributeError("TTTensor is immutable")
@@ -272,9 +279,41 @@ def right_interface(t: TTTensor, i: int, max_elems: int = INTERFACE_ELEM_CAP) ->
     return _interface(t, 1, t.d - i, _right_chain, i)
 
 
-def _form_tensor(cores, right: dict | None = None) -> TTTensor:
+def _form_gram(t: TTTensor, side: int, key: int) -> np.ndarray:
+    """``Q.T @ Q`` of the interface Q that the form tensor ``t`` caches under
+    ``(side, key)``, carried through the cores instead of read from Q.
+
+    On the left, G_i = sum_j A_i[:, j, :].T @ G_{i-1} @ A_i[:, j, :] from
+    G_0 = [[1]]; on the right, the mirror over the ``key`` trailing cores.
+    Each step costs O(n r^3), not a pass over the interface's rows.  Kept
+    read-only in the tensor's Gram cache, which a subtensor of
+    :func:`row_restrict` shares on the right like the interface cache.
+    """
+    grams = t._grams[side]
+    G = grams.get(key)
+    if G is None:
+        prev = _form_gram(t, side, key - 1) if key > 1 else np.ones((1, 1))
+        if side == 0:
+            core = t.cores[key - 1]
+            r_in, n, r_out = core.shape
+            # X[a, j, d] = sum_c prev[a, c] core[c, j, d]; G = sum_{a, j} core * X
+            X = prev @ core.reshape(r_in, n * r_out)
+            G = core.reshape(r_in * n, r_out).T @ X.reshape(r_in * n, r_out)
+        else:
+            core = t.cores[t.d - key]
+            r_out, n, r_in = core.shape
+            # X[a, j, d] = sum_c core[a, j, c] prev[c, d]; G = sum_{j, d} X * core
+            X = core.reshape(r_out * n, r_in) @ prev
+            G = X.reshape(r_out, n * r_in) @ core.reshape(r_out, n * r_in).T
+        G.setflags(write=False)
+        grams[key] = G
+    return G
+
+
+def _form_tensor(cores, shares: TTTensor | None = None) -> TTTensor:
     """A TTTensor over cores this module built from a validated chain, with
-    an interface cache whose right half is ``right`` when given.
+    interface and Gram caches whose right halves are those of ``shares``,
+    a form tensor with the same trailing cores, when given.
 
     Skips the constructor's copy and checks, which a sweep step would
     otherwise pay once per core.
@@ -284,7 +323,8 @@ def _form_tensor(cores, right: dict | None = None) -> TTTensor:
         tuple(cores),
         Shape([c.shape[1] for c in cores]),
         tuple(c.shape[2] for c in cores[:-1]),
-        ({}, {} if right is None else right),
+        ({}, {} if shares is None else shares._interfaces[1]),
+        ({}, {} if shares is None else shares._grams[1]),
     )
     return t
 
@@ -340,12 +380,13 @@ def left_orthogonal_form(t: TTTensor) -> tuple[TTTensor, tuple[np.ndarray, ...]]
 
 
 def _right_form(
-    first: np.ndarray, tail: tuple, T: tuple, right: dict | None = None
+    first: np.ndarray, tail: tuple, T: tuple, shares: TTTensor | None = None
 ) -> tuple[TTTensor, tuple]:
     """``(B, T)`` for a tensor whose first core is ``first``, given the
     orthonormal cores 2..d of ``B``, the factors ``T`` of its right sweep
-    and, when ``tail`` comes from another form, that form's right cache."""
-    B = _form_tensor((_right_core(_right_step(first, T[0]), first.shape[1]),) + tail, right)
+    and, when ``tail`` comes from another form, that form, whose right
+    caches ``B`` shares."""
+    B = _form_tensor((_right_core(_right_step(first, T[0]), first.shape[1]),) + tail, shares)
     return B, T
 
 
@@ -373,15 +414,18 @@ def right_orthogonal_form(t: TTTensor) -> tuple[TTTensor, tuple[np.ndarray, ...]
     return form
 
 
-def _svd_between(QL: np.ndarray, M: np.ndarray, QR: np.ndarray, rank_tol: float) -> ThinSVD:
+def _svd_between(
+    QL: np.ndarray, M: np.ndarray, QR: np.ndarray, rank_tol: float, grams=(None, None)
+) -> ThinSVD:
     """Compact SVD of ``QL @ M @ QR.T`` for QL, QR with orthonormal columns.
 
-    Only the small core matrix M is decomposed densely; W and V come from
-    one GEMM each, column-major, the layout ThinSVD stores.
+    Only the small core matrix ``M = U diag(s) Vt`` is decomposed densely.
+    The factors stay as ``W = QL @ U`` and ``V = QR @ Vt.T``: QL and QR are
+    held, not copied or multiplied.  ``grams`` are ``QL.T @ QL`` and
+    ``QR.T @ QR`` when known (see :class:`~ttinherit.linalg.ThinSVD`).
     """
     U, s, Vt = truncated_svd(M, rank_tol)
-    # (B.T @ Q.T).T is the F-ordered Q @ B in one GEMM
-    return ThinSVD((U.T @ QL.T).T, s, (Vt @ QR.T).T)
+    return ThinSVD(QL, s, QR, rotations=(U, Vt.T), grams=grams)
 
 
 def unfolding_svd(t: TTTensor, i: int, rank_tol: float = DEFAULT_RANK_TOL) -> ThinSVD:
@@ -389,13 +433,17 @@ def unfolding_svd(t: TTTensor, i: int, rank_tol: float = DEFAULT_RANK_TOL) -> Th
 
     T_<i> = left_interface(A, i) @ (S_i @ T_i.T) @ right_interface(B, i).T
     with orthonormal outer factors, so only the r x r middle is decomposed.
+    The singular factors are those cached interfaces times r x r rotations,
+    and their orthonormality is checked on Grams carried through the form
+    cores (:func:`_form_gram`), so no pass over an interface's rows runs.
     """
     i = _check_position(t, i)
     A, S = left_orthogonal_form(t)
     B, T = right_orthogonal_form(t)
     QL = left_interface(A, i)
     QR = right_interface(B, i)
-    return _svd_between(QL, S[i - 1] @ T[i - 1].T, QR, rank_tol)
+    grams = (_form_gram(A, 0, i), _form_gram(B, 1, t.d - i))
+    return _svd_between(QL, S[i - 1] @ T[i - 1].T, QR, rank_tol, grams)
 
 
 def tt_rank_numerical(t: TTTensor, rank_tol: float = DEFAULT_RANK_TOL) -> tuple[int, ...]:
@@ -417,7 +465,7 @@ def row_restrict(t: TTTensor, i: int, I: IndexSet) -> TTTensor:
     B, T = right_orthogonal_form(t)
     G = left_interface(A, i)[I.zero_based(), :] @ S[i - 1]
     sub = TTTensor((G[None, :, :],) + t.cores[i:])
-    sub._forms[1] = _right_form(sub.cores[0], B.cores[i:], T[i - 1 :], B._interfaces[1])
+    sub._forms[1] = _right_form(sub.cores[0], B.cores[i:], T[i - 1 :], B)
     return sub
 
 
@@ -446,7 +494,8 @@ def submatrix_svd(
     but costs 2 thin QRs of the selected rows of the interface factors, read
     from the orthogonal forms, plus a width x width SVD, so it works at
     scales where the dense block would not fit in memory.  The block
-    ``L @ R.T`` is never formed.
+    ``L @ R.T`` is never formed.  The factors are the two small Q factors
+    times r x r rotations, checked on Grams computed from those Q factors.
     """
     i = _check_block(t, i, rows, J)
     A, S = left_orthogonal_form(t)

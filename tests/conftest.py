@@ -6,6 +6,8 @@ generation, so every test is reproducible from the literal seeds below.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -102,14 +104,14 @@ def sample_valid_sets(
     prev = IndexSet.full(1)
     for i in range(1, t.d):
         pool = kron_extend(prev, t.shape[i - 1])
-        cand = draw(pool, sizes_I[i - 1], svds[i - 1].W, "rows", i)
+        cand = draw(pool, sizes_I[i - 1], functools.partial(svds[i - 1].factor_rows, "W"), "rows", i)
         I_sets.append(cand)
         prev = cand
 
     J_sets = []
     for i in range(1, t.d):
         pool = IndexSet.full(shp.suffix_size(i))
-        cand = draw(pool, sizes_J[i - 1], svds[i - 1].V, "cols", i)
+        cand = draw(pool, sizes_J[i - 1], functools.partial(svds[i - 1].factor_rows, "V"), "cols", i)
         J_sets.append(cand)
 
     return I_sets, J_sets, svds

@@ -270,7 +270,7 @@ def test_sample_level_returns_only_spanning_sets():
     seen_retry = False
     seen_first_try = False
     for trial_seed in range(60):
-        cand, tries = _sample_level(pool, 2, W, 1e-9, trial_seed, "rows", 1, 200)
+        cand, tries = _sample_level(pool, 2, W.__getitem__, 1e-9, trial_seed, "rows", 1, 200)
         assert tuple(cand) == (1, 2)
         seen_retry = seen_retry or tries > 0
         seen_first_try = seen_first_try or tries == 0
@@ -280,15 +280,15 @@ def test_sample_level_returns_only_spanning_sets():
 def test_sample_level_is_deterministic():
     W = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
     pool = IndexSet.full(4)
-    a = _sample_level(pool, 2, W, 1e-9, 5, "rows", 1, 200)
-    b = _sample_level(pool, 2, W, 1e-9, 5, "rows", 1, 200)
+    a = _sample_level(pool, 2, W.__getitem__, 1e-9, 5, "rows", 1, 200)
+    b = _sample_level(pool, 2, W.__getitem__, 1e-9, 5, "rows", 1, 200)
     assert tuple(a[0]) == tuple(b[0]) and a[1] == b[1]
 
 
 def test_sample_level_exhausts_budget():
     pool = IndexSet.full(4)
     with pytest.raises(TrialError):
-        _sample_level(pool, 2, np.zeros((4, 2)), 1e-9, 0, "rows", 1, 3)
+        _sample_level(pool, 2, np.zeros((4, 2)).__getitem__, 1e-9, 0, "rows", 1, 3)
 
 
 @pytest.mark.parametrize("factor, full_rank", [(1.0, False), (2.0, True)])
@@ -301,12 +301,12 @@ def test_rank_tol_boundary_is_the_same_everywhere(factor, full_rank):
     assert thin_svd(block, tol).rank == (2 if full_rank else 1)
     if full_rank:
         assert pinv_spectral_norm(block, tol) == 1.0 / (factor * tol)
-        assert _sample_level(pool, 2, block, tol, 0, "rows", 1, 3) == (pool, 0)
+        assert _sample_level(pool, 2, block.__getitem__, tol, 0, "rows", 1, 3) == (pool, 0)
     else:
         with pytest.raises(SingularityError):
             pinv_spectral_norm(block, tol)
         with pytest.raises(TrialError, match="after 3 resamples"):
-            _sample_level(pool, 2, block, tol, 0, "rows", 1, 3)
+            _sample_level(pool, 2, block.__getitem__, tol, 0, "rows", 1, 3)
 
 
 # ---------------------------------------------------------------- single trial
@@ -325,6 +325,21 @@ def test_run_trial_produces_full_grid():
     assert len(res.records_rows) == 6 and len(res.records_cols) == 5
     assert res.generator == "gaussian" and res.trial == 0
     assert res.wall_time_s >= 0.0
+
+
+def test_run_trial_multiplies_no_singular_factor_out(monkeypatch):
+    # every factor a trial reads stays an orthonormal interface times an
+    # r x r rotation: sampled rows and row norms come from the pair
+    want = {kind: run_trial(desk_preset(trials=1), kind, 0) for kind in KINDS}
+
+    def refuse(self, side):
+        raise AssertionError("a singular factor was multiplied out")
+
+    monkeypatch.setattr(linalg_mod.ThinSVD, "_materialize", refuse)
+    for kind in KINDS:
+        got = run_trial(desk_preset(trials=1), kind, 0)
+        assert got.values == want[kind].values and got.bound_pass == want[kind].bound_pass
+        assert all(got.bound_pass.values())
 
 
 def test_run_trial_is_deterministic():

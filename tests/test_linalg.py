@@ -250,6 +250,68 @@ def test_thin_svd_leaves_the_callers_arrays_writeable():
     assert not svd.W.flags.writeable and not svd.sigma.flags.writeable
 
 
+def _rotated_factors():
+    """Orthonormal bases of width 3 and 2 with orthogonal rotations to rank 2."""
+    QW, _ = np.linalg.qr(derived_rng(7, "tsvd").standard_normal((9, 3)))
+    QV, _ = np.linalg.qr(derived_rng(8, "tsvd").standard_normal((5, 2)))
+    UW, _ = np.linalg.qr(derived_rng(9, "tsvd").standard_normal((3, 2)))
+    UV, _ = np.linalg.qr(derived_rng(10, "tsvd").standard_normal((2, 2)))
+    return QW, UW, np.array([2.0, 1.0]), QV, UV
+
+
+def test_a_rotated_thin_svd_is_its_bases_times_the_rotations():
+    QW, UW, s, QV, UV = _rotated_factors()
+    svd = ThinSVD(QW, s, QV, rotations=(UW, UV))
+    assert svd.shape == (9, 5) and svd.rank == 2
+    assert np.array_equal(svd.W, (UW.T @ QW.T).T) and np.array_equal(svd.V, (UV.T @ QV.T).T)
+    assert np.abs(svd.reconstruct() - (QW @ UW * s) @ (QV @ UV).T).max() <= 1e-14
+    # a Gram the caller passes is the one checked
+    ThinSVD(QW, s, QV, rotations=(UW, UV), grams=(np.eye(3), np.eye(2)))
+    with pytest.raises(DomainError, match="orthonormality"):
+        ThinSVD(QW, s, QV, rotations=(UW, UV), grams=(1.001 * np.eye(3), np.eye(2)))
+
+
+def test_a_rotated_thin_svd_refuses_a_rotation_that_is_not_orthonormal():
+    QW, UW, s, QV, UV = _rotated_factors()
+    with pytest.raises(DomainError, match="W columns deviate"):
+        ThinSVD(QW, s, QV, rotations=(UW * 1.001, UV))
+    with pytest.raises(DomainError, match="V columns deviate"):
+        ThinSVD(QW, s, QV, rotations=(UW, UV + 1e-9))
+    with pytest.raises(DomainError):
+        ThinSVD(QW, s, QV, rotations=(UW[:2], UV))  # rows do not match the basis
+    with pytest.raises(DomainError):
+        ThinSVD(QW, s, QV, rotations=(UW[:, :1], UV))  # width does not match the rank
+    with pytest.raises(DomainError):
+        ThinSVD(QW, s, QV, rotations=(UW, UV), grams=(np.eye(2), None))
+
+
+@pytest.mark.parametrize("where", ["basis", "rotation", "gram"])
+def test_a_rotated_thin_svd_refuses_a_non_finite_entry(where):
+    QW, UW, s, QV, UV = _rotated_factors()
+    grams = (None, None)
+    if where == "basis":
+        QW[4, 1] = np.nan
+    elif where == "rotation":
+        UV[1, 0] = np.inf
+    else:  # a Gram carried from elsewhere overflowed while the basis is finite
+        grams = (np.full((3, 3), np.inf), None)
+    error = DomainError if where == "gram" else NumericError
+    with pytest.raises(error):
+        ThinSVD(QW, s, QV, rotations=(UW, UV), grams=grams)
+
+
+def test_factor_rows_reads_either_side_and_refuses_another():
+    QW, UW, s, QV, UV = _rotated_factors()
+    svd = ThinSVD(QW, s, QV, rotations=(UW, UV))
+    idx = np.array([0, 4, 8])
+    assert svd.factor_rows("W", idx).tobytes() == svd.W[idx].tobytes()
+    assert svd.factor_rows("V", idx[:2]).tobytes() == svd.V[idx[:2]].tobytes()
+    with pytest.raises(DomainError):
+        svd.factor_rows("U", idx)
+    with pytest.raises(AttributeError):
+        svd.sigma = s
+
+
 # ---------------------------------------------------------------- BLAS threads
 
 

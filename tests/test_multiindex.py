@@ -283,6 +283,35 @@ def test_sample_is_a_sorted_subset(seed, m):
     assert np.all(np.diff(got.indices) > 0) or m <= 1
 
 
+def _dense_fisher_yates(pool, m, rng):
+    """The partial Fisher-Yates shuffle over a full copy of the pool."""
+    work = pool.indices.copy()
+    offsets = rng.integers(0, work.size - np.arange(m))
+    for a in range(m):
+        b = a + int(offsets[a])
+        work[a], work[b] = work[b], work[a]
+    return np.sort(work[:m])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sample_matches_the_dense_shuffle_bit_for_bit(seed):
+    # the same offsets drawn up front pick the same positions, so each sample
+    # equals the one a shuffle over a copy of the whole pool gives
+    pools = [IndexSet.full(n) for n in (1, 2, 7, 1000, 10**6)]
+    pools.append(kron_extend(IndexSet([2, 5, 9], 10), 4))
+    pools.append(kron_extend(kron_extend(IndexSet([1, 3], 3), 5), 6))
+    for pool in pools:
+        n = len(pool)
+        sizes = {0, 1, min(12, n)}
+        if n <= 1000:  # a draw of most of the pool loops in Python on both sides
+            sizes |= {n // 2, n - 1, n}
+        for m in sorted(sizes):
+            got = sample_without_replacement(pool, m, derived_rng(seed, "fy", len(pool), m))
+            want = _dense_fisher_yates(pool, m, derived_rng(seed, "fy", len(pool), m))
+            assert got.domain == pool.domain
+            assert got.indices.tobytes() == want.tobytes()
+
+
 def test_sample_single_element_frequencies_uniform():
     # 10^4 one-element draws from a 10-element pool: each element's frequency
     # must sit within 5 binomial standard deviations of 1/10

@@ -90,6 +90,13 @@ def test_mode_k_product_rejects_mismatch():
         mode_k_product(X, np.ones((2, 3)), 3)
     with pytest.raises(DomainError):
         mode_k_product(X, np.ones(3), 1)
+    # the mode is a whole number: True is not mode 1, and 1.0 is refused
+    # with a DomainError as every other bad mode is
+    Y = np.ones((2, 3, 4))
+    for k in (True, 1.5):
+        with pytest.raises(DomainError, match="expected an integer"):
+            mode_k_product(Y, np.eye(2), k)
+    assert np.array_equal(mode_k_product(Y, np.eye(2), 1.0), Y)
 
 
 # ---------------------------------------------------------------- cur_reconstruct_check

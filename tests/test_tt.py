@@ -20,11 +20,14 @@ from ttinherit import (
     RankZeroError,
     Shape,
     StructuralError,
+    ThinSVD,
     TTTensor,
     check_column_sampling_bounds,
     check_row_sampling_bounds,
     column_submatrix,
     entry,
+    incoherence,
+    kron_extend,
     left_interface,
     linearize,
     right_interface,
@@ -37,6 +40,8 @@ from ttinherit import (
     unfolding_svd,
     validate,
 )
+import ttinherit.tt as tt_mod
+from ttinherit.linalg import max_row_norm
 from ttinherit.oracle import dense_unfolding
 from ttinherit.tt import left_orthogonal_form, right_orthogonal_form
 
@@ -365,6 +370,82 @@ def test_unfolding_svd_matches_dense_svd():
         # the spanned subspaces agree even if the bases differ by signs/rotations
         assert scipy.linalg.subspace_angles(s_struct.W, s_dense.W).max() <= 1e-8
         assert scipy.linalg.subspace_angles(s_struct.V, s_dense.V).max() <= 1e-8
+
+
+# ---------------------------------------------------------------- factored singular factors
+
+
+def _factored_svds():
+    """unfolding_svd, submatrix_svd and thin_svd results of one 20^4 tensor."""
+    t = make_tt("gaussian", (20, 20, 20, 20), (2, 3, 2), seed=41)
+    I_sets, J_sets, svds = sample_valid_sets(t, (8, 12, 8), (8, 12, 8), seed=41)
+    rows = [IndexSet.full(20)] + [kron_extend(I, 20) for I in I_sets[:-1]]
+    svds += [submatrix_svd(t, i, rows[i - 1], J_sets[i - 1]) for i in range(1, t.d)]
+    svds += [thin_svd(column_submatrix(t, 2, rows[1], J_sets[1]))]
+    return svds
+
+
+def test_factor_rows_and_row_norms_are_bitwise_those_of_the_multiplied_out_factors():
+    rng = np.random.default_rng(41)
+    for svd in _factored_svds():
+        for side, F in (("W", svd.W), ("V", svd.V)):
+            assert F is getattr(svd, side)  # multiplied out once, then cached
+            assert F.flags.f_contiguous and not F.flags.writeable
+            idx = np.sort(rng.choice(F.shape[0], min(12, F.shape[0]), replace=False))
+            assert svd.factor_rows(side, idx).tobytes() == F[idx].tobytes()
+            assert svd.factor_max_row_norm(side) == max_row_norm(F)
+
+
+def test_unfolding_svd_holds_the_cached_interfaces_and_multiplies_nothing_out(monkeypatch):
+    t = TTTensor(make_tt("gaussian", (5, 4, 6, 3), (2, 3, 2), seed=42).cores)
+    (A, _), (B, _) = left_orthogonal_form(t), right_orthogonal_form(t)
+
+    def refuse(self, side):
+        raise AssertionError("a singular factor was multiplied out")
+
+    monkeypatch.setattr(ThinSVD, "_materialize", refuse)
+    for i in range(1, t.d):
+        svd = unfolding_svd(t, i)
+        assert np.shares_memory(svd._bases[0], left_interface(A, i))
+        assert np.shares_memory(svd._bases[1], right_interface(B, i))
+        incoherence(svd)
+    with pytest.raises(AssertionError, match="multiplied out"):
+        unfolding_svd(t, 1).W
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_a_perturbed_form_core_fails_the_orthonormality_check(side):
+    # the Grams are carried through the form's cores, so a core that is no
+    # longer orthonormal shows in every unfolding whose interface reads it
+    t = TTTensor(make_tt("gaussian", (4, 3, 5, 2), (2, 3, 2), seed=43).cores)
+    k = 1  # 0-based core 2: left interfaces i >= 2, right interfaces i <= 1
+    form, factors = (left_orthogonal_form if side == "left" else right_orthogonal_form)(t)
+    cores = list(form.cores)
+    bad = cores[k].copy()
+    bad[0, 0, 0] += 1e-6
+    cores[k] = bad
+    t._forms[0 if side == "left" else 1] = (tt_mod._form_tensor(cores), factors)
+    broken = (2, 3) if side == "left" else (1,)
+    for i in range(1, t.d):
+        if i in broken:
+            with pytest.raises(DomainError, match="orthonormality"):
+                unfolding_svd(t, i)
+        else:
+            unfolding_svd(t, i)
+
+
+def test_form_grams_equal_the_interface_grams():
+    t = make_tt("gaussian", (4, 3, 5, 2, 3), (2, 3, 4, 2), seed=44)
+    (A, _), (B, _) = left_orthogonal_form(t), right_orthogonal_form(t)
+    for i in range(1, t.d):
+        for form, side, key, Q in ((A, 0, i, left_interface(A, i)), (B, 1, t.d - i, right_interface(B, i))):
+            G = tt_mod._form_gram(form, side, key)
+            assert not G.flags.writeable
+            assert np.abs(G - Q.T @ Q).max() <= 1e-14
+    # a subtensor of row_restrict shares the right Grams with the parent form
+    sub = row_restrict(t, 2, IndexSet([1, 5, 9], 12))
+    B_sub, _ = right_orthogonal_form(sub)
+    assert B_sub._grams[1] is B._grams[1]
 
 
 # ---------------------------------------------------------------- tt_rank_numerical
