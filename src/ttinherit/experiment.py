@@ -416,7 +416,7 @@ def run_trial(config: ExperimentConfig, kind: str, trial: int) -> TrialResult:
 
     # all row levels, then all column levels.  Row sets are nested: level i
     # samples from level i-1 refined by mode i.  Column sets are independent
-    # per level, sampled from the full pool.
+    # per level, sampled from the full range [1, Q_i], which is never built.
     sets: dict[str, list[IndexSet]] = {"rows": [], "cols": []}
     redraws: dict[str, list[int]] = {"rows": [], "cols": []}
     for stream in ("rows", "cols"):
@@ -426,7 +426,7 @@ def run_trial(config: ExperimentConfig, kind: str, trial: int) -> TrialResult:
                 pool = kron_extend(prev, t.shape[i - 1])
                 size, side = config.sample_sizes_I[i - 1], "W"
             else:
-                pool = IndexSet.full(config.shape.suffix_size(i))
+                pool = config.shape.suffix_size(i)
                 size, side = config.sample_sizes_J[i - 1], "V"
             factor = functools.partial(parents[i - 1].svd.factor_rows, side)
             cand, tries = _sample_level(

@@ -1,11 +1,11 @@
 """Thin wrappers around LAPACK factorizations with explicit rank handling.
 
-Everything here works on plain float64 ``numpy.ndarray`` matrices.  The
-wrappers add what the raw factorizations do not give us: finite-input
-checks, a single numerical-rank convention (singular values above
-``rank_tol`` times the largest), compact truncation, and typed errors for
-the zero-matrix / rank-deficient cases that the rest of the package needs
-to tell apart.
+Everything here works on plain float64 ``numpy.ndarray`` matrices and calls
+numpy's LAPACK only; scipy is not imported.  The wrappers add what the raw
+factorizations do not give us: finite-input checks, a single
+numerical-rank convention (singular values above ``rank_tol`` times the
+largest), compact truncation, and typed errors for the zero-matrix /
+rank-deficient cases that the rest of the package needs to tell apart.
 
 Outside the dense oracle, singular values meet ``rank_tol`` only here:
 :func:`truncated_svd` decides the rank of every compact SVD, and
@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError, NumericError, RankZeroError, SingularityError
 
@@ -272,7 +271,7 @@ def pinv_spectral_norm(M, rank_tol: float = DEFAULT_RANK_TOL) -> float:
     m, n = M.shape
     if m < n:
         raise SingularityError(f"matrix {m} x {n} cannot have full column rank")
-    s = scipy.linalg.svdvals(M)
+    s = np.linalg.svd(M, compute_uv=False)
     if s[0] == 0.0 or s[-1] <= rank_tol * s[0]:
         raise SingularityError(
             f"column rank deficient: sigma_min/sigma_max = "
@@ -310,7 +309,8 @@ def condition_number(svd: ThinSVD) -> float:
 
 
 # (get, set) thread-count entry points of the OpenBLAS that numpy bundles
-# (64-bit integers) and of the one scipy bundles.
+# (64-bit integers) and of the one scipy bundles, which is loaded only once
+# the dense oracle (or anything else that imports scipy) is.
 # openblas_set_num_threads_local is not used: in OpenBLAS 0.3.31 it changes
 # the count for the whole process, not for the calling thread.
 _THREAD_SYMBOLS = (

@@ -251,8 +251,12 @@ def kron_extend(prefix: IndexSet, n: int) -> IndexSet:
     return IndexSet(blocks.ravel(), P * n)
 
 
-def sample_without_replacement(pool: IndexSet, m: int, rng: np.random.Generator) -> IndexSet:
+def sample_without_replacement(pool: IndexSet | int, m: int, rng: np.random.Generator) -> IndexSet:
     """Draw ``m`` distinct elements of ``pool`` uniformly, sorted ascending.
+
+    ``pool`` is an :class:`IndexSet`, or a domain size N that stands for
+    ``IndexSet.full(N)`` without building its N entries; the two draw the
+    same sample from the same generator state.
 
     Uses a partial Fisher–Yates shuffle of the pool's positions with all
     offsets drawn up front from ``rng``, so a given generator state yields
@@ -260,14 +264,17 @@ def sample_without_replacement(pool: IndexSet, m: int, rng: np.random.Generator)
     so a draw costs O(m), not a copy of the pool.  ``m`` equal to the pool
     size returns the pool itself (and draws nothing).
     """
+    full = not isinstance(pool, IndexSet)
+    n = _domain(pool) if full else len(pool)
+    domain = n if full else pool.domain
     m = _integer(m, SamplingError)
-    if m < 0 or m > len(pool):
-        raise SamplingError(f"cannot sample {m} from pool of {len(pool)}")
-    if m == len(pool):
-        return pool
+    if m < 0 or m > n:
+        raise SamplingError(f"cannot sample {m} from pool of {n}")
+    if m == n:
+        return IndexSet.full(n) if full else pool
     if m == 0:
-        return IndexSet(np.empty(0, dtype=np.int64), pool.domain)
-    offsets = rng.integers(0, len(pool) - np.arange(m))
+        return IndexSet(np.empty(0, dtype=np.int64), domain)
+    offsets = rng.integers(0, n - np.arange(m))
     # step a swaps positions a and b >= a; position a is never touched again,
     # so only b's new content needs recording
     displaced: dict[int, int] = {}
@@ -276,7 +283,8 @@ def sample_without_replacement(pool: IndexSet, m: int, rng: np.random.Generator)
         b = a + int(offsets[a])
         picked[a] = displaced.get(b, b)
         displaced[b] = displaced.get(a, a)
-    return IndexSet(np.sort(pool.indices[picked]), pool.domain)
+    picked.sort()
+    return IndexSet(picked + 1 if full else pool.indices[picked], domain)
 
 
 def _entropy_words(master_seed: int, tags: Iterable) -> list[int]:

@@ -9,8 +9,6 @@ parse the figure back without rasterizing it.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 import numpy as np
 
 from .errors import DomainError
@@ -18,6 +16,9 @@ from .errors import DomainError
 __all__ = ["write_boxplot_svg", "render_boxplot_svg"]
 
 _SUBSCRIPT = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")
+# XML escapes for text content and for a double-quoted attribute value
+_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+_ATTR = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})
 
 
 def _pretty(label: str) -> str:
@@ -68,7 +69,7 @@ def render_boxplot_svg(title: str, summaries) -> str:
     out.append(f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>')
     out.append(
         f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{escape(title)}</text>'
+        f'font-family="sans-serif" font-size="15">{title.translate(_TEXT)}</text>'
     )
 
     # y grid and tick labels
@@ -95,7 +96,7 @@ def render_boxplot_svg(title: str, summaries) -> str:
         y_med, y_mean = y(s.median), y(s.mean)
         y_wlo, y_whi = y(s.whisker_low), y(s.whisker_high)
         data = (
-            f'data-label="{escape(s.label, {chr(34): "&quot;"})}" '
+            f'data-label="{s.label.translate(_ATTR)}" '
             f'data-median="{_fmt17(s.median)}" data-q1="{_fmt17(s.q1)}" '
             f'data-q3="{_fmt17(s.q3)}" data-whisker-low="{_fmt17(s.whisker_low)}" '
             f'data-whisker-high="{_fmt17(s.whisker_high)}" data-mean="{_fmt17(s.mean)}" '
@@ -140,7 +141,7 @@ def render_boxplot_svg(title: str, summaries) -> str:
             )
         out.append(
             f'<text x="{cx:.2f}" y="{m_top + plot_h + 20:.1f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{escape(_pretty(s.label))}</text>'
+            f'font-family="sans-serif" font-size="12">{_pretty(s.label).translate(_TEXT)}</text>'
         )
         out.append("</g>")
 

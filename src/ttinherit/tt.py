@@ -32,12 +32,15 @@ built once, and the caches live and die with the form tensors.  A
 subtensor from :func:`row_restrict` shares ``B``'s trailing cores and so
 also its caches of right interfaces and Grams.  Tensors from the
 :class:`TTTensor` constructor cache no interface.
+
+Every factorization here is numpy's (``numpy.linalg.qr`` and, through
+:mod:`ttinherit.linalg`, ``numpy.linalg.svd``).  scipy is left to the dense
+oracle, :mod:`ttinherit.oracle`, so the structured path never loads it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import CapacityError, DomainError, NumericError, StructuralError
 from .linalg import DEFAULT_RANK_TOL, ThinSVD, truncated_svd
@@ -330,15 +333,14 @@ def _form_tensor(cores, shares: TTTensor | None = None) -> TTTensor:
 
 
 def _qr(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Economic QR that consumes ``X`` when it is writeable.
+    """Economic QR of a block with few columns; ``X`` is left as it is.
 
-    Pass only arrays built for the call (sweep steps and fancy-indexed
-    blocks are); a read-only array, such as a view of a core, is copied
-    first.  The guard is a correctness condition, not tuning: scipy's
-    ``overwrite_a`` writes through the read-only flag.  Q comes out
-    column-major.
+    Q comes out column-major, the layout :class:`ThinSVD` stores: the
+    first core of a left form is a Q, and its interface is then shared by
+    the SVDs rather than copied.
     """
-    return scipy.linalg.qr(X, mode="economic", overwrite_a=X.flags.writeable, check_finite=False)
+    Q, R = np.linalg.qr(X)
+    return np.asfortranarray(Q), R
 
 
 def _left_core(Q: np.ndarray, n: int) -> np.ndarray:
@@ -500,7 +502,6 @@ def submatrix_svd(
     i = _check_block(t, i, rows, J)
     A, S = left_orthogonal_form(t)
     B, T = right_orthogonal_form(t)
-    # the products are built for the call, so _qr consumes them
     QL, SL = _qr(left_interface(A, i)[rows.zero_based(), :] @ S[i - 1])
     QR, SR = _qr(right_interface(B, i)[J.zero_based(), :] @ T[i - 1])
     return _svd_between(QL, SL @ SR.T, QR, rank_tol)

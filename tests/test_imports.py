@@ -1,10 +1,16 @@
-"""Static check: no module of the package imports a name it never uses.
+"""What importing the package costs, checked two ways.
 
-No pyflakes or ruff is assumed, so this walks each module's syntax tree.
+Statically, no module of the package imports a name it never uses.  No
+pyflakes or ruff is assumed, so this walks each module's syntax tree.
 ``__init__.py`` is exempt because its imports are the package's re-exports.
+
+In a fresh interpreter, the package and its command line load neither scipy
+nor ``urllib.request``; only the dense oracle brings scipy in.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,3 +48,15 @@ def test_checker_flags_only_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_run_path_imports_neither_scipy_nor_urllib():
+    code = (
+        "import sys, ttinherit, ttinherit.cli\n"
+        "print(sorted(m for m in ('scipy', 'urllib.request') if m in sys.modules))\n"
+        "import ttinherit.oracle\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True"]

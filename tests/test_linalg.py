@@ -5,6 +5,7 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -122,6 +123,14 @@ def test_pinv_spectral_norm_is_inverse_smallest_singular_value():
     M = derived_rng(11, "pinv").standard_normal((30, 5))
     smin = np.linalg.svd(M, compute_uv=False)[-1]
     assert np.isclose(pinv_spectral_norm(M), 1.0 / smin, rtol=1e-12)
+
+
+def test_pinv_spectral_norm_agrees_with_scipy_svdvals():
+    # the dense oracle reads singular values through scipy, the structured path through numpy
+    for seed, shape in enumerate([(8, 2), (12, 3), (30, 5), (5, 5), (200, 4)]):
+        M = derived_rng(seed, "pinv-scipy").standard_normal(shape)
+        want = 1.0 / scipy.linalg.svdvals(M)[-1]
+        assert np.isclose(pinv_spectral_norm(M), want, rtol=1e-13, atol=0.0)
 
 
 # ---------------------------------------------------------------- row_two_inf_norm

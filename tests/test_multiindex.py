@@ -274,6 +274,22 @@ def test_sample_too_many_raises():
         sample_without_replacement(IndexSet.full(3), -1, derived_rng(0))
 
 
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.data())
+def test_a_domain_size_samples_as_its_full_set_does(seed, n, data):
+    m = data.draw(st.integers(0, n))
+    got = sample_without_replacement(n, m, derived_rng(seed))
+    assert got == sample_without_replacement(IndexSet.full(n), m, derived_rng(seed))
+    assert got.domain == n and not got.indices.flags.writeable
+    with pytest.raises(SamplingError):
+        sample_without_replacement(n, n + 1, derived_rng(seed))
+
+
+def test_a_domain_size_is_checked_as_a_domain():
+    for n in (0, -3, 2.5, True):
+        with pytest.raises(DomainError):
+            sample_without_replacement(n, 0, derived_rng(0))
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(0, 12))
 def test_sample_is_a_sorted_subset(seed, m):
     pool = IndexSet([3, 5, 8, 13, 21, 34, 55, 89, 90, 91, 92, 93], 100)

@@ -396,6 +396,23 @@ def test_factor_rows_and_row_norms_are_bitwise_those_of_the_multiplied_out_facto
             assert svd.factor_max_row_norm(side) == max_row_norm(F)
 
 
+def test_qr_gives_a_column_major_orthonormal_q_and_leaves_its_input_alone():
+    X = np.random.default_rng(3).standard_normal((12, 3))
+    X.setflags(write=False)
+    before = X.copy()
+    Q, R = tt_mod._qr(X)
+    assert Q.shape == (12, 3) and R.shape == (3, 3)
+    assert Q.flags.f_contiguous
+    assert np.abs(Q.T @ Q - np.eye(3)).max() <= 1e-14
+    assert np.abs(Q @ R - X).max() <= 1e-14 * np.abs(X).max()
+    assert np.array_equal(X, before)
+    # the same factorization as scipy's economic QR, up to the sign of each column
+    Qs, Rs = scipy.linalg.qr(before, mode="economic")
+    signs = np.sign(np.diag(R)) * np.sign(np.diag(Rs))
+    assert np.allclose(Q * signs, Qs, rtol=0.0, atol=1e-14)
+    assert np.allclose(R * signs[:, None], Rs, rtol=0.0, atol=1e-13)
+
+
 def test_unfolding_svd_holds_the_cached_interfaces_and_multiplies_nothing_out(monkeypatch):
     t = TTTensor(make_tt("gaussian", (5, 4, 6, 3), (2, 3, 2), seed=42).cores)
     (A, _), (B, _) = left_orthogonal_form(t), right_orthogonal_form(t)
