@@ -12,16 +12,13 @@ sizes) on top of the config file; ``--seed``/``--trials`` override single
 fields.
 ``report`` summarizes DIR/trials.csv and writes summary.json and the SVGs
 through the writer ``run`` uses; of an existing summary.json it replaces only
-``summaries``, ``version`` and ``quartile_method`` and keeps the run's record.
-Worker parallelism is controlled by the TT_INHERIT_THREADS environment
-variable.  0 or unset means auto: one worker when the largest interface
-matrix of the configured tensor holds fewer than 2^16 entries, else one per
-CPU this process may use, at most 4.  There are never more workers than trials.
-While the trials run, every loaded OpenBLAS gets max(1, min(current,
-cpus // workers)) threads, so workers times BLAS threads does not exceed the
-CPUs; OPENBLAS_NUM_THREADS, which sets ``current``, is only a ceiling.  The
-limit is process-wide for the length of the run and is lifted when it ends;
-summary.json records it under ``threads``.
+``summaries``, ``version`` and ``quartile_method`` and keeps the run's record,
+and it exits 1 when that record lists failed trials.
+TT_INHERIT_THREADS sets the number of trial workers; 0 or unset means one
+worker when the largest interface matrix of the configured tensor holds
+fewer than 2^16 entries, else one per CPU this process may use, at most 4,
+and never more than there are trials.  Each worker runs OpenBLAS on one
+thread; summary.json records the plan under ``threads``.
 """
 
 from __future__ import annotations
@@ -178,7 +175,8 @@ def _cmd_report(args) -> int:
     """Summaries and SVGs from trials.csv, written as ``run`` writes them.
 
     An existing summary.json keeps the run's record; only its ``summaries``,
-    ``version`` and ``quartile_method`` are replaced.
+    ``version`` and ``quartile_method`` are replaced.  Failed trials listed
+    in that record exit 1, like bound failures in trials.csv.
     """
     csv_path = os.path.join(args.in_dir, "trials.csv")
     values: dict[str, dict[str, list[float]]] = {}  # generators and labels in file order
@@ -215,10 +213,13 @@ def _cmd_report(args) -> int:
             raise TTInheritError(f"{summary_path}: not a JSON object")
     for path in write_summary(args.in_dir, summarize_values(values), record).values():
         print(f"wrote {path}")
+    failed = record.get("trials_failed")
+    n_failed = len(failed) if isinstance(failed, list) else 0
     if any_fail:
         print("bound failures present in trials.csv")
-        return EXIT_VIOLATIONS
-    return EXIT_OK
+    if n_failed:
+        print(f"failed trials: {n_failed}")
+    return EXIT_VIOLATIONS if any_fail or n_failed else EXIT_OK
 
 
 def main(argv=None) -> int:

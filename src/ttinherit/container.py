@@ -19,6 +19,7 @@ file has no per-core framing.
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -50,17 +51,26 @@ def save_tt(path, t: TTTensor, metadata: dict | None = None) -> None:
 
 
 def load_tt(path) -> tuple[TTTensor, dict]:
-    """Read a container written by :func:`save_tt`; returns (tensor, metadata)."""
+    """Read a container written by :func:`save_tt`; returns (tensor, metadata).
+
+    Every length the file declares is checked against the bytes it has left
+    before anything is read, so a header that declares more than the file
+    holds is a :class:`DomainError`, never a huge allocation.
+    """
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+
+        def read(n: int, what: str) -> bytes:
+            if n > size - f.tell():
+                raise DomainError(f"{path}: truncated {what}")
+            return f.read(n)
+
         magic = f.read(len(MAGIC))
         if magic != MAGIC:
             raise DomainError(f"{path}: not a TT container (bad magic {magic!r})")
-        field = f.read(4)
-        if len(field) != 4:
-            raise DomainError(f"{path}: truncated container header length")
-        (hlen,) = struct.unpack("<I", field)
+        (hlen,) = struct.unpack("<I", read(4, "container header length"))
         try:
-            header = json.loads(f.read(hlen).decode("utf-8"))
+            header = json.loads(read(hlen, "container header").decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DomainError(f"{path}: corrupt container header: {exc}") from exc
         try:
@@ -78,10 +88,7 @@ def load_tt(path) -> tuple[TTTensor, dict]:
         cores = []
         for k in range(d):
             r_in, n, r_out = bounds[k], shape[k], bounds[k + 1]
-            need = r_in * n * r_out * 8
-            buf = f.read(need)
-            if len(buf) != need:
-                raise DomainError(f"{path}: truncated core {k + 1}")
+            buf = read(r_in * n * r_out * 8, f"core {k + 1}")
             cores.append(
                 np.frombuffer(buf, dtype="<f8").reshape((r_in, n, r_out), order="F")
             )

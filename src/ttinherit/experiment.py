@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, DomainError, SingularityError, TrialError
-from .linalg import available_cpus, blas_thread_budget, pinv_spectral_norm
+from .linalg import blas_thread_budget, pinv_spectral_norm
 from .multiindex import IndexSet, Shape, _integer, derived_rng, derived_seed
 from .multiindex import kron_extend, sample_without_replacement
 from .generators import KINDS, GeneratorSpec, generate
@@ -488,6 +488,14 @@ def largest_interface_elems(config: ExperimentConfig) -> int:
     )
 
 
+def available_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def resolve_workers(config: ExperimentConfig | None = None) -> int:
     """Worker count from TT_INHERIT_THREADS; 0 or unset means auto.
 
@@ -514,7 +522,7 @@ class ExperimentResult:
     """Full run: per-trial results, summaries, failures, and counters.
 
     ``threads`` is the thread plan the trials ran under (see
-    :func:`~ttinherit.linalg.blas_thread_budget`).
+    :func:`run_experiment`).
     """
 
     config: ExperimentConfig
@@ -553,8 +561,10 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentRe
     the GIL inside LAPACK) of :func:`resolve_workers` threads, never more than
     there are trials; results are collected in deterministic
     (generator, trial) order regardless of scheduling.  While the pool runs,
-    each worker gets its share of the CPUs as OpenBLAS threads
-    (:func:`~ttinherit.linalg.blas_thread_budget`).  A trial that raises
+    every loaded OpenBLAS runs one thread
+    (:func:`~ttinherit.linalg.blas_thread_budget`).  The thread plan is
+    ``workers``, ``cpus`` and, per library, its file name, its threads
+    before the run and its threads per worker (1).  A trial that raises
     (it exhausts its resample budget, its tensor cannot be generated, ...) is
     excluded from the results with a warning and listed in ``failures``; the
     other trials still run.  With ``write`` the output directory is made
@@ -566,7 +576,15 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentRe
     workers = min(resolve_workers(config), len(tasks))
     if write:
         os.makedirs(config.output_dir, exist_ok=True)
-    with blas_thread_budget(workers) as threads, ThreadPoolExecutor(max_workers=workers) as pool:
+    with blas_thread_budget() as before, ThreadPoolExecutor(max_workers=workers) as pool:
+        threads = {
+            "workers": workers,
+            "cpus": available_cpus(),
+            "openblas": [
+                {"library": name, "threads_before": n, "threads_per_worker": 1}
+                for name, n in before
+            ],
+        }
         futures = [pool.submit(run_trial, config, kind, trial) for kind, trial in tasks]
         for (kind, trial), fut in zip(tasks, futures):
             try:
@@ -600,21 +618,25 @@ def _fmt(x: float) -> str:
 
 
 def version_stamp() -> str:
-    """Package version, plus the git commit when running from a checkout."""
-    stamp = __version__
+    """Package version, plus the git commit when running from its own checkout.
+
+    The commit is added only when the git work tree around this file holds
+    the package at ``src/ttinherit/``; a copy inside another repository
+    gets the bare version, not that repository's commit.
+    """
+
+    def git(*args) -> str:
+        here = os.path.dirname(os.path.abspath(__file__))
+        proc = subprocess.run(["git", *args], cwd=here, capture_output=True, text=True, timeout=5)
+        return proc.stdout.strip() if proc.returncode == 0 else ""
+
     try:
-        proc = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-            capture_output=True,
-            text=True,
-            timeout=5,
-        )
-        if proc.returncode == 0 and proc.stdout.strip():
-            stamp = f"{stamp}+g{proc.stdout.strip()}"
+        if git("rev-parse", "--show-prefix") == "src/ttinherit/":
+            if commit := git("describe", "--always", "--dirty"):
+                return f"{__version__}+g{commit}"
     except (OSError, subprocess.SubprocessError):
         pass
-    return stamp
+    return __version__
 
 
 def summary_payload(results, config, failures=None, threads=None) -> dict:

@@ -12,9 +12,8 @@ Outside the dense oracle, singular values meet ``rank_tol`` only here:
 :func:`pinv_spectral_norm` is the full-column-rank test of a sampled block,
 the rank hypothesis of every inheritance bound.
 
-The thread count of the OpenBLAS libraries behind those factorizations is
-set here too (:func:`blas_thread_budget`), so that a pool of trial threads
-does not run on top of as many BLAS threads each.
+:func:`blas_thread_budget` runs the OpenBLAS behind those factorizations
+on one thread while a block runs.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ __all__ = [
     "row_two_inf_norm",
     "condition_number",
     "OpenBLAS",
-    "available_cpus",
     "loaded_openblas",
     "blas_thread_budget",
 ]
@@ -308,17 +306,6 @@ def condition_number(svd: ThinSVD) -> float:
     return float(svd.sigma[0] / svd.sigma[-1])
 
 
-# (get, set) thread-count entry points of the OpenBLAS that numpy bundles
-# (64-bit integers) and of the one scipy bundles, which is loaded only once
-# the dense oracle (or anything else that imports scipy) is.
-# openblas_set_num_threads_local is not used: in OpenBLAS 0.3.31 it changes
-# the count for the whole process, not for the calling thread.
-_THREAD_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
-)
-
-
 @dataclass(frozen=True)
 class OpenBLAS:
     """One OpenBLAS library loaded in this process, with its thread-count calls."""
@@ -328,19 +315,14 @@ class OpenBLAS:
     set_threads: Callable[[int], None]
 
 
-def available_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the OS has one)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def loaded_openblas() -> list[OpenBLAS]:
-    """The OpenBLAS libraries already mapped into this process, by path.
+    """The OpenBLAS libraries bundled with numpy already mapped into this
+    process, by path.
 
     Read from ``/proc/self/maps``; where that file does not exist (outside
-    Linux) the list is empty.  Nothing new is loaded.
+    Linux) the list is empty.  Nothing new is loaded.  scipy's copy exports
+    its thread calls without the ``64_`` suffix and is not listed: it is
+    loaded only with the dense oracle, which no run calls.
     """
     try:
         with open("/proc/self/maps", encoding="utf-8") as f:
@@ -350,17 +332,17 @@ def loaded_openblas() -> list[OpenBLAS]:
         return []
     found = []
     for path in sorted(paths):
+        # openblas_set_num_threads_local is not used: in OpenBLAS 0.3.31 it
+        # changes the count for the whole process, not for the calling thread
         try:
             lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
-        except OSError:
+            get_fn = lib.scipy_openblas_get_num_threads64_
+            set_fn = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):  # not loadable, or not numpy's build
             continue
-        for get_name, set_name in _THREAD_SYMBOLS:
-            if hasattr(lib, get_name) and hasattr(lib, set_name):
-                get_fn, set_fn = getattr(lib, get_name), getattr(lib, set_name)
-                get_fn.argtypes, get_fn.restype = [], ctypes.c_int
-                set_fn.argtypes, set_fn.restype = [ctypes.c_int], None
-                found.append(OpenBLAS(path, get_fn, set_fn))
-                break
+        get_fn.argtypes, get_fn.restype = [], ctypes.c_int
+        set_fn.argtypes, set_fn.restype = [ctypes.c_int], None
+        found.append(OpenBLAS(path, get_fn, set_fn))
     return found
 
 
@@ -384,42 +366,25 @@ _SAVED = _SavedCounts()
 
 
 @contextmanager
-def blas_thread_budget(workers: int):
-    """Give each of ``workers`` threads its share of the CPUs in every OpenBLAS.
+def blas_thread_budget():
+    """Run every loaded OpenBLAS on one thread inside the block.
 
-    Inside the block every loaded OpenBLAS runs ``max(1, min(current,
-    cpus // workers))`` threads, where ``current`` is its count on entry
-    (``OPENBLAS_NUM_THREADS`` when set) and ``cpus`` is
-    :func:`available_cpus`; on exit it gets ``current`` back.  The count is
-    process-wide, so it also holds for BLAS calls made outside the workers
-    while the block runs; blocks that overlap in time on different threads
-    set it in turn, and the last one to end restores the count found by the
-    first.  Yields the plan: ``workers``, ``cpus``, and per library its file
-    name, its threads before and its threads per worker.  No OpenBLAS found
-    means nothing changes and the list is empty.
+    On exit each library gets back the count it had on entry.  The count is
+    process-wide, so it also holds for BLAS calls made outside the block's
+    thread while the block runs; blocks that overlap in time on different
+    threads share it, and the last one to end restores the count found by
+    the first.  Yields ``[(library file name, threads before), ...]``; no
+    OpenBLAS found means nothing changes and the list is empty.
     """
-    cpus = available_cpus()
     with _SAVED.lock:
         if _SAVED.users == 0:
             _SAVED.counts = [(lib, lib.get_threads()) for lib in loaded_openblas()]
         libs = _SAVED.counts
-        plan = {
-            "workers": workers,
-            "cpus": cpus,
-            "openblas": [
-                {
-                    "library": os.path.basename(lib.path),
-                    "threads_before": before,
-                    "threads_per_worker": max(1, min(before, cpus // workers)),
-                }
-                for lib, before in libs
-            ],
-        }
-        for (lib, _), entry in zip(libs, plan["openblas"]):
-            lib.set_threads(entry["threads_per_worker"])
+        for lib, _ in libs:
+            lib.set_threads(1)
         _SAVED.users += 1
     try:
-        yield plan
+        yield [(os.path.basename(lib.path), before) for lib, before in libs]
     finally:
         with _SAVED.lock:
             _SAVED.users -= 1

@@ -125,8 +125,9 @@ def test_verify_fail_exits_one(config_path, monkeypatch, capsys):
     assert "VERIFY: FAIL" in capsys.readouterr().out
 
 
-def test_verify_failed_generation_exits_one_and_keeps_trials(tmp_path, capsys):
-    # hadamard trial 3 of this tiny geometry finds no full-rank draw
+def _one_failed_trial_config(tmp_path):
+    """A config of which exactly one trial fails: hadamard trial 3 of this
+    tiny geometry finds no full-rank draw."""
     path = tmp_path / "tiny.json"
     path.write_text(
         json.dumps(
@@ -138,9 +139,15 @@ def test_verify_failed_generation_exits_one_and_keeps_trials(tmp_path, capsys):
                 "sample_sizes_I": [2, 2, 2],
                 "sample_sizes_J": [2, 2, 2],
                 "master_seed": 3,
+                "output_dir": str(tmp_path / "out"),
             }
         )
     )
+    return path
+
+
+def test_verify_failed_generation_exits_one_and_keeps_trials(tmp_path, capsys):
+    path = _one_failed_trial_config(tmp_path)
     with pytest.warns(RuntimeWarning, match="excluded"):
         rc = main(["verify", "--config", str(path)])
     out = capsys.readouterr().out
@@ -258,6 +265,17 @@ def test_report_flags_recorded_violations(config_path, tmp_path, capsys):
     rc = main(["report", "--in", str(tmp_path / "out")])
     assert rc == EXIT_VIOLATIONS
     assert "bound failures present" in capsys.readouterr().out
+
+
+def test_report_exits_one_when_the_run_record_lists_failed_trials(tmp_path, capsys):
+    path = _one_failed_trial_config(tmp_path)
+    with pytest.warns(RuntimeWarning, match="excluded"):
+        assert main(["run", "--config", str(path)]) == EXIT_VIOLATIONS
+    capsys.readouterr()
+    assert main(["report", "--in", str(tmp_path / "out")]) == EXIT_VIOLATIONS
+    out = capsys.readouterr().out
+    assert "failed trials: 1" in out
+    assert "bound failures present" not in out
 
 
 def test_report_keeps_the_run_record(config_path, tmp_path):

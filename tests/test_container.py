@@ -77,6 +77,22 @@ def test_rejects_truncated_cores(tmp_path):
         load_tt(path)
 
 
+def test_rejects_a_header_longer_than_the_file(tmp_path):
+    path = tmp_path / "t.ttc"
+    path.write_bytes(MAGIC + struct.pack("<I", 1000) + b"{}")
+    with pytest.raises(DomainError, match="truncated container header"):
+        load_tt(path)
+
+
+def test_rejects_cores_larger_than_the_file(tmp_path):
+    # 8e15 bytes of core 1 declared: refused before any buffer is allocated
+    header = json.dumps({"d": 2, "shape": [10**15, 1], "ranks": [1], "metadata": {}}).encode()
+    path = tmp_path / "t.ttc"
+    path.write_bytes(MAGIC + struct.pack("<I", len(header)) + header + b"\x00" * 16)
+    with pytest.raises(DomainError, match="truncated core 1"):
+        load_tt(path)
+
+
 def test_rejects_trailing_bytes(tmp_path):
     t = make_tt("gaussian", (3, 2), (2,), seed=4)
     path = tmp_path / "t.ttc"

@@ -4,6 +4,8 @@ import csv
 import dataclasses
 import json
 import os
+import shutil
+import subprocess
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -633,9 +635,9 @@ def _reading_blas_threads(monkeypatch, libs, fail_trial=None):
     return seen
 
 
-@pytest.mark.parametrize("cpus, per_worker", [(16, 3), (4, 2), (1, 1)])
+@pytest.mark.parametrize("cpus, per_worker", [(16, 1), (1, 1)])
 def test_run_experiment_gives_each_worker_its_blas_share(monkeypatch, openblas, cpus, per_worker):
-    # per worker: max(1, min(current = 3, cpus // 2 workers))
+    # one BLAS thread per worker, however many CPUs and threads there were
     monkeypatch.setenv("TT_INHERIT_THREADS", "2")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     seen = _reading_blas_threads(monkeypatch, openblas)
@@ -658,16 +660,15 @@ def test_run_experiment_gives_each_worker_its_blas_share(monkeypatch, openblas, 
 
 
 def test_pool_never_has_more_workers_than_trials(monkeypatch, openblas):
-    # 2 tasks on 8 CPUs: 2 workers with 8 // 2 BLAS threads each (capped at
-    # the 3 they had), not 4 workers with 8 // 4
+    # 2 tasks on 8 CPUs: 2 workers, not 4, each on one BLAS thread
     monkeypatch.setenv("TT_INHERIT_THREADS", "4")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     seen = _reading_blas_threads(monkeypatch, openblas)
     out = run_experiment(_small_config(trials=1), write=False)
     assert len(seen) == 2
-    assert set(seen) == {(3,) * len(openblas)}
+    assert set(seen) == {(1,) * len(openblas)}
     assert out.threads["workers"] == 2
-    assert [e["threads_per_worker"] for e in out.threads["openblas"]] == [3] * len(openblas)
+    assert [e["threads_per_worker"] for e in out.threads["openblas"]] == [1] * len(openblas)
 
 
 def test_blas_threads_are_restored_when_a_trial_raises(monkeypatch, openblas):
@@ -810,6 +811,30 @@ def test_write_outputs_without_svg(tmp_path):
 
 def test_version_stamp_contains_package_version():
     assert version_stamp().startswith("0.1.0")
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="git is not installed")
+@pytest.mark.parametrize("package_dir, stamped", [("src/ttinherit", True), ("vendor/ttinherit", False)])
+def test_version_stamp_names_a_commit_only_of_the_packages_own_checkout(
+    monkeypatch, tmp_path, package_dir, stamped
+):
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+    module = tmp_path / package_dir / "experiment.py"
+    module.parent.mkdir(parents=True)
+    module.write_text("")
+
+    def git(*args):
+        identity = ["-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+        return subprocess.run(
+            ["git", *identity, *args], cwd=tmp_path, check=True, capture_output=True, text=True
+        ).stdout.strip()
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "copy")
+    monkeypatch.setattr(experiment_mod, "__file__", str(module))
+    commit = git("describe", "--always", "--dirty")
+    assert version_stamp() == ("0.1.0+g" + commit if stamped else "0.1.0")
 
 
 # ---------------------------------------------------------------- SVG rendering
