@@ -19,6 +19,7 @@ on one thread while a block runs.
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 import os
 import threading
@@ -74,8 +75,9 @@ def _rotate(B: np.ndarray, U: np.ndarray) -> np.ndarray:
     """``B @ U``, column-major, as ``(U.T @ B.T).T`` in one GEMM.
 
     Every row of a singular factor is made by this one product, whether the
-    factor is multiplied out whole, read a few rows at a time or a block at
-    a time, so a row has the same bits on every path.
+    factor is multiplied out whole, read a few rows at a time or, for the
+    largest row norm under a rotation that is not square, a block at a
+    time, so a row has the same bits on every path.
     """
     return (U.T @ B.T).T
 
@@ -90,21 +92,30 @@ class ThinSVD:
     arguments are the bases.  The bases are never copied or multiplied out
     when the SVD is made, so a factor over 10^6 rows costs only its r x r
     rotation: :meth:`factor_rows` reads a few rows as ``Q[rows] @ U`` and
-    :meth:`factor_max_row_norm` reads ``Q @ U`` in blocks of
-    :data:`ROW_BLOCK` rows.  ``W`` and ``V`` are multiplied out on first
-    read, column-major, and cached.
+    :meth:`rotate` takes any other rows of ``Q``, or an R factor of them,
+    through ``U``.  ``W`` and ``V`` are multiplied out on first read,
+    column-major, and cached.
 
     ``sigma`` must be strictly positive and non-increasing, and both factors
     must have orthonormal columns: max |W^T W - I| <= :data:`ORTHONORMALITY_TOL`,
-    evaluated as ``U^T G U`` with ``G = Q^T Q``.  A caller that knows ``G``
-    without a pass over ``Q`` passes it in ``grams=(G_W, G_V)`` and vouches
-    for it; otherwise ``G`` is computed.  A non-finite entry in any input
-    raises :class:`NumericError`.  Everything stored is read-only.
+    evaluated as ``U^T G U`` with ``G = Q^T Q``; so must a basis given with
+    a rotation, max |G - I| within the same tolerance.  A caller that knows
+    ``G`` without a pass over ``Q`` passes it in ``grams=(G_W, G_V)`` and
+    vouches for it; otherwise ``G`` is computed.  A non-finite entry in any
+    input raises :class:`NumericError`.  Everything stored is read-only.
+
+    A square rotation is then orthogonal, so ``Q @ U`` has the row norms of
+    ``Q``: :meth:`factor_max_row_norm` reads ``Q`` alone, unrotated.  A caller
+    that caches that value per basis passes ``row_norms=(f_W, f_V)``,
+    zero-argument callables returning :func:`max_row_norm` of each basis,
+    called only when it is read; otherwise each read makes the pass.
+    Where ``U`` has more rows than columns, ``Q @ U`` is read in blocks of
+    :data:`ROW_BLOCK` rows instead.
     """
 
-    __slots__ = ("sigma", "_bases", "_rotations", "_factors")
+    __slots__ = ("sigma", "_bases", "_rotations", "_factors", "_row_norms")
 
-    def __init__(self, W, sigma, V, rotations=(None, None), grams=(None, None)):
+    def __init__(self, W, sigma, V, rotations=(None, None), grams=(None, None), row_norms=(None, None)):
         sigma = np.asarray(sigma, dtype=np.float64).reshape(-1)
         r = sigma.size
         if r == 0:
@@ -129,8 +140,10 @@ class ThinSVD:
                     raise DomainError(f"{name} Gram has shape {G.shape} for a basis of width {q}")
                 if G is None:
                     G = Q.T @ Q
-                WtW = G if U is None else U.T @ G @ U
-                devs.append(float(np.abs(WtW - eye).max()))
+                dev = np.abs((G if U is None else U.T @ G @ U) - eye).max()
+                if U is not None:  # an orthonormal basis makes a square U orthogonal
+                    dev = max(dev, np.abs(G - np.eye(q)).max())
+                devs.append(float(dev))
                 bases.append(Q)
                 rots.append(U)
         # a non-finite entry anywhere makes sigma or a deviation non-finite,
@@ -155,6 +168,8 @@ class ThinSVD:
         object.__setattr__(self, "_rotations", tuple(rots))
         # a factor with U = I is its basis; a rotated one is built on first read
         object.__setattr__(self, "_factors", [Q if U is None else None for Q, U in zip(bases, rots)])
+        norms = tuple(functools.partial(max_row_norm, Q) if f is None else f for Q, f in zip(bases, row_norms))
+        object.__setattr__(self, "_row_norms", norms)
 
     def __setattr__(self, name, value):
         raise AttributeError("ThinSVD is immutable")
@@ -198,16 +213,35 @@ class ThinSVD:
         k = _SIDES[side]
         return self._bases[k], self._rotations[k]
 
+    def basis(self, side: str) -> np.ndarray:
+        """The read-only basis ``Q`` of ``side`` ("W" or "V")."""
+        return self._side(side)[0]
+
+    def rotate(self, side: str, B: np.ndarray) -> np.ndarray:
+        """``B @ U`` for the rotation ``U`` of ``side`` ("W" or "V"), ``B``
+        itself where ``U = I``.
+
+        With ``B = Q[rows]`` this is :meth:`factor_rows`.  With ``B`` the R
+        of a QR of some rows of ``Q``, it has the singular values of those
+        rows of the factor in at most q rows.
+        """
+        _, U = self._side(side)
+        return B if U is None else _rotate(B, U)
+
     def factor_rows(self, side: str, rows) -> np.ndarray:
         """``W[rows]`` (``side`` "W") or ``V[rows]`` (``side`` "V"), 0-based
         ``rows``, read as ``Q[rows] @ U``, so no factor is multiplied out."""
-        Q, U = self._side(side)
-        return Q[rows] if U is None else _rotate(Q[rows], U)
+        return self.rotate(side, self.basis(side)[rows])
 
     def factor_max_row_norm(self, side: str) -> float:
-        """Largest Euclidean row norm of ``W`` or ``V`` (:func:`max_row_norm`
-        of ``Q`` rotated by ``U``), with no temporary as tall as the factor."""
-        return max_row_norm(*self._side(side))
+        """Largest Euclidean row norm of ``W`` or ``V``, with no temporary as
+        tall as the factor: that of the basis ``Q`` where the rotation is
+        square (or absent), else :func:`max_row_norm` of ``Q`` rotated by
+        ``U``."""
+        Q, U = self._side(side)
+        if U is None or U.shape[0] == U.shape[1]:
+            return self._row_norms[_SIDES[side]]()
+        return max_row_norm(Q, U)
 
     def reconstruct(self) -> np.ndarray:
         """Dense ``W @ diag(sigma) @ V.T`` (for small matrices / tests)."""

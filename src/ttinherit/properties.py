@@ -45,6 +45,7 @@ from .tt import (
     TTTensor,
     _check_index_set,
     _check_position,
+    _row_sweep,
     row_restrict,
     submatrix_svd,
     tt_rank_numerical,
@@ -173,9 +174,14 @@ def incoherence(svd: ThinSVD) -> IncoherencePair:
     m x n read from ``svd.shape``.
 
     ``ThinSVD`` has already checked its factors, so each factor's largest
-    row norm is read in one pass over its basis, block by block
-    (:data:`~ttinherit.linalg.ROW_BLOCK` rows) and rotated per block; no
-    factor is multiplied out and no temporary as tall as it is made.
+    row norm is that of its orthonormal basis wherever the rotation is
+    square: an SVD from :func:`~ttinherit.tt.unfolding_svd` reads it from
+    the form's cache, made in one pass per interface, so the parent's V_k
+    and V_t of a row-sampled subtensor give the same float.  Under a
+    rotation that is not square (numerical rank below the form's rank) the
+    basis is read rotated, block by block
+    (:data:`~ttinherit.linalg.ROW_BLOCK` rows).  No factor is multiplied
+    out and no temporary as tall as it is made.
     """
     m, n = svd.shape
     r = svd.rank
@@ -201,14 +207,6 @@ def tt_incoherence(t: TTTensor, rank_tol: float = DEFAULT_RANK_TOL) -> list[Unfo
     return [unfolding_report(i, unfolding_svd(t, i, rank_tol)) for i in range(1, t.d)]
 
 
-def _extended_rows(t: TTTensor, I_i: IndexSet, i: int, k: int) -> IndexSet:
-    """Row set of unfolding k induced by I_i: extend by full modes i+1..k."""
-    rows = I_i
-    for j in range(i + 1, k + 1):
-        rows = kron_extend(rows, t.shape[j - 1])
-    return rows
-
-
 def _sampling_factor(
     t: TTTensor,
     kept: IndexSet,
@@ -219,12 +217,16 @@ def _sampling_factor(
     svd: ThinSVD | None,
 ) -> float:
     """sqrt(|kept| / N) * ||F(rows, :)^+||_2, the construction behind
-    alpha_it, alpha_i and beta_i.
+    alpha_it, alpha_i and beta_i, with ``svd`` :func:`unfolding_svd` of
+    unfolding k (made here when None).
 
     ``side`` "W": ``kept`` are rows of unfolding i, N = prod(n_1..n_i), F is
     the left factor W_k, and ``rows`` are ``kept`` extended by the full modes
-    i+1..k.  ``side`` "V": ``kept`` are columns of unfolding i = k,
-    N = prod(n_{i+1}..n_d), F is the right factor V_k, and ``rows`` = ``kept``.
+    i+1..k.  Those rows are never gathered: a sweep of small QRs over the
+    left form's cores gives a matrix of at most r_k rows with their
+    singular values (:func:`~ttinherit.tt._row_sweep`).  ``side`` "V":
+    ``kept`` are columns of unfolding i = k, N = prod(n_{i+1}..n_d), F is
+    the right factor V_k, and ``rows`` = ``kept``, read as they are.
     """
     i, k = _check_position(t, i), _check_position(t, k)
     if k < i:
@@ -232,9 +234,11 @@ def _sampling_factor(
     _check_index_set(t, i, kept, side == "W", "I_i" if side == "W" else "J_i")
     if svd is None:
         svd = unfolding_svd(t, k, rank_tol)
-    rows = _extended_rows(t, kept, i, k)
+    if side == "W":
+        block = _row_sweep(t, kept, i, k, svd)
+    else:
+        block = svd.factor_rows(side, kept.zero_based())
     N = kept.domain  # checked above
-    block = svd.factor_rows(side, rows.zero_based())
     return float(np.sqrt(len(kept) / N) * pinv_spectral_norm(block, rank_tol))
 
 
@@ -249,9 +253,13 @@ def alpha_it(
     """Row-sampling factor of unfolding k = i + t_off - 1 for level-i rows I_i.
 
     Equals sqrt(|I_i| / prod(n_1..n_i)) times the spectral norm of the
-    pseudoinverse of W_k restricted to the rows induced by I_i.  It is 1
-    under full sampling and >= sqrt(|I_i| / prod(n_1..n_i)) always.  An
-    ``svd`` of unfolding k may be passed to avoid recomputation.
+    pseudoinverse of W_k restricted to the rows induced by I_i (I_i
+    extended by every value of modes i+1..k).  It is 1 under full sampling
+    and >= sqrt(|I_i| / prod(n_1..n_i)) always.  Those rows' singular
+    values come from a sweep of small QRs from left_interface(A, i)[I_i]
+    over the left form's cores i+1..k, so no row of W_k is read.
+    ``unfolding_svd(t, k)`` may be passed as ``svd`` to avoid recomputing
+    it; an SVD with another basis raises :class:`DomainError`.
     """
     return _sampling_factor(t, I_i, i, i + _integer(t_off) - 1, "W", rank_tol, svd)
 
@@ -267,7 +275,8 @@ def alpha_i(
 
     For i >= 2 this is sqrt(|I_{i-1}| / prod(n_1..n_{i-1})) times the
     pseudoinverse norm of W_i restricted to rows I_{i-1} extended by the
-    full mode n_i, which is alpha_{i-1,2}; for i = 1 it is the constant
+    full mode n_i, which is alpha_{i-1,2}, from the same sweep of small
+    QRs (:func:`alpha_it`); for i = 1 it is the constant
     :data:`ALPHA_1` = 1 (the level-1 bound has no row factor) and
     ``I_prev`` is ignored.
     """

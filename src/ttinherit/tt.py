@@ -26,12 +26,20 @@ Its singular factors stay factored, ``W_i = left_interface(A, i) @ U`` and
 orthonormality is checked on Grams carried through the cores of ``A`` and
 ``B`` (O(d n r^3)), so making the SVD reads no interface row at all.
 
-The interfaces of ``A`` and ``B`` and their Grams are cached on them,
-read-only, when first built, so every check of a tensor reads each one
-built once, and the caches live and die with the form tensors.  A
-subtensor from :func:`row_restrict` shares ``B``'s trailing cores and so
-also its caches of right interfaces and Grams.  Tensors from the
-:class:`TTTensor` constructor cache no interface.
+The interfaces of ``A`` and ``B``, their Grams and their largest row
+norms are cached on them, read-only, when first built, so every check of
+a tensor reads each interface built once, and the caches live and die
+with the form tensors.  A rotation that is square is orthogonal, so the
+largest row norm of a singular factor is that of its interface, read in
+one unrotated pass per interface.  A subtensor from :func:`row_restrict`
+shares ``B``'s trailing cores and so also its caches of right
+interfaces, Grams and row norms.  Tensors from the :class:`TTTensor`
+constructor cache no interface.
+
+Sampled rows of W_k that nested row sets induce, I_i extended by every
+value of modes i+1..k, are never gathered: a sweep of small QRs from
+``left_interface(A, i)[I_i]`` over the cores i+1..k of ``A`` gives a
+matrix of at most r_k rows with their singular values (:func:`_row_sweep`).
 
 Every factorization here is numpy's (``numpy.linalg.qr`` and, through
 :mod:`ttinherit.linalg`, ``numpy.linalg.svd``).  scipy is left to the dense
@@ -40,10 +48,12 @@ oracle, :mod:`ttinherit.oracle`, so the structured path never loads it.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import CapacityError, DomainError, NumericError, StructuralError
-from .linalg import DEFAULT_RANK_TOL, ThinSVD, truncated_svd
+from .linalg import DEFAULT_RANK_TOL, ThinSVD, max_row_norm, truncated_svd
 from .multiindex import IndexSet, Shape, _integer
 
 __all__ = [
@@ -109,14 +119,14 @@ class TTTensor:
     on the tensor once built, and their interfaces and Grams on the forms.
     """
 
-    __slots__ = ("cores", "shape", "ranks", "_forms", "_interfaces", "_grams")
+    __slots__ = ("cores", "shape", "ranks", "_forms", "_interfaces", "_grams", "_row_norms")
 
     def __init__(self, cores):
         cores = tuple(np.array(c, dtype=np.float64, order="C", copy=True) for c in cores)
         shape, ranks = _validate_cores(cores)
-        self._set(cores, shape, ranks, None, None)
+        self._set(cores, shape, ranks, None, None, None)
 
-    def _set(self, cores, shape, ranks, interfaces, grams) -> None:
+    def _set(self, cores, shape, ranks, interfaces, grams, row_norms) -> None:
         for c in cores:
             c.setflags(write=False)
         object.__setattr__(self, "cores", cores)
@@ -127,6 +137,8 @@ class TTTensor:
         object.__setattr__(self, "_interfaces", interfaces)
         # None, or ({i: L_i^T L_i}, {d - i: R_i^T R_i}): Grams of a form tensor
         object.__setattr__(self, "_grams", grams)
+        # None, or ({i: max_row_norm(L_i)}, {d - i: max_row_norm(R_i)}), likewise
+        object.__setattr__(self, "_row_norms", row_norms)
 
     def __setattr__(self, name, value):
         raise AttributeError("TTTensor is immutable")
@@ -313,10 +325,20 @@ def _form_gram(t: TTTensor, side: int, key: int) -> np.ndarray:
     return G
 
 
+def _form_row_norm(t: TTTensor, side: int, key: int, Q: np.ndarray) -> float:
+    """:func:`~ttinherit.linalg.max_row_norm` of ``Q``, the interface the
+    form tensor ``t`` caches under ``(side, key)``, kept in the row-norm
+    cache, which :func:`row_restrict` shares on the right like the Grams."""
+    norms = t._row_norms[side]
+    if key not in norms:
+        norms[key] = max_row_norm(Q)
+    return norms[key]
+
+
 def _form_tensor(cores, shares: TTTensor | None = None) -> TTTensor:
     """A TTTensor over cores this module built from a validated chain, with
-    interface and Gram caches whose right halves are those of ``shares``,
-    a form tensor with the same trailing cores, when given.
+    interface, Gram and row-norm caches whose right halves are those of
+    ``shares``, a form tensor with the same trailing cores, when given.
 
     Skips the constructor's copy and checks, which a sweep step would
     otherwise pay once per core.
@@ -328,6 +350,7 @@ def _form_tensor(cores, shares: TTTensor | None = None) -> TTTensor:
         tuple(c.shape[2] for c in cores[:-1]),
         ({}, {} if shares is None else shares._interfaces[1]),
         ({}, {} if shares is None else shares._grams[1]),
+        ({}, {} if shares is None else shares._row_norms[1]),
     )
     return t
 
@@ -341,6 +364,13 @@ def _qr(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     Q, R = np.linalg.qr(X)
     return np.asfortranarray(Q), R
+
+
+def _left_step(R: np.ndarray, core: np.ndarray) -> np.ndarray:
+    """X[a + q*j, b] = sum_c R[a, c] * core[c, j, b], column-major: for R of
+    some rows of a left interface, those rows extended by the core's mode
+    in the next interface, up to an orthonormal factor on the left."""
+    return np.matmul(core.transpose(2, 1, 0), R.T).reshape(core.shape[2], -1).T
 
 
 def _left_core(Q: np.ndarray, n: int) -> np.ndarray:
@@ -373,9 +403,7 @@ def left_orthogonal_form(t: TTTensor) -> tuple[TTTensor, tuple[np.ndarray, ...]]
             Q, R = _qr(X)
             cores.append(_left_core(Q, t.shape[k - 1]))
             S.append(R)
-            core = t.cores[k]
-            # X[a + q*j, b] = sum_c R[a, c] * core[c, j, b], column-major
-            X = np.matmul(core.transpose(2, 1, 0), R.T).reshape(core.shape[2], -1).T
+            X = _left_step(R, t.cores[k])
         cores.append(_left_core(X, t.shape[-1]))
         form = t._forms[0] = (_form_tensor(cores), tuple(S))
     return form
@@ -417,17 +445,17 @@ def right_orthogonal_form(t: TTTensor) -> tuple[TTTensor, tuple[np.ndarray, ...]
 
 
 def _svd_between(
-    QL: np.ndarray, M: np.ndarray, QR: np.ndarray, rank_tol: float, grams=(None, None)
+    QL: np.ndarray, M: np.ndarray, QR: np.ndarray, rank_tol: float, grams=(None, None), row_norms=(None, None)
 ) -> ThinSVD:
     """Compact SVD of ``QL @ M @ QR.T`` for QL, QR with orthonormal columns.
 
     Only the small core matrix ``M = U diag(s) Vt`` is decomposed densely.
     The factors stay as ``W = QL @ U`` and ``V = QR @ Vt.T``: QL and QR are
-    held, not copied or multiplied.  ``grams`` are ``QL.T @ QL`` and
-    ``QR.T @ QR`` when known (see :class:`~ttinherit.linalg.ThinSVD`).
+    held, not copied or multiplied.  ``grams`` and ``row_norms`` are as in
+    :class:`~ttinherit.linalg.ThinSVD`, when known.
     """
     U, s, Vt = truncated_svd(M, rank_tol)
-    return ThinSVD(QL, s, QR, rotations=(U, Vt.T), grams=grams)
+    return ThinSVD(QL, s, QR, rotations=(U, Vt.T), grams=grams, row_norms=row_norms)
 
 
 def unfolding_svd(t: TTTensor, i: int, rank_tol: float = DEFAULT_RANK_TOL) -> ThinSVD:
@@ -437,7 +465,10 @@ def unfolding_svd(t: TTTensor, i: int, rank_tol: float = DEFAULT_RANK_TOL) -> Th
     with orthonormal outer factors, so only the r x r middle is decomposed.
     The singular factors are those cached interfaces times r x r rotations,
     and their orthonormality is checked on Grams carried through the form
-    cores (:func:`_form_gram`), so no pass over an interface's rows runs.
+    cores (:func:`_form_gram`), so making the SVD reads no interface row.
+    Each interface's largest row norm, which is the factor's wherever the
+    rotation is square, is read in one pass when first asked for and
+    cached on the form (:func:`_form_row_norm`).
     """
     i = _check_position(t, i)
     A, S = left_orthogonal_form(t)
@@ -445,7 +476,11 @@ def unfolding_svd(t: TTTensor, i: int, rank_tol: float = DEFAULT_RANK_TOL) -> Th
     QL = left_interface(A, i)
     QR = right_interface(B, i)
     grams = (_form_gram(A, 0, i), _form_gram(B, 1, t.d - i))
-    return _svd_between(QL, S[i - 1] @ T[i - 1].T, QR, rank_tol, grams)
+    norms = (
+        functools.partial(_form_row_norm, A, 0, i, QL),
+        functools.partial(_form_row_norm, B, 1, t.d - i, QR),
+    )
+    return _svd_between(QL, S[i - 1] @ T[i - 1].T, QR, rank_tol, grams, norms)
 
 
 def tt_rank_numerical(t: TTTensor, rank_tol: float = DEFAULT_RANK_TOL) -> tuple[int, ...]:
@@ -469,6 +504,32 @@ def row_restrict(t: TTTensor, i: int, I: IndexSet) -> TTTensor:
     sub = TTTensor((G[None, :, :],) + t.cores[i:])
     sub._forms[1] = _right_form(sub.cores[0], B.cores[i:], T[i - 1 :], B)
     return sub
+
+
+def _row_sweep(t: TTTensor, I: IndexSet, i: int, k: int, svd: ThinSVD) -> np.ndarray:
+    """A matrix of at most r'_k rows with the singular values of the rows of
+    ``svd.W`` that level-i rows ``I`` induce in unfolding k >= i (``I``
+    extended by every value of modes i+1..k), for ``svd`` the
+    :func:`unfolding_svd` of ``t`` at k: W = left_interface(A, k) @ U.
+
+    Those rows are left_interface(A, i)[I] carried through cores i+1..k of
+    the left form A; the sets are nested, as in TT-cross (Oseledets and
+    Tyrtyshnikov, Linear Algebra Appl. 432, 2010).  A QR of
+    left_interface(A, i)[I], then one QR of :func:`_left_step` per core,
+    leaves R equal to the rows up to an orthonormal factor, and the
+    result is ``R @ U``.  After the first QR, of the |I| sampled rows, no
+    QR has more than r'_{j-1} n_j rows.  An ``svd`` whose W has another
+    basis raises :class:`DomainError`.
+    """
+    A, _ = left_orthogonal_form(t)
+    L_k = A._interfaces[0].get(k)
+    if L_k is None or not np.may_share_memory(svd.basis("W"), L_k):
+        raise DomainError(f"svd is not unfolding_svd of this tensor at {k}")
+    # L_k(A) is built, so L_i(A), a step of its chain, is within the cap
+    R = np.linalg.qr(_interface(A, 0, i, _left_chain, i)[I.zero_based()], mode="r")
+    for core in A.cores[i:k]:
+        R = np.linalg.qr(_left_step(R, core), mode="r")
+    return svd.rotate("W", R)
 
 
 def column_submatrix(

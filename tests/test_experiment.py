@@ -13,6 +13,8 @@ import pytest
 
 import ttinherit.experiment as experiment_mod
 import ttinherit.linalg as linalg_mod
+import ttinherit.properties as properties_mod
+import ttinherit.tt as tt_mod
 from ttinherit import (
     BoxplotSummary,
     ConfigError,
@@ -342,6 +344,51 @@ def test_run_trial_multiplies_no_singular_factor_out(monkeypatch):
         got = run_trial(desk_preset(trials=1), kind, 0)
         assert got.values == want[kind].values and got.bound_pass == want[kind].bound_pass
         assert all(got.bound_pass.values())
+
+
+def test_run_trial_gathers_no_more_rows_than_a_sample_and_reads_each_basis_once(monkeypatch):
+    # alpha_{i,t} comes from QR sweeps that start at the sampled rows, so no
+    # taller block of a factor is gathered; mu is read once per basis, and a
+    # subtensor's V_t is the parent's right interface, whose row norm is cached
+    cfg = desk_preset(trials=1)
+    want = run_trial(cfg, "gaussian", 0)
+    most = max(cfg.sample_sizes_I + cfg.sample_sizes_J)
+    gather = linalg_mod.ThinSVD.factor_rows
+
+    def refuse(self, side, rows):
+        if len(rows) > most:
+            raise AssertionError(f"{len(rows)} rows of {side} gathered")
+        return gather(self, side, rows)
+
+    passes = {}  # (data address, shape) of each array read -> passes
+    one_pass = linalg_mod.max_row_norm
+
+    def counted(M, U=None):
+        key = (M.__array_interface__["data"][0], M.shape)
+        passes[key] = passes.get(key, 0) + 1
+        return one_pass(M, U)
+
+    made = []  # (tensor, i, svd) of every unfolding_svd call
+    unfold = tt_mod.unfolding_svd
+
+    def kept(t, i, rank_tol):
+        made.append((t, i, unfold(t, i, rank_tol)))
+        return made[-1][2]
+
+    monkeypatch.setattr(linalg_mod.ThinSVD, "factor_rows", refuse)
+    for mod in (linalg_mod, tt_mod):
+        monkeypatch.setattr(mod, "max_row_norm", counted)
+    for mod in (experiment_mod, properties_mod):
+        monkeypatch.setattr(mod, "unfolding_svd", kept)
+    got = run_trial(cfg, "gaussian", 0)
+    assert got.values == want.values and got.bound_pass == want.bound_pass
+    assert got.resamples == want.resamples
+    assert passes and max(passes.values()) == 1
+    (parent,) = [svd for t, i, svd in made if i == 1 and t.shape == cfg.shape]
+    level_1 = (cfg.sample_sizes_I[0],) + cfg.shape[1:]
+    (sub,) = [svd for t, i, svd in made if i == 1 and t.shape == level_1]
+    assert np.shares_memory(sub.basis("V"), parent.basis("V"))
+    assert sub.factor_max_row_norm("V") == parent.factor_max_row_norm("V")
 
 
 def test_run_trial_is_deterministic():

@@ -278,6 +278,16 @@ def test_a_rotated_thin_svd_is_its_bases_times_the_rotations():
     ThinSVD(QW, s, QV, rotations=(UW, UV), grams=(np.eye(3), np.eye(2)))
     with pytest.raises(DomainError, match="orthonormality"):
         ThinSVD(QW, s, QV, rotations=(UW, UV), grams=(1.001 * np.eye(3), np.eye(2)))
+    # so are the row norms it passes, read only when asked for, and only for
+    # V, whose 2 x 2 rotation is orthogonal; W's 3 x 2 one is read rotated
+    calls = []
+    norms = (lambda: calls.append("W") or 7.0, lambda: calls.append("V") or 0.5)
+    known = ThinSVD(QW, s, QV, rotations=(UW, UV), row_norms=norms)
+    assert calls == []
+    assert known.factor_max_row_norm("W") == max_row_norm(svd.W)
+    assert known.factor_max_row_norm("V") == 0.5 and calls == ["V"]
+    assert svd.factor_max_row_norm("V") == max_row_norm(QV)
+    assert abs(max_row_norm(QV) - max_row_norm(svd.V)) <= 1e-15
 
 
 def test_a_rotated_thin_svd_refuses_a_rotation_that_is_not_orthonormal():
@@ -292,6 +302,9 @@ def test_a_rotated_thin_svd_refuses_a_rotation_that_is_not_orthonormal():
         ThinSVD(QW, s, QV, rotations=(UW[:, :1], UV))  # width does not match the rank
     with pytest.raises(DomainError):
         ThinSVD(QW, s, QV, rotations=(UW, UV), grams=(np.eye(2), None))
+    # 2 QV times UV / 2 is still V, but its rows are not those of the basis
+    with pytest.raises(DomainError, match="V columns deviate"):
+        ThinSVD(QW, s, 2.0 * QV, rotations=(UW, UV / 2.0))
 
 
 @pytest.mark.parametrize("where", ["basis", "rotation", "gram"])
@@ -315,6 +328,12 @@ def test_factor_rows_reads_either_side_and_refuses_another():
     idx = np.array([0, 4, 8])
     assert svd.factor_rows("W", idx).tobytes() == svd.W[idx].tobytes()
     assert svd.factor_rows("V", idx[:2]).tobytes() == svd.V[idx[:2]].tobytes()
+    assert svd.rotate("W", svd.basis("W")[idx]).tobytes() == svd.factor_rows("W", idx).tobytes()
+    # the R of a QR of basis rows goes to a matrix with those rows' singular values
+    R = np.linalg.qr(QW[idx], mode="r")
+    got = np.linalg.svd(svd.rotate("W", R), compute_uv=False)
+    assert np.abs(got - np.linalg.svd(svd.factor_rows("W", idx), compute_uv=False)).max() <= 1e-15
+    assert thin_svd(np.eye(3)).rotate("V", R) is R  # no rotation: B itself
     with pytest.raises(DomainError):
         svd.factor_rows("U", idx)
     with pytest.raises(AttributeError):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from ttinherit import (
@@ -102,6 +102,16 @@ def test_tt_incoherence_report_indices():
 # ---------------------------------------------------------------- alpha_it
 
 
+def _gathered_alpha_it(t: TTTensor, I_i: IndexSet, i: int, k: int, svd) -> float:
+    """alpha_{i,k-i+1} from the rows of ``svd.W`` themselves: I_i extended by
+    every value of modes i+1..k, gathered, and their pseudoinverse norm."""
+    rows = I_i
+    for j in range(i + 1, k + 1):
+        rows = kron_extend(rows, t.shape[j - 1])
+    block = svd.factor_rows("W", rows.zero_based())
+    return float(np.sqrt(len(I_i) / I_i.domain) * pinv_spectral_norm(block))
+
+
 def test_alpha_it_full_sampling_is_one():
     t = make_tt("gaussian", (5, 4, 3, 2), (2, 2, 2), seed=42)
     for i in range(1, 4):
@@ -125,6 +135,9 @@ def test_alpha_it_accepts_precomputed_svd():
     I = IndexSet([1, 3, 5], 6)
     svd2 = unfolding_svd(t, 2)
     assert alpha_it(t, I, 1, 2, svd=svd2) == alpha_it(t, I, 1, 2)
+    # the sweep reads W_2 in the basis of the left form, which another SVD lacks
+    with pytest.raises(DomainError, match="unfolding_svd"):
+        alpha_it(t, I, 1, 2, svd=thin_svd(dense_unfolding(to_dense(t), 2)))
 
 
 def test_alpha_it_rejects_bad_arguments():
@@ -146,6 +159,20 @@ def test_alpha_it_raises_on_rank_deficient_rows():
     t = TTTensor([c1, *base.cores[1:]])
     with pytest.raises(SingularityError):
         alpha_it(t, IndexSet([1, 2], 6), 1, 1)
+    # k > i: row 1 of L_1 is e_1 and slice 1 of core 2 is rank 1, so the 5
+    # rows {1} x [n_2] of W_2 are multiples of one row; W_2 keeps rank 2
+    c1 = base.cores[0].copy()
+    c1[0, 0, :] = [1.0, 0.0]
+    c2 = base.cores[1].copy()
+    c2[0] = np.outer(np.arange(1.0, 6.0), c2[0, 0])
+    t = TTTensor([c1, c2, base.cores[2]])
+    svd = unfolding_svd(t, 2)
+    assert svd.rank == 2
+    with pytest.raises(SingularityError):
+        _gathered_alpha_it(t, IndexSet([1], 6), 1, 2, svd)
+    with pytest.raises(SingularityError):
+        alpha_it(t, IndexSet([1], 6), 1, 2, svd=svd)
+    assert np.isfinite(alpha_it(t, IndexSet([1, 2], 6), 1, 2, svd=svd))
 
 
 # ---------------------------------------------------------------- alpha_i / beta_i
@@ -556,6 +583,34 @@ def test_both_suites_agree_with_the_dense_oracle(case):
     if not to_dense(t).any() or _roundoff_block(t, I_sets, J_sets):
         reject()  # the known defect pinned by test_roundoff_is_not_rank
     _agree_with_the_oracle(t, I_sets, J_sets)
+
+
+# d = 2; d = 5 with modes of 2-3 and sample sizes equal to the ranks; and a
+# coherent tensor whose level-1 block has only two nonzero rows
+@example(("gaussian", (3, 2), (2,), 5, (2,), (2,), False))
+@example(("hadamard", (2, 3, 2, 3, 2), (2, 3, 3, 2), 6, (2, 3, 3, 2), (2, 3, 3, 2), False))
+@example(("uniform", (3, 3, 2, 2, 3), (2, 2, 2, 2), 7, (2, 2, 2, 2), (2, 2, 2, 2), False))
+@example(("gaussian", (4, 3, 3, 2), (2, 3, 2), 71, (2, 6, 4), (2, 3, 2), True))
+@settings(max_examples=60, deadline=None)
+@given(_sampled_geometries())
+def test_alpha_it_from_the_sweep_matches_the_gathered_rows(case):
+    kind, shape, ranks, seed, sizes_I, sizes_J, make_coherent = case
+    try:
+        t = make_tt(kind, shape, ranks, seed)
+        if make_coherent:
+            t = coherent(t)
+        I_sets, _, svds = sample_valid_sets(t, sizes_I, sizes_J, seed)
+    except (GenerationError, TrialError):
+        reject()
+    for i, I_i in enumerate(I_sets, start=1):
+        for k in range(i, t.d):
+            try:
+                want = _gathered_alpha_it(t, I_i, i, k, svds[k - 1])
+            except SingularityError:
+                with pytest.raises(SingularityError):
+                    alpha_it(t, I_i, i, k - i + 1, svd=svds[k - 1])
+                continue
+            assert rel_err(alpha_it(t, I_i, i, k - i + 1, svd=svds[k - 1]), want) <= 1e-12, (i, k)
 
 
 def test_a_coherent_tensor_is_redrawn_and_agrees_with_the_dense_oracle():

@@ -42,7 +42,7 @@ from ttinherit import (
 )
 import ttinherit.tt as tt_mod
 from ttinherit.linalg import max_row_norm
-from ttinherit.oracle import dense_unfolding
+from ttinherit.oracle import dense_properties, dense_unfolding
 from ttinherit.tt import left_orthogonal_form, right_orthogonal_form
 
 from conftest import make_tt, rel_err, sample_valid_sets
@@ -376,24 +376,53 @@ def test_unfolding_svd_matches_dense_svd():
 
 
 def _factored_svds():
-    """unfolding_svd, submatrix_svd and thin_svd results of one 20^4 tensor."""
+    """unfolding_svd, submatrix_svd and thin_svd results of one 20^4 tensor,
+    whose rotations are square, then the first unfolding SVD of
+    :func:`_duplicated_rank_slice`, whose rotations are not."""
     t = make_tt("gaussian", (20, 20, 20, 20), (2, 3, 2), seed=41)
     I_sets, J_sets, svds = sample_valid_sets(t, (8, 12, 8), (8, 12, 8), seed=41)
     rows = [IndexSet.full(20)] + [kron_extend(I, 20) for I in I_sets[:-1]]
     svds += [submatrix_svd(t, i, rows[i - 1], J_sets[i - 1]) for i in range(1, t.d)]
     svds += [thin_svd(column_submatrix(t, 2, rows[1], J_sets[1]))]
-    return svds
+    return svds + [unfolding_svd(_duplicated_rank_slice(), 1)]
 
 
-def test_factor_rows_and_row_norms_are_bitwise_those_of_the_multiplied_out_factors():
+def _duplicated_rank_slice() -> TTTensor:
+    """A 4 x 3 x 5 x 2 TT whose first core has two equal rank slices: its
+    first unfolding has numerical rank 1, below the forms' rank 2 on both
+    sides, so both rotations of its SVD are 2 x 1."""
+    cores = list(make_tt("gaussian", (4, 3, 5, 2), (2, 3, 2), seed=45).cores)
+    first = cores[0].copy()
+    first[:, :, 1] = first[:, :, 0]
+    return TTTensor([first] + cores[1:])
+
+
+def test_factor_rows_are_bitwise_and_row_norms_are_the_basis_where_the_rotation_is_square():
     rng = np.random.default_rng(41)
+    square = 0
     for svd in _factored_svds():
         for side, F in (("W", svd.W), ("V", svd.V)):
             assert F is getattr(svd, side)  # multiplied out once, then cached
             assert F.flags.f_contiguous and not F.flags.writeable
             idx = np.sort(rng.choice(F.shape[0], min(12, F.shape[0]), replace=False))
             assert svd.factor_rows(side, idx).tobytes() == F[idx].tobytes()
-            assert svd.factor_max_row_norm(side) == max_row_norm(F)
+            # a square rotation is orthogonal, so W = Q U has the row norms of Q
+            Q = svd.basis(side)
+            square += Q.shape[1] == F.shape[1]
+            mu = svd.factor_max_row_norm(side)
+            assert mu == max_row_norm(Q if Q.shape[1] == F.shape[1] else F)
+            assert abs(mu - max_row_norm(F)) <= 1e-14 * max_row_norm(F)
+    assert square == 2 * 7  # all but the two of the rank-1 unfolding
+
+
+def test_a_rotation_that_is_not_square_keeps_mu_equal_to_the_oracle():
+    t = _duplicated_rank_slice()
+    X = to_dense(t)
+    first = unfolding_svd(t, 1)
+    assert first.rank == 1 and first.basis("W").shape[1] == first.basis("V").shape[1] == 2
+    for i in range(1, t.d):
+        got, want = incoherence(unfolding_svd(t, i)), dense_properties(X, i)
+        assert rel_err(got.mu1, want.mu1) <= 1e-10 and rel_err(got.mu2, want.mu2) <= 1e-10
 
 
 def test_qr_gives_a_column_major_orthonormal_q_and_leaves_its_input_alone():
