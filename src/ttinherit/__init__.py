@@ -70,6 +70,7 @@ from .properties import (
     check_rank_preservation,
     check_row_sampling_bounds,
     incoherence,
+    row_sampling_factors,
     tt_incoherence,
 )
 from .generators import KINDS, GeneratorSpec, generate
@@ -144,6 +145,7 @@ __all__ = [
     "alpha_it",
     "alpha_i",
     "beta_i",
+    "row_sampling_factors",
     "check_rank_preservation",
     "check_row_sampling_bounds",
     "check_column_sampling_bounds",

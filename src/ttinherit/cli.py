@@ -16,7 +16,7 @@ through the writer ``run`` uses; of an existing summary.json it replaces only
 and it exits 1 when that record lists failed trials.
 TT_INHERIT_THREADS sets the number of trial workers; 0 or unset means one
 worker when the largest interface matrix of the configured tensor holds
-fewer than 2^16 entries, else one per CPU this process may use, at most 4,
+fewer than 500,000 entries, else one per CPU this process may use, at most 4,
 and never more than there are trials.  Each worker runs OpenBLAS on one
 thread; summary.json records the plan under ``threads``.
 """

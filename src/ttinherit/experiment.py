@@ -39,6 +39,7 @@ from .properties import (
     InheritanceRecord,
     check_column_sampling_bounds,
     check_row_sampling_bounds,
+    row_sampling_factors,
     unfolding_report,
     unfolding_svd,
 )
@@ -436,8 +437,12 @@ def run_trial(config: ExperimentConfig, kind: str, trial: int) -> TrialResult:
             redraws[stream].append(tries)
     I_sets, J_sets = sets["rows"], sets["cols"]
 
-    records_rows = check_row_sampling_bounds(t, I_sets, tol, parents=parents)
-    records_cols = check_column_sampling_bounds(t, I_sets, J_sets, tol, parents=parents)
+    # one sweep per level gives every alpha_{i,t}; alpha_i is alpha_{i-1,2}
+    alphas = row_sampling_factors(t, I_sets, tol, parents)
+    records_rows = check_row_sampling_bounds(t, I_sets, tol, parents=parents, alphas=alphas)
+    records_cols = check_column_sampling_bounds(
+        t, I_sets, J_sets, tol, parents=parents, alphas=alphas
+    )
 
     by_label = {rec.label: rec for rec in records_rows + records_cols}
     values: dict[str, float] = {}
@@ -467,13 +472,18 @@ def run_trial(config: ExperimentConfig, kind: str, trial: int) -> TrialResult:
 
 
 # Auto mode runs one worker when the largest interface matrix of the run's
-# tensor holds fewer entries than this.  Below it a trial's LAPACK calls are
-# too short to keep the GIL released, and two workers finish a run more
-# slowly than one.  On 2 CPUs, n^4 tensors of ranks (2, 3, 2) break even
-# between 54,000 and 65,536 entries, and of ranks (8, 8, 8) between 32,768
-# and 64,000; d = 6 tensors break even higher, between 118,098 and 200,000
-# (BENCH_pool_rule.json, "crossover").
-POOL_MIN_INTERFACE_ELEMS = 1 << 16
+# tensor holds fewer entries than this.  Below it most of a trial is Python
+# between short LAPACK calls, so two workers mostly hand the GIL back and
+# forth and finish a run more slowly than one.  On 2 CPUs, with one BLAS
+# thread per worker, every geometry swept below 500,000 entries ran slower
+# on the pool (0.62-0.95x: n^4 of ranks (2,3,2) up to 50^4, ranks (8,8,8)
+# up to 36^4, d = 6 of ranks (2,3,4,3,2) up to 12^6, deep's 10^6 among
+# them) and every one from 512,000 on ran faster (1.05-1.46x), apart from
+# 13^6 (742,586 entries, 0.99x).  The families cross at different sizes,
+# and only rows within the spread of their own pairs fall on the wrong
+# side: 13^6, and 36^4 of rank 8 in a second pass (1.06x)
+# (BENCH_pool_break_even.json, "sweep" and "confirmation").
+POOL_MIN_INTERFACE_ELEMS = 500_000
 
 
 def largest_interface_elems(config: ExperimentConfig) -> int:
@@ -500,8 +510,10 @@ def resolve_workers(config: ExperimentConfig | None = None) -> int:
     """Worker count from TT_INHERIT_THREADS; 0 or unset means auto.
 
     Auto is one worker when ``config``'s largest interface matrix holds fewer
-    than :data:`POOL_MIN_INTERFACE_ELEMS` entries, else one per CPU this
-    process may use, at most 4.  Without ``config`` auto is the latter.
+    than :data:`POOL_MIN_INTERFACE_ELEMS` (500,000) entries, else one per
+    CPU this process may use, at most 4.  So ``desk`` (16,000 entries) and
+    the d = 6 ``deep`` geometry (200,000) run on one worker and ``paper``
+    (2,000,000) on the pool.  Without ``config`` auto is the latter.
     """
     raw = os.environ.get("TT_INHERIT_THREADS", "0").strip()
     try:

@@ -67,6 +67,7 @@ __all__ = [
     "alpha_i",
     "beta_i",
     "check_rank_preservation",
+    "row_sampling_factors",
     "check_row_sampling_bounds",
     "check_column_sampling_bounds",
 ]
@@ -235,11 +236,16 @@ def _sampling_factor(
     if svd is None:
         svd = unfolding_svd(t, k, rank_tol)
     if side == "W":
-        block = _row_sweep(t, kept, i, k, svd)
+        block = _row_sweep(t, kept, i, {k: svd})[k]
     else:
         block = svd.factor_rows(side, kept.zero_based())
-    N = kept.domain  # checked above
-    return float(np.sqrt(len(kept) / N) * pinv_spectral_norm(block, rank_tol))
+    return _scaled_pinv_norm(kept, block, rank_tol)
+
+
+def _scaled_pinv_norm(kept: IndexSet, block: np.ndarray, rank_tol: float) -> float:
+    """sqrt(|kept| / N) * ||block^+||_2 with N = ``kept.domain``, checked by
+    the caller: the one formula of every sampling factor."""
+    return float(np.sqrt(len(kept) / kept.domain) * pinv_spectral_norm(block, rank_tol))
 
 
 def alpha_it(
@@ -380,11 +386,50 @@ def validate_nested(t: TTTensor, nested: Sequence[IndexSet]) -> None:
         pool = I_i
 
 
+def row_sampling_factors(
+    t: TTTensor,
+    row_sets: Sequence[IndexSet],
+    rank_tol: float = DEFAULT_RANK_TOL,
+    parents: Sequence[UnfoldingReport] | None = None,
+) -> list[tuple[float, ...]]:
+    """alpha_{i,t} of rows ``row_sets[i - 1]`` for every level i and
+    t = 1..d-i, as ``factors[i - 1][t - 1]``, from one sweep of small QRs
+    per level.
+
+    Each level's sweep walks the left form's cores i+1..d-1 once and gives
+    every unfolding k >= i its rows (:func:`~ttinherit.tt._row_sweep`), so
+    each value is bitwise the :func:`alpha_it` of the same rows, and the
+    sets are checked as :func:`alpha_it` checks them (nesting is the bound
+    suites' concern).  Where :func:`alpha_it` raises
+    :class:`SingularityError` (the rows are not of full column rank) the
+    value is NaN.  alpha_i of level i >= 2 is ``factors[i - 2][1]``.
+    ``parents`` is as in :func:`check_row_sampling_bounds`.
+    """
+    if len(row_sets) != t.d - 1:
+        raise DomainError(f"need {t.d - 1} row index sets, got {len(row_sets)}")
+    for i, I_i in enumerate(row_sets, start=1):
+        _check_index_set(t, i, I_i, True, f"I_{i}")
+    if parents is None:
+        parents = tt_incoherence(t, rank_tol)
+    factors = []
+    for i, I_i in enumerate(row_sets, start=1):
+        blocks = _row_sweep(t, I_i, i, {k: parents[k - 1].svd for k in range(i, t.d)})
+        level = []
+        for k in range(i, t.d):
+            try:
+                level.append(_scaled_pinv_norm(I_i, blocks[k], rank_tol))
+            except SingularityError:
+                level.append(float("nan"))
+        factors.append(tuple(level))
+    return factors
+
+
 def check_row_sampling_bounds(
     t: TTTensor,
     nested: Sequence[IndexSet],
     rank_tol: float = DEFAULT_RANK_TOL,
     parents: Sequence[UnfoldingReport] | None = None,
+    alphas: Sequence[Sequence[float]] | None = None,
 ) -> list[InheritanceRecord]:
     """Verify the inheritance inequalities for every row-sampled subtensor.
 
@@ -398,24 +443,26 @@ def check_row_sampling_bounds(
 
     Records are ordered by (i, t).  A failed rank hypothesis flags the
     record and skips its checks instead of raising.  ``parents``, the
-    :func:`tt_incoherence` reports of ``t``, may be passed to share them
-    with the column suite.
+    :func:`tt_incoherence` reports of ``t``, and ``alphas``, the
+    :func:`row_sampling_factors` of ``t`` and ``nested``, may be passed to
+    share them with the column suite.
     """
     validate_nested(t, nested)
     if parents is None:
         parents = tt_incoherence(t, rank_tol)
+    if alphas is None:
+        alphas = row_sampling_factors(t, nested, rank_tol, parents)
     records = []
     for i in range(1, t.d):
-        I_i = nested[i - 1]
-        sub = row_restrict(t, i, I_i)
+        sub = row_restrict(t, i, nested[i - 1])
         for t_off in range(1, t.d - i + 1):
-            k = i + t_off - 1
-            parent = parents[k - 1]
-            try:
-                a = alpha_it(t, I_i, i, t_off, rank_tol, svd=parent.svd)
-                ssvd = unfolding_svd(sub, t_off, rank_tol)
-            except (SingularityError, RankZeroError):
-                a, ssvd = float("nan"), None
+            parent = parents[i + t_off - 2]  # unfolding k = i + t_off - 1
+            a, ssvd = alphas[i - 1][t_off - 1], None
+            if not np.isnan(a):
+                try:
+                    ssvd = unfolding_svd(sub, t_off, rank_tol)
+                except (SingularityError, RankZeroError):
+                    a = float("nan")
             if ssvd is None or ssvd.rank != parent.rank:
                 records.append(_record("alpha_it", i, t_off, a, parent))
                 continue
@@ -439,6 +486,7 @@ def check_column_sampling_bounds(
     J_sets: Sequence[IndexSet],
     rank_tol: float = DEFAULT_RANK_TOL,
     parents: Sequence[UnfoldingReport] | None = None,
+    alphas: Sequence[Sequence[float]] | None = None,
 ) -> list[InheritanceRecord]:
     """Verify the inheritance inequalities for every column submatrix.
 
@@ -454,8 +502,8 @@ def check_column_sampling_bounds(
 
     Returns, per level, an "alpha_i" record (i >= 2, carrying the row
     factor, no checks of its own) followed by a "beta_i" record carrying
-    the three inequalities.  ``parents`` is as in
-    :func:`check_row_sampling_bounds`.
+    the three inequalities.  ``parents`` and ``alphas`` are as in
+    :func:`check_row_sampling_bounds`; alpha_i is read from ``alphas``.
     """
     validate_nested(t, nested)
     if len(J_sets) != t.d - 1:
@@ -464,20 +512,22 @@ def check_column_sampling_bounds(
         _check_index_set(t, i, J, False, f"J_{i}")
     if parents is None:
         parents = tt_incoherence(t, rank_tol)
+    if alphas is None:
+        alphas = row_sampling_factors(t, nested, rank_tol, parents)
     records = []
     for i in range(1, t.d):
         parent = parents[i - 1]
         J = J_sets[i - 1]
         I_prev = nested[i - 2] if i >= 2 else IndexSet.full(1)
         rows = kron_extend(I_prev, t.shape[i - 1])
-        a = ALPHA_1 if i == 1 else float("nan")
-        b = float("nan")
-        try:
-            a = alpha_i(t, I_prev, i, rank_tol, svd=parent.svd)
-            b = beta_i(t, J, i, rank_tol, svd=parent.svd)
-            csvd = submatrix_svd(t, i, rows, J, rank_tol)
-        except (SingularityError, RankZeroError):
-            csvd = None
+        a = ALPHA_1 if i == 1 else alphas[i - 2][1]
+        b, csvd = float("nan"), None
+        if not np.isnan(a):
+            try:
+                b = beta_i(t, J, i, rank_tol, svd=parent.svd)
+                csvd = submatrix_svd(t, i, rows, J, rank_tol)
+            except (SingularityError, RankZeroError):
+                pass
         hypothesis_ok = csvd is not None and csvd.rank == parent.rank
         if i >= 2:
             records.append(_record("alpha_i", i, None, a, parent, rank_hypothesis_ok=hypothesis_ok))

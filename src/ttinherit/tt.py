@@ -39,7 +39,8 @@ constructor cache no interface.
 Sampled rows of W_k that nested row sets induce, I_i extended by every
 value of modes i+1..k, are never gathered: a sweep of small QRs from
 ``left_interface(A, i)[I_i]`` over the cores i+1..k of ``A`` gives a
-matrix of at most r_k rows with their singular values (:func:`_row_sweep`).
+matrix of at most r_k rows with their singular values (:func:`_row_sweep`),
+and one sweep serves every k of a level.
 
 Every factorization here is numpy's (``numpy.linalg.qr`` and, through
 :mod:`ttinherit.linalg`, ``numpy.linalg.svd``).  scipy is left to the dense
@@ -506,30 +507,38 @@ def row_restrict(t: TTTensor, i: int, I: IndexSet) -> TTTensor:
     return sub
 
 
-def _row_sweep(t: TTTensor, I: IndexSet, i: int, k: int, svd: ThinSVD) -> np.ndarray:
-    """A matrix of at most r'_k rows with the singular values of the rows of
-    ``svd.W`` that level-i rows ``I`` induce in unfolding k >= i (``I``
-    extended by every value of modes i+1..k), for ``svd`` the
-    :func:`unfolding_svd` of ``t`` at k: W = left_interface(A, k) @ U.
+def _row_sweep(t: TTTensor, I: IndexSet, i: int, svds: dict[int, ThinSVD]) -> dict[int, np.ndarray]:
+    """For each unfolding k >= i of ``svds``, a matrix of at most r'_k rows
+    with the singular values of the rows of ``svds[k].W`` that level-i rows
+    ``I`` induce in unfolding k (``I`` extended by every value of modes
+    i+1..k), for ``svds[k]`` the :func:`unfolding_svd` of ``t`` at k:
+    W = left_interface(A, k) @ U_k.
 
     Those rows are left_interface(A, i)[I] carried through cores i+1..k of
     the left form A; the sets are nested, as in TT-cross (Oseledets and
     Tyrtyshnikov, Linear Algebra Appl. 432, 2010).  A QR of
     left_interface(A, i)[I], then one QR of :func:`_left_step` per core,
-    leaves R equal to the rows up to an orthonormal factor, and the
-    result is ``R @ U``.  After the first QR, of the |I| sampled rows, no
-    QR has more than r'_{j-1} n_j rows.  An ``svd`` whose W has another
-    basis raises :class:`DomainError`.
+    leaves after core k an R_k equal to the rows up to an orthonormal
+    factor, and the result at k is ``R_k @ U_k``.  One walk up to the
+    largest k serves every k, so each R_k is the same whichever others are
+    asked for.  After the first QR, of the |I| sampled rows, no QR has
+    more than r'_{j-1} n_j rows.  An SVD whose W has another basis raises
+    :class:`DomainError`.
     """
     A, _ = left_orthogonal_form(t)
-    L_k = A._interfaces[0].get(k)
-    if L_k is None or not np.may_share_memory(svd.basis("W"), L_k):
-        raise DomainError(f"svd is not unfolding_svd of this tensor at {k}")
+    for k, svd in svds.items():
+        L_k = A._interfaces[0].get(k)
+        if L_k is None or not np.may_share_memory(svd.basis("W"), L_k):
+            raise DomainError(f"svd is not unfolding_svd of this tensor at {k}")
     # L_k(A) is built, so L_i(A), a step of its chain, is within the cap
     R = np.linalg.qr(_interface(A, 0, i, _left_chain, i)[I.zero_based()], mode="r")
-    for core in A.cores[i:k]:
-        R = np.linalg.qr(_left_step(R, core), mode="r")
-    return svd.rotate("W", R)
+    blocks = {}
+    for k in range(i, max(svds) + 1):
+        if k > i:
+            R = np.linalg.qr(_left_step(R, A.cores[k - 1]), mode="r")
+        if k in svds:
+            blocks[k] = svds[k].rotate("W", R)
+    return blocks
 
 
 def column_submatrix(

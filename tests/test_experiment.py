@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,6 +71,16 @@ def test_param_grid_two_modes_and_errors():
 
 
 # ---------------------------------------------------------------- configuration
+
+
+def _deep_geometry(**overrides):
+    """The deep workload's geometry: 10^6 of ranks (2,3,4,3,2), sample sizes
+    equal to the ranks and 200 redraws, then ``overrides``."""
+    ranks = (2, 3, 4, 3, 2)
+    return ExperimentConfig(
+        shape=(10,) * 6, ranks=ranks, generators=KINDS, trials=20, master_seed=42,
+        sample_sizes_I=ranks, sample_sizes_J=ranks, max_resample=200,
+    ).replace(**overrides)
 
 
 def _small_config(**overrides):
@@ -391,6 +402,25 @@ def test_run_trial_gathers_no_more_rows_than_a_sample_and_reads_each_basis_once(
     assert sub.factor_max_row_norm("V") == parent.factor_max_row_norm("V")
 
 
+def test_run_trial_sweeps_each_sampled_level_once(monkeypatch):
+    # every alpha_{i,t} of level i, and alpha_{i+1} = alpha_{i,2}, come from
+    # one walk from I_i over the cores after i: 5 sweeps per d = 6 trial,
+    # not one per value (15 alpha_{i,t} and 4 alpha_i)
+    cfg = _deep_geometry(shape=(3,) * 6, trials=1)
+    want = run_trial(cfg, "gaussian", 0)
+    sweeps = []
+    real = tt_mod._row_sweep
+
+    def counted(t, I, i, svds):
+        sweeps.append((i, tuple(svds)))
+        return real(t, I, i, svds)
+
+    monkeypatch.setattr(properties_mod, "_row_sweep", counted)
+    got = run_trial(cfg, "gaussian", 0)
+    assert got.values == want.values and got.bound_pass == want.bound_pass
+    assert sweeps == [(i, tuple(range(i, 6))) for i in range(1, 6)]
+
+
 def test_run_trial_is_deterministic():
     cfg = _small_config()
     a = run_trial(cfg, "hadamard", 1)
@@ -492,6 +522,31 @@ def test_run_experiment_thread_count_does_not_change_values(monkeypatch):
     ]
     for a, b in zip(serial.results, threaded.results):
         assert a.values == b.values
+        assert a.bound_pass == b.bound_pass
+        assert a.resamples == b.resamples
+
+
+def test_a_d6_run_with_sample_sizes_equal_to_the_ranks_is_the_same_on_any_worker_count(
+    monkeypatch,
+):
+    # the auto rule runs deep-like geometries on one worker; a pool of two
+    # must still give the same values, passes and redraws
+    cfg = _deep_geometry(shape=(3,) * 6, trials=2)
+    runs = []
+    for raw in ("1", "2"):
+        monkeypatch.setenv("TT_INHERIT_THREADS", raw)
+        runs.append(run_experiment(cfg, write=False))
+    serial, pooled = runs
+    assert pooled.threads["workers"] == 2
+    assert serial.failures == pooled.failures
+    assert [(r.generator, r.trial) for r in serial.results] == [
+        (r.generator, r.trial) for r in pooled.results
+    ]
+    assert len(serial.results) == 6
+    for a, b in zip(serial.results, pooled.results):
+        assert list(a.values) == list(b.values)
+        # bitwise, NaN where a level's rank hypothesis failed on both
+        np.testing.assert_array_equal(list(a.values.values()), list(b.values.values()))
         assert a.bound_pass == b.bound_pass
         assert a.resamples == b.resamples
 
@@ -600,20 +655,14 @@ def test_resolve_workers_counts_the_cpus_the_process_may_use(monkeypatch):
         assert resolve_workers() == workers
 
 
-def _deep_geometry(**overrides):
-    return ExperimentConfig(
-        shape=(10,) * 6, ranks=(2, 3, 4, 3, 2), generators=KINDS, trials=20, master_seed=42
-    ).replace(**overrides)
-
-
 # (config builder, largest interface in entries, workers when auto on 8 CPUs);
-# 31^4 and 32^4 sit just below and at POOL_MIN_INTERFACE_ELEMS = 2^16
+# 50^3 x 99 and 50^3 x 100 sit just below and at POOL_MIN_INTERFACE_ELEMS
 WORKER_RULE_CASES = {
     "desk": (desk_preset, 16_000, 1),
     "paper": (paper_preset, 2_000_000, 4),
-    "deep": (_deep_geometry, 200_000, 4),
-    "31^4": (lambda **kw: desk_preset(shape=(31,) * 4, **kw), 59_582, 1),
-    "32^4": (lambda **kw: desk_preset(shape=(32,) * 4, **kw), 65_536, 4),
+    "deep": (_deep_geometry, 200_000, 1),
+    "50^3x99": (lambda **kw: desk_preset(shape=(50, 50, 50, 99), **kw), 495_000, 1),
+    "50^3x100": (lambda **kw: desk_preset(shape=(50, 50, 50, 100), **kw), 500_000, 4),
 }
 
 
@@ -646,6 +695,31 @@ def test_auto_workers_follow_the_largest_interface(monkeypatch, tmp_path, case):
             out = run_experiment(cfg, write=True)
         doc = json.loads((tmp_path / "summary.json").read_text())
         assert pools[-1] == out.threads["workers"] == doc["threads"]["workers"] == want
+
+
+BREAK_EVEN = Path(__file__).resolve().parent.parent / "BENCH_pool_break_even.json"
+
+
+def test_auto_workers_pick_the_side_that_won_the_committed_crossover_sweep(monkeypatch):
+    # a row is decided where the pool's speed-up (one-worker over two-worker
+    # median) lies farther from 1 than the interquartile range of its
+    # alternating pairs' ratios; auto must run the pool exactly where it won
+    doc = json.loads(BREAK_EVEN.read_text())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)  # its 2 vCPU
+    monkeypatch.delenv("TT_INHERIT_THREADS", raising=False)
+    decided = {1: 0, 2: 0}
+    for row in doc["sweep"]["rows"] + doc["confirmation"]["rows"]:
+        cfg = ExperimentConfig(
+            shape=row["shape"], ranks=row["ranks"], generators=KINDS, trials=1, master_seed=0
+        )
+        assert experiment_mod.largest_interface_elems(cfg) == row["largest_interface_elems"]
+        speedup, noise = row["pool_speedup"], row["pair_speedup"]["iqr"]
+        if abs(speedup - 1) <= noise:
+            continue
+        winner = 2 if speedup > 1 else 1
+        decided[winner] += 1
+        assert resolve_workers(cfg) == winner, (row["shape"], row["ranks"], speedup)
+    assert decided[1] >= 10 and decided[2] >= 4
 
 
 # ---------------------------------------------------------------- BLAS threads

@@ -29,6 +29,7 @@ from ttinherit import (
     pinv_spectral_norm,
     right_interface,
     row_restrict,
+    row_sampling_factors,
     submatrix_svd,
     thin_svd,
     to_dense,
@@ -611,6 +612,76 @@ def test_alpha_it_from_the_sweep_matches_the_gathered_rows(case):
                     alpha_it(t, I_i, i, k - i + 1, svd=svds[k - 1])
                 continue
             assert rel_err(alpha_it(t, I_i, i, k - i + 1, svd=svds[k - 1]), want) <= 1e-12, (i, k)
+
+
+# the geometries of the test above
+@example(("gaussian", (3, 2), (2,), 5, (2,), (2,), False))
+@example(("hadamard", (2, 3, 2, 3, 2), (2, 3, 3, 2), 6, (2, 3, 3, 2), (2, 3, 3, 2), False))
+@example(("uniform", (3, 3, 2, 2, 3), (2, 2, 2, 2), 7, (2, 2, 2, 2), (2, 2, 2, 2), False))
+@example(("gaussian", (4, 3, 3, 2), (2, 3, 2), 71, (2, 6, 4), (2, 3, 2), True))
+@settings(max_examples=60, deadline=None)
+@given(_sampled_geometries())
+def test_one_sweep_per_level_gives_bitwise_the_alpha_it_of_every_unfolding(case):
+    kind, shape, ranks, seed, sizes_I, sizes_J, make_coherent = case
+    try:
+        t = make_tt(kind, shape, ranks, seed)
+        if make_coherent:
+            t = coherent(t)
+        I_sets, _, svds = sample_valid_sets(t, sizes_I, sizes_J, seed)
+    except (GenerationError, TrialError):
+        reject()
+    factors = row_sampling_factors(t, I_sets)
+    assert [len(level) for level in factors] == list(range(t.d - 1, 0, -1))
+    for i, I_i in enumerate(I_sets, start=1):
+        for t_off, got in enumerate(factors[i - 1], start=1):
+            try:
+                want = alpha_it(t, I_i, i, t_off, svd=svds[i + t_off - 2])
+            except SingularityError:
+                assert np.isnan(got), (i, t_off)
+                continue
+            assert got == want, (i, t_off)  # the same QRs, bit for bit
+
+
+def test_both_suites_read_alpha_from_the_row_sweep():
+    t = make_tt("gaussian", (4, 3, 3, 2), (2, 3, 2), seed=71)
+    I_sets, J_sets, _ = sample_valid_sets(t, (2, 6, 4), (2, 3, 2), seed=71)
+    alphas = row_sampling_factors(t, I_sets)
+    for own, shared in (
+        (check_row_sampling_bounds(t, I_sets), check_row_sampling_bounds(t, I_sets, alphas=alphas)),
+        (
+            check_column_sampling_bounds(t, I_sets, J_sets),
+            check_column_sampling_bounds(t, I_sets, J_sets, alphas=alphas),
+        ),
+    ):
+        assert [(r.label, r.value, r.satisfied) for r in shared] == [
+            (r.label, r.value, r.satisfied) for r in own
+        ]
+    assert [r.value for r in check_row_sampling_bounds(t, I_sets, alphas=alphas)] == [
+        a for level in alphas for a in level
+    ]
+    cols = check_column_sampling_bounds(t, I_sets, J_sets, alphas=alphas)
+    assert {r.label: r.value for r in cols if r.kind == "alpha_i"} == {
+        "alpha_2": alphas[0][1],
+        "alpha_3": alphas[1][1],
+    }
+    # a NaN alpha_{2,2}, rows short of rank, fails level 3 and reads no beta_3
+    alphas[1] = (alphas[1][0], float("nan"))
+    by_label = {r.label: r for r in check_column_sampling_bounds(t, I_sets, J_sets, alphas=alphas)}
+    for label in ("alpha_3", "beta_3"):
+        assert np.isnan(by_label[label].value)
+        assert not by_label[label].rank_hypothesis_ok
+    assert by_label["beta_2"].rank_hypothesis_ok
+
+
+def test_row_sampling_factors_refuses_sets_of_the_wrong_count_or_domain():
+    t = make_tt("gaussian", (4, 3, 3, 2), (2, 3, 2), seed=71)
+    I_sets, _, _ = sample_valid_sets(t, (2, 6, 4), (2, 3, 2), seed=71)
+    with pytest.raises(DomainError, match="need 3 row index sets"):
+        row_sampling_factors(t, I_sets[:2])
+    with pytest.raises(DomainError, match="I_1 domain 12"):
+        row_sampling_factors(t, [I_sets[1]] + I_sets[1:])
+    with pytest.raises(DomainError, match="I_3 must be nonempty"):
+        row_sampling_factors(t, I_sets[:2] + [IndexSet([], 36)])
 
 
 def test_a_coherent_tensor_is_redrawn_and_agrees_with_the_dense_oracle():
