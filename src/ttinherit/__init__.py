@@ -55,7 +55,6 @@ from .tt import (
     tt_rank_numerical,
     tt_svd_from_dense,
     unfolding_svd,
-    validate,
 )
 from .container import load_tt, save_tt
 from .properties import (
@@ -122,7 +121,6 @@ __all__ = [
     "condition_number",
     # tt + container
     "TTTensor",
-    "validate",
     "entry",
     "to_dense",
     "left_interface",

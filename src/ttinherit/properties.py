@@ -177,7 +177,7 @@ def incoherence(svd: ThinSVD) -> IncoherencePair:
     ``ThinSVD`` has already checked its factors, so each factor's largest
     row norm is that of its orthonormal basis wherever the rotation is
     square: an SVD from :func:`~ttinherit.tt.unfolding_svd` reads it from
-    the form's cache, made in one pass per interface, so the parent's V_k
+    the form's memo, made in one pass per interface, so the parent's V_k
     and V_t of a row-sampled subtensor give the same float.  Under a
     rotation that is not square (numerical rank below the form's rank) the
     basis is read rotated, block by block
@@ -208,40 +208,6 @@ def tt_incoherence(t: TTTensor, rank_tol: float = DEFAULT_RANK_TOL) -> list[Unfo
     return [unfolding_report(i, unfolding_svd(t, i, rank_tol)) for i in range(1, t.d)]
 
 
-def _sampling_factor(
-    t: TTTensor,
-    kept: IndexSet,
-    i: int,
-    k: int,
-    side: str,
-    rank_tol: float,
-    svd: ThinSVD | None,
-) -> float:
-    """sqrt(|kept| / N) * ||F(rows, :)^+||_2, the construction behind
-    alpha_it, alpha_i and beta_i, with ``svd`` :func:`unfolding_svd` of
-    unfolding k (made here when None).
-
-    ``side`` "W": ``kept`` are rows of unfolding i, N = prod(n_1..n_i), F is
-    the left factor W_k, and ``rows`` are ``kept`` extended by the full modes
-    i+1..k.  Those rows are never gathered: a sweep of small QRs over the
-    left form's cores gives a matrix of at most r_k rows with their
-    singular values (:func:`~ttinherit.tt._row_sweep`).  ``side`` "V":
-    ``kept`` are columns of unfolding i = k, N = prod(n_{i+1}..n_d), F is
-    the right factor V_k, and ``rows`` = ``kept``, read as they are.
-    """
-    i, k = _check_position(t, i), _check_position(t, k)
-    if k < i:
-        raise DomainError(f"need level i <= unfolding k, got i={i}, k={k}")
-    _check_index_set(t, i, kept, side == "W", "I_i" if side == "W" else "J_i")
-    if svd is None:
-        svd = unfolding_svd(t, k, rank_tol)
-    if side == "W":
-        block = _row_sweep(t, kept, i, {k: svd})[k]
-    else:
-        block = svd.factor_rows(side, kept.zero_based())
-    return _scaled_pinv_norm(kept, block, rank_tol)
-
-
 def _scaled_pinv_norm(kept: IndexSet, block: np.ndarray, rank_tol: float) -> float:
     """sqrt(|kept| / N) * ||block^+||_2 with N = ``kept.domain``, checked by
     the caller: the one formula of every sampling factor."""
@@ -254,20 +220,25 @@ def alpha_it(
     i: int,
     t_off: int,
     rank_tol: float = DEFAULT_RANK_TOL,
-    svd: ThinSVD | None = None,
 ) -> float:
     """Row-sampling factor of unfolding k = i + t_off - 1 for level-i rows I_i.
 
     Equals sqrt(|I_i| / prod(n_1..n_i)) times the spectral norm of the
     pseudoinverse of W_k restricted to the rows induced by I_i (I_i
-    extended by every value of modes i+1..k).  It is 1 under full sampling
-    and >= sqrt(|I_i| / prod(n_1..n_i)) always.  Those rows' singular
-    values come from a sweep of small QRs from left_interface(A, i)[I_i]
-    over the left form's cores i+1..k, so no row of W_k is read.
-    ``unfolding_svd(t, k)`` may be passed as ``svd`` to avoid recomputing
-    it; an SVD with another basis raises :class:`DomainError`.
+    extended by every value of modes i+1..k), W_k from
+    ``unfolding_svd(t, k)``.  It is 1 under full sampling and
+    >= sqrt(|I_i| / prod(n_1..n_i)) always.  Those rows' singular values
+    come from a sweep of small QRs from left_interface(A, i)[I_i] over the
+    left form's cores i+1..k (:func:`~ttinherit.tt._row_sweep`), so no row
+    of W_k is read.
     """
-    return _sampling_factor(t, I_i, i, i + _integer(t_off) - 1, "W", rank_tol, svd)
+    k = i + _integer(t_off) - 1
+    i, k = _check_position(t, i), _check_position(t, k)
+    if k < i:
+        raise DomainError(f"need level i <= unfolding k, got i={i}, k={k}")
+    _check_index_set(t, i, I_i, True, "I_i")
+    block = _row_sweep(t, I_i, i, {k: unfolding_svd(t, k, rank_tol)})[k]
+    return _scaled_pinv_norm(I_i, block, rank_tol)
 
 
 def alpha_i(
@@ -275,7 +246,6 @@ def alpha_i(
     I_prev: IndexSet | None,
     i: int,
     rank_tol: float = DEFAULT_RANK_TOL,
-    svd: ThinSVD | None = None,
 ) -> float:
     """Row factor entering the column-submatrix bounds at level i.
 
@@ -291,7 +261,14 @@ def alpha_i(
         return ALPHA_1
     if I_prev is None:
         raise DomainError("I_prev is required for i >= 2")
-    return alpha_it(t, I_prev, i - 1, 2, rank_tol, svd=svd)
+    return alpha_it(t, I_prev, i - 1, 2, rank_tol)
+
+
+def _beta(J_i: IndexSet, svd: ThinSVD, rank_tol: float) -> float:
+    """beta_i of columns ``J_i``, checked by the caller, from ``svd``, the
+    :func:`unfolding_svd` of unfolding i: its rows J_i of V_i, read as
+    they are."""
+    return _scaled_pinv_norm(J_i, svd.factor_rows("V", J_i.zero_based()), rank_tol)
 
 
 def beta_i(
@@ -299,14 +276,15 @@ def beta_i(
     J_i: IndexSet,
     i: int,
     rank_tol: float = DEFAULT_RANK_TOL,
-    svd: ThinSVD | None = None,
 ) -> float:
     """Column-sampling factor at level i.
 
     sqrt(|J_i| / prod(n_{i+1}..n_d)) times the pseudoinverse norm of the
     right singular factor V_i restricted to rows J_i; 1 under full sampling.
     """
-    return _sampling_factor(t, J_i, i, i, "V", rank_tol, svd)
+    i = _check_position(t, i)
+    _check_index_set(t, i, J_i, False, "J_i")
+    return _beta(J_i, unfolding_svd(t, i, rank_tol), rank_tol)
 
 
 @dataclass(frozen=True)
@@ -386,6 +364,20 @@ def validate_nested(t: TTTensor, nested: Sequence[IndexSet]) -> None:
         pool = I_i
 
 
+def _check_shared(
+    t: TTTensor,
+    parents: Sequence[UnfoldingReport] | None,
+    alphas: Sequence[Sequence[float]] | None = None,
+) -> None:
+    """Refuse ``parents`` unless it holds the reports of unfoldings 1..d-1
+    in order, and ``alphas`` unless it holds d - 1 levels, level i of d - i
+    values; None passes, as it means "compute them here"."""
+    if parents is not None and [p.i for p in parents] != list(range(1, t.d)):
+        raise DomainError(f"parents must report unfoldings 1..{t.d - 1} in order")
+    if alphas is not None and [len(level) for level in alphas] != list(range(t.d - 1, 0, -1)):
+        raise DomainError(f"alphas must hold {t.d - 1} levels, level i of {t.d} - i values")
+
+
 def row_sampling_factors(
     t: TTTensor,
     row_sets: Sequence[IndexSet],
@@ -409,6 +401,7 @@ def row_sampling_factors(
         raise DomainError(f"need {t.d - 1} row index sets, got {len(row_sets)}")
     for i, I_i in enumerate(row_sets, start=1):
         _check_index_set(t, i, I_i, True, f"I_{i}")
+    _check_shared(t, parents)
     if parents is None:
         parents = tt_incoherence(t, rank_tol)
     factors = []
@@ -445,9 +438,11 @@ def check_row_sampling_bounds(
     record and skips its checks instead of raising.  ``parents``, the
     :func:`tt_incoherence` reports of ``t``, and ``alphas``, the
     :func:`row_sampling_factors` of ``t`` and ``nested``, may be passed to
-    share them with the column suite.
+    share them with the column suite; either is refused with
+    :class:`DomainError` unless it has one entry per unfolding or level.
     """
     validate_nested(t, nested)
+    _check_shared(t, parents, alphas)
     if parents is None:
         parents = tt_incoherence(t, rank_tol)
     if alphas is None:
@@ -510,6 +505,7 @@ def check_column_sampling_bounds(
         raise DomainError(f"need {t.d - 1} column index sets, got {len(J_sets)}")
     for i, J in enumerate(J_sets, start=1):
         _check_index_set(t, i, J, False, f"J_{i}")
+    _check_shared(t, parents, alphas)
     if parents is None:
         parents = tt_incoherence(t, rank_tol)
     if alphas is None:
@@ -524,7 +520,7 @@ def check_column_sampling_bounds(
         b, csvd = float("nan"), None
         if not np.isnan(a):
             try:
-                b = beta_i(t, J, i, rank_tol, svd=parent.svd)
+                b = _beta(J, parent.svd, rank_tol)
                 csvd = submatrix_svd(t, i, rows, J, rank_tol)
             except (SingularityError, RankZeroError):
                 pass

@@ -26,15 +26,15 @@ Its singular factors stay factored, ``W_i = left_interface(A, i) @ U`` and
 orthonormality is checked on Grams carried through the cores of ``A`` and
 ``B`` (O(d n r^3)), so making the SVD reads no interface row at all.
 
-The interfaces of ``A`` and ``B``, their Grams and their largest row
-norms are cached on them, read-only, when first built, so every check of
-a tensor reads each interface built once, and the caches live and die
-with the form tensors.  A rotation that is square is orthogonal, so the
-largest row norm of a singular factor is that of its interface, read in
-one unrotated pass per interface.  A subtensor from :func:`row_restrict`
-shares ``B``'s trailing cores and so also its caches of right
-interfaces, Grams and row norms.  Tensors from the :class:`TTTensor`
-constructor cache no interface.
+Each of ``A`` and ``B`` keeps one memo per side, a dict in which its
+interfaces, their Grams and their largest row norms are kept, read-only,
+when first built (keys ``("Q", k)``, ``("G", k)``, ``("norm", k)``), so
+every check of a tensor reads each interface built once, and the memo
+lives and dies with the form tensor.  A rotation that is square is
+orthogonal, so the largest row norm of a singular factor is that of its
+interface, read in one unrotated pass per interface.  A subtensor from
+:func:`row_restrict` shares ``B``'s trailing cores and so also its right
+memo.  Tensors from the :class:`TTTensor` constructor keep no memo.
 
 Sampled rows of W_k that nested row sets induce, I_i extended by every
 value of modes i+1..k, are never gathered: a sweep of small QRs from
@@ -61,7 +61,6 @@ __all__ = [
     "DENSE_CAP",
     "INTERFACE_ELEM_CAP",
     "TTTensor",
-    "validate",
     "entry",
     "to_dense",
     "left_interface",
@@ -117,29 +116,26 @@ class TTTensor:
     the *declared* ranks (core widths); see
     :func:`tt_rank_numerical` for the numerical ones.  The orthogonal forms
     (:func:`left_orthogonal_form`, :func:`right_orthogonal_form`) are cached
-    on the tensor once built, and their interfaces and Grams on the forms.
+    on the tensor once built, and their interfaces and Grams in the forms' memos.
     """
 
-    __slots__ = ("cores", "shape", "ranks", "_forms", "_interfaces", "_grams", "_row_norms")
+    __slots__ = ("cores", "shape", "ranks", "_forms", "_memo")
 
     def __init__(self, cores):
         cores = tuple(np.array(c, dtype=np.float64, order="C", copy=True) for c in cores)
         shape, ranks = _validate_cores(cores)
-        self._set(cores, shape, ranks, None, None, None)
+        self._set(cores, shape, ranks, None)
 
-    def _set(self, cores, shape, ranks, interfaces, grams, row_norms) -> None:
+    def _set(self, cores, shape, ranks, memo) -> None:
         for c in cores:
             c.setflags(write=False)
         object.__setattr__(self, "cores", cores)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "ranks", ranks)
         object.__setattr__(self, "_forms", [None, None])  # [(A, S), (B, T)]
-        # None, or ({i: L_i}, {d - i: R_i}): built interfaces of a form tensor
-        object.__setattr__(self, "_interfaces", interfaces)
-        # None, or ({i: L_i^T L_i}, {d - i: R_i^T R_i}): Grams of a form tensor
-        object.__setattr__(self, "_grams", grams)
-        # None, or ({i: max_row_norm(L_i)}, {d - i: max_row_norm(R_i)}), likewise
-        object.__setattr__(self, "_row_norms", row_norms)
+        # None, or (left, right) dicts of a form tensor, keyed by what is
+        # kept and by i on the left, d - i on the right (see _memoized)
+        object.__setattr__(self, "_memo", memo)
 
     def __setattr__(self, name, value):
         raise AttributeError("TTTensor is immutable")
@@ -154,16 +150,6 @@ class TTTensor:
 
     def __repr__(self) -> str:
         return f"TTTensor(shape={self.shape}, ranks={self.ranks})"
-
-
-def validate(t) -> tuple[int, ...]:
-    """Validate a TTTensor or a raw core sequence; return the declared ranks."""
-    if isinstance(t, TTTensor):
-        _, ranks = _validate_cores(t.cores)
-        return ranks
-    cores = tuple(np.asarray(c, dtype=np.float64) for c in t)
-    _, ranks = _validate_cores(cores)
-    return ranks
 
 
 def entry(t: TTTensor, multi) -> float:
@@ -227,21 +213,26 @@ def _check_capacity(cores, i: int, left: bool, max_elems: int) -> None:
         raise CapacityError(f"interface matrix would hold {most} elements (cap {max_elems})")
 
 
-def _left_chain(cores, upto: int) -> np.ndarray:
-    """Contract cores[0:upto] into the (prod n_j) x r_upto interface matrix.
+def _left_step(L: np.ndarray, core: np.ndarray) -> np.ndarray:
+    """X[p + P*j, b] = sum_a L[p, a] * core[a, j, b], column-major: for L a
+    left interface, or some of its rows up to an orthonormal factor on the
+    left, those rows extended by the core's mode in the next interface.
 
-    The recurrence L_k[p + P*j, b] = sum_a L_{k-1}[p, a] * cores[k][a, j, b]
-    is one GEMM per step: with the core laid out C-contiguous as
-    M[b*n + j, a], the product M @ L.T is a C-ordered (r_out*n, P) array
-    whose reshape to (r_out, n*P) and transpose is the F-ordered
-    (P*n, r_out) interface, with no copy.
+    One GEMM: with the core laid out C-contiguous as M[b*n + j, a], the
+    product M @ L.T is a C-ordered (r_out*n, P) array whose reshape to
+    (r_out, n*P) and transpose is the F-ordered (P*n, r_out) result, with
+    no copy.
     """
+    r_in, n, r_out = core.shape
+    M = np.ascontiguousarray(core.transpose(2, 1, 0)).reshape(r_out * n, r_in)
+    return (M @ L.T).reshape(r_out, n * L.shape[0]).T
+
+
+def _left_chain(cores, upto: int) -> np.ndarray:
+    """Contract cores[0:upto] into the (prod n_j) x r_upto interface matrix."""
     L = cores[0][0]  # (n_1, r_1)
     for k in range(1, upto):
-        core = cores[k]
-        r_in, n, r_out = core.shape
-        M = np.ascontiguousarray(core.transpose(2, 1, 0)).reshape(r_out * n, r_in)
-        L = (M @ L.T).reshape(r_out, n * L.shape[0]).T
+        L = _left_step(L, cores[k])
     return L
 
 
@@ -258,18 +249,20 @@ def _right_chain(cores, i: int) -> np.ndarray:
     return R
 
 
-def _interface(t: TTTensor, side: int, key: int, chain, i: int) -> np.ndarray:
-    """``chain(t.cores, i)``, kept read-only in the tensor's interface cache
-    under ``key`` when the tensor has one (it is a form tensor)."""
-    if t._interfaces is None:
-        return chain(t.cores, i)
-    cache = t._interfaces[side]
-    X = cache.get(key)
-    if X is None:
-        X = chain(t.cores, i)
-        X.setflags(write=False)
-        cache[key] = X
-    return X
+def _memoized(t: TTTensor, side: int, key: tuple, build, *args):
+    """``build(*args)``, kept in the memo of ``t`` on ``side`` (0 left,
+    1 right) under ``key`` and built only on first use, when ``t`` has a
+    memo (it is a form tensor); an array is kept read-only."""
+    if t._memo is None:
+        return build(*args)
+    memo = t._memo[side]
+    value = memo.get(key)
+    if value is None:
+        value = build(*args)
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        memo[key] = value
+    return value
 
 
 def left_interface(t: TTTensor, i: int, max_elems: int = INTERFACE_ELEM_CAP) -> np.ndarray:
@@ -280,7 +273,7 @@ def left_interface(t: TTTensor, i: int, max_elems: int = INTERFACE_ELEM_CAP) -> 
     """
     i = _check_position(t, i)
     _check_capacity(t.cores, i, True, max_elems)
-    return _interface(t, 0, i, _left_chain, i)
+    return _memoized(t, 0, ("Q", i), _left_chain, t.cores, i)
 
 
 def right_interface(t: TTTensor, i: int, max_elems: int = INTERFACE_ELEM_CAP) -> np.ndarray:
@@ -288,58 +281,44 @@ def right_interface(t: TTTensor, i: int, max_elems: int = INTERFACE_ELEM_CAP) ->
 
     On a tensor of :func:`right_orthogonal_form` the result is built once,
     cached and read-only, keyed by the d - i trailing cores it contracts; a
-    subtensor of :func:`row_restrict` shares those cores and that cache.
+    subtensor of :func:`row_restrict` shares those cores and that memo.
     """
     i = _check_position(t, i)
     _check_capacity(t.cores, i, False, max_elems)
-    return _interface(t, 1, t.d - i, _right_chain, i)
+    return _memoized(t, 1, ("Q", t.d - i), _right_chain, t.cores, i)
 
 
-def _form_gram(t: TTTensor, side: int, key: int) -> np.ndarray:
-    """``Q.T @ Q`` of the interface Q that the form tensor ``t`` caches under
-    ``(side, key)``, carried through the cores instead of read from Q.
+def _gram(t: TTTensor, side: int, key: int) -> np.ndarray:
+    """``Q.T @ Q`` of the interface Q of the form tensor ``t`` on ``side``
+    under ``key``, carried through the cores instead of read from Q.
 
     On the left, G_i = sum_j A_i[:, j, :].T @ G_{i-1} @ A_i[:, j, :] from
     G_0 = [[1]]; on the right, the mirror over the ``key`` trailing cores.
-    Each step costs O(n r^3), not a pass over the interface's rows.  Kept
-    read-only in the tensor's Gram cache, which a subtensor of
-    :func:`row_restrict` shares on the right like the interface cache.
+    Each step costs O(n r^3), not a pass over the interface's rows.
     """
-    grams = t._grams[side]
-    G = grams.get(key)
-    if G is None:
-        prev = _form_gram(t, side, key - 1) if key > 1 else np.ones((1, 1))
-        if side == 0:
-            core = t.cores[key - 1]
-            r_in, n, r_out = core.shape
-            # X[a, j, d] = sum_c prev[a, c] core[c, j, d]; G = sum_{a, j} core * X
-            X = prev @ core.reshape(r_in, n * r_out)
-            G = core.reshape(r_in * n, r_out).T @ X.reshape(r_in * n, r_out)
-        else:
-            core = t.cores[t.d - key]
-            r_out, n, r_in = core.shape
-            # X[a, j, d] = sum_c core[a, j, c] prev[c, d]; G = sum_{j, d} X * core
-            X = core.reshape(r_out * n, r_in) @ prev
-            G = X.reshape(r_out, n * r_in) @ core.reshape(r_out, n * r_in).T
-        G.setflags(write=False)
-        grams[key] = G
-    return G
+    prev = _form_gram(t, side, key - 1) if key > 1 else np.ones((1, 1))
+    if side == 0:
+        core = t.cores[key - 1]
+        r_in, n, r_out = core.shape
+        # X[a, j, d] = sum_c prev[a, c] core[c, j, d]; G = sum_{a, j} core * X
+        X = prev @ core.reshape(r_in, n * r_out)
+        return core.reshape(r_in * n, r_out).T @ X.reshape(r_in * n, r_out)
+    core = t.cores[t.d - key]
+    r_out, n, r_in = core.shape
+    # X[a, j, d] = sum_c core[a, j, c] prev[c, d]; G = sum_{j, d} X * core
+    X = core.reshape(r_out * n, r_in) @ prev
+    return X.reshape(r_out, n * r_in) @ core.reshape(r_out, n * r_in).T
 
 
-def _form_row_norm(t: TTTensor, side: int, key: int, Q: np.ndarray) -> float:
-    """:func:`~ttinherit.linalg.max_row_norm` of ``Q``, the interface the
-    form tensor ``t`` caches under ``(side, key)``, kept in the row-norm
-    cache, which :func:`row_restrict` shares on the right like the Grams."""
-    norms = t._row_norms[side]
-    if key not in norms:
-        norms[key] = max_row_norm(Q)
-    return norms[key]
+def _form_gram(t: TTTensor, side: int, key: int) -> np.ndarray:
+    """:func:`_gram`, kept in the form tensor's memo under ``("G", key)``."""
+    return _memoized(t, side, ("G", key), _gram, t, side, key)
 
 
 def _form_tensor(cores, shares: TTTensor | None = None) -> TTTensor:
     """A TTTensor over cores this module built from a validated chain, with
-    interface, Gram and row-norm caches whose right halves are those of
-    ``shares``, a form tensor with the same trailing cores, when given.
+    a memo whose right half is that of ``shares``, a form tensor with the
+    same trailing cores, when given.
 
     Skips the constructor's copy and checks, which a sweep step would
     otherwise pay once per core.
@@ -349,9 +328,7 @@ def _form_tensor(cores, shares: TTTensor | None = None) -> TTTensor:
         tuple(cores),
         Shape([c.shape[1] for c in cores]),
         tuple(c.shape[2] for c in cores[:-1]),
-        ({}, {} if shares is None else shares._interfaces[1]),
-        ({}, {} if shares is None else shares._grams[1]),
-        ({}, {} if shares is None else shares._row_norms[1]),
+        ({}, {} if shares is None else shares._memo[1]),
     )
     return t
 
@@ -365,13 +342,6 @@ def _qr(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     Q, R = np.linalg.qr(X)
     return np.asfortranarray(Q), R
-
-
-def _left_step(R: np.ndarray, core: np.ndarray) -> np.ndarray:
-    """X[a + q*j, b] = sum_c R[a, c] * core[c, j, b], column-major: for R of
-    some rows of a left interface, those rows extended by the core's mode
-    in the next interface, up to an orthonormal factor on the left."""
-    return np.matmul(core.transpose(2, 1, 0), R.T).reshape(core.shape[2], -1).T
 
 
 def _left_core(Q: np.ndarray, n: int) -> np.ndarray:
@@ -416,7 +386,7 @@ def _right_form(
     """``(B, T)`` for a tensor whose first core is ``first``, given the
     orthonormal cores 2..d of ``B``, the factors ``T`` of its right sweep
     and, when ``tail`` comes from another form, that form, whose right
-    caches ``B`` shares."""
+    memo ``B`` shares."""
     B = _form_tensor((_right_core(_right_step(first, T[0]), first.shape[1]),) + tail, shares)
     return B, T
 
@@ -428,8 +398,8 @@ def right_orthogonal_form(t: TTTensor) -> tuple[TTTensor, tuple[np.ndarray, ...]
 
     The mirror of :func:`left_orthogonal_form`, sweeping from the last core
     to the second; the first core of ``B`` carries the tensor's scale.
-    :func:`row_restrict` hands its subtensor this sweep and the interfaces
-    cached on ``B``, since the two share their trailing cores.
+    :func:`row_restrict` hands its subtensor this sweep and ``B``'s right
+    memo, since the two share their trailing cores.
     """
     form = t._forms[1]
     if form is None:
@@ -468,8 +438,8 @@ def unfolding_svd(t: TTTensor, i: int, rank_tol: float = DEFAULT_RANK_TOL) -> Th
     and their orthonormality is checked on Grams carried through the form
     cores (:func:`_form_gram`), so making the SVD reads no interface row.
     Each interface's largest row norm, which is the factor's wherever the
-    rotation is square, is read in one pass when first asked for and
-    cached on the form (:func:`_form_row_norm`).
+    rotation is square, is read in one pass when first asked for and kept
+    in the form's memo under ``("norm", key)``.
     """
     i = _check_position(t, i)
     A, S = left_orthogonal_form(t)
@@ -478,8 +448,8 @@ def unfolding_svd(t: TTTensor, i: int, rank_tol: float = DEFAULT_RANK_TOL) -> Th
     QR = right_interface(B, i)
     grams = (_form_gram(A, 0, i), _form_gram(B, 1, t.d - i))
     norms = (
-        functools.partial(_form_row_norm, A, 0, i, QL),
-        functools.partial(_form_row_norm, B, 1, t.d - i, QR),
+        functools.partial(_memoized, A, 0, ("norm", i), max_row_norm, QL),
+        functools.partial(_memoized, B, 1, ("norm", t.d - i), max_row_norm, QR),
     )
     return _svd_between(QL, S[i - 1] @ T[i - 1].T, QR, rank_tol, grams, norms)
 
@@ -494,8 +464,8 @@ def row_restrict(t: TTTensor, i: int, I: IndexSet) -> TTTensor:
 
     The selected rows of L_i become the new first core; the trailing cores
     are shared unchanged, so the result is again a TT of d - i + 1 modes,
-    and it inherits the parent's right sweep over them and the right
-    interfaces cached on the parent's form.
+    and it inherits the parent's right sweep over them and the right memo
+    of the parent's form.
     """
     i = _check_position(t, i)
     _check_index_set(t, i, I, True, "row set")
@@ -527,11 +497,12 @@ def _row_sweep(t: TTTensor, I: IndexSet, i: int, svds: dict[int, ThinSVD]) -> di
     """
     A, _ = left_orthogonal_form(t)
     for k, svd in svds.items():
-        L_k = A._interfaces[0].get(k)
+        L_k = A._memo[0].get(("Q", k))
         if L_k is None or not np.may_share_memory(svd.basis("W"), L_k):
             raise DomainError(f"svd is not unfolding_svd of this tensor at {k}")
     # L_k(A) is built, so L_i(A), a step of its chain, is within the cap
-    R = np.linalg.qr(_interface(A, 0, i, _left_chain, i)[I.zero_based()], mode="r")
+    L_i = _memoized(A, 0, ("Q", i), _left_chain, A.cores, i)
+    R = np.linalg.qr(L_i[I.zero_based()], mode="r")
     blocks = {}
     for k in range(i, max(svds) + 1):
         if k > i:

@@ -86,7 +86,7 @@ def test_acceptance_01_structured_matches_dense_oracle():
             t = make_tt(kind, (6, 6, 6, 6), (2, 3, 2), seed=1000 + rep)
             X = to_dense(t)
             shp = Shape(t.shape)
-            I_sets, J_sets, svds = sample_valid_sets(
+            I_sets, J_sets, _ = sample_valid_sets(
                 t, (4, 6, 4), (4, 6, 4), seed=2000 + rep
             )
             reports = tt_incoherence(t)
@@ -105,18 +105,17 @@ def test_acceptance_01_structured_matches_dense_oracle():
                         problems.append(f"{kind}#{rep} unfolding {i} {name}: {err:.3e}")
             for i in range(1, 4):
                 for t_off in range(1, 5 - i):
-                    k = i + t_off - 1
-                    got = alpha_it(t, I_sets[i - 1], i, t_off, svd=svds[k - 1])
+                    got = alpha_it(t, I_sets[i - 1], i, t_off)
                     want = dense_alpha_it(X, I_sets[i - 1], i, t_off)
                     if rel_err(got, want) > tol:
                         problems.append(f"{kind}#{rep} alpha_{i}_{t_off}")
             for i in (2, 3):
-                got = alpha_i(t, I_sets[i - 2], i, svd=svds[i - 1])
+                got = alpha_i(t, I_sets[i - 2], i)
                 want = dense_alpha_it(X, I_sets[i - 2], i - 1, 2)
                 if rel_err(got, want) > tol:
                     problems.append(f"{kind}#{rep} alpha_{i}")
             for i in range(1, 4):
-                got = beta_i(t, J_sets[i - 1], i, svd=svds[i - 1])
+                got = beta_i(t, J_sets[i - 1], i)
                 want = dense_beta_i(X, J_sets[i - 1], i)
                 if rel_err(got, want) > tol:
                     problems.append(f"{kind}#{rep} beta_{i}")

@@ -8,9 +8,9 @@ from ttinherit import (
     GenerationError,
     GeneratorSpec,
     KINDS,
+    TTTensor,
     generate,
     tt_rank_numerical,
-    validate,
 )
 
 from conftest import make_tt
@@ -92,7 +92,7 @@ def test_generate_full_scale_has_declared_ranks():
 def test_generate_all_kinds_pass_validation():
     for kind in KINDS:
         t = make_tt(kind, (6, 6, 6), (2, 2), seed=11)
-        assert validate(t) == (2, 2)
+        assert TTTensor(t.cores).ranks == (2, 2)
         assert tt_rank_numerical(t) == (2, 2)
 
 

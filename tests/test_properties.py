@@ -131,16 +131,6 @@ def test_alpha_it_lower_bound_and_finiteness():
         assert a >= np.sqrt(len(I) / 6) - 1e-12
 
 
-def test_alpha_it_accepts_precomputed_svd():
-    t = make_tt("gaussian", (6, 5, 4), (2, 2), seed=44)
-    I = IndexSet([1, 3, 5], 6)
-    svd2 = unfolding_svd(t, 2)
-    assert alpha_it(t, I, 1, 2, svd=svd2) == alpha_it(t, I, 1, 2)
-    # the sweep reads W_2 in the basis of the left form, which another SVD lacks
-    with pytest.raises(DomainError, match="unfolding_svd"):
-        alpha_it(t, I, 1, 2, svd=thin_svd(dense_unfolding(to_dense(t), 2)))
-
-
 def test_alpha_it_rejects_bad_arguments():
     t = make_tt("gaussian", (6, 5, 4), (2, 2), seed=44)
     with pytest.raises(DomainError):
@@ -172,8 +162,8 @@ def test_alpha_it_raises_on_rank_deficient_rows():
     with pytest.raises(SingularityError):
         _gathered_alpha_it(t, IndexSet([1], 6), 1, 2, svd)
     with pytest.raises(SingularityError):
-        alpha_it(t, IndexSet([1], 6), 1, 2, svd=svd)
-    assert np.isfinite(alpha_it(t, IndexSet([1, 2], 6), 1, 2, svd=svd))
+        alpha_it(t, IndexSet([1], 6), 1, 2)
+    assert np.isfinite(alpha_it(t, IndexSet([1, 2], 6), 1, 2))
 
 
 # ---------------------------------------------------------------- alpha_i / beta_i
@@ -609,9 +599,9 @@ def test_alpha_it_from_the_sweep_matches_the_gathered_rows(case):
                 want = _gathered_alpha_it(t, I_i, i, k, svds[k - 1])
             except SingularityError:
                 with pytest.raises(SingularityError):
-                    alpha_it(t, I_i, i, k - i + 1, svd=svds[k - 1])
+                    alpha_it(t, I_i, i, k - i + 1)
                 continue
-            assert rel_err(alpha_it(t, I_i, i, k - i + 1, svd=svds[k - 1]), want) <= 1e-12, (i, k)
+            assert rel_err(alpha_it(t, I_i, i, k - i + 1), want) <= 1e-12, (i, k)
 
 
 # the geometries of the test above
@@ -627,7 +617,7 @@ def test_one_sweep_per_level_gives_bitwise_the_alpha_it_of_every_unfolding(case)
         t = make_tt(kind, shape, ranks, seed)
         if make_coherent:
             t = coherent(t)
-        I_sets, _, svds = sample_valid_sets(t, sizes_I, sizes_J, seed)
+        I_sets, _, _ = sample_valid_sets(t, sizes_I, sizes_J, seed)
     except (GenerationError, TrialError):
         reject()
     factors = row_sampling_factors(t, I_sets)
@@ -635,7 +625,7 @@ def test_one_sweep_per_level_gives_bitwise_the_alpha_it_of_every_unfolding(case)
     for i, I_i in enumerate(I_sets, start=1):
         for t_off, got in enumerate(factors[i - 1], start=1):
             try:
-                want = alpha_it(t, I_i, i, t_off, svd=svds[i + t_off - 2])
+                want = alpha_it(t, I_i, i, t_off)
             except SingularityError:
                 assert np.isnan(got), (i, t_off)
                 continue
@@ -682,6 +672,39 @@ def test_row_sampling_factors_refuses_sets_of_the_wrong_count_or_domain():
         row_sampling_factors(t, [I_sets[1]] + I_sets[1:])
     with pytest.raises(DomainError, match="I_3 must be nonempty"):
         row_sampling_factors(t, I_sets[:2] + [IndexSet([], 36)])
+
+
+def test_shared_reports_of_another_basis_are_refused():
+    # the sweeps read W_k in the basis of the left form, which an SVD of the
+    # dense unfolding lacks
+    t = make_tt("gaussian", (4, 3, 3, 2), (2, 3, 2), seed=71)
+    I_sets, _, _ = sample_valid_sets(t, (2, 6, 4), (2, 3, 2), seed=71)
+    X = to_dense(t)
+    dense = [dense_properties(X, i) for i in range(1, t.d)]
+    with pytest.raises(DomainError, match="unfolding_svd"):
+        row_sampling_factors(t, I_sets, parents=dense)
+    with pytest.raises(DomainError, match="unfolding_svd"):
+        check_row_sampling_bounds(t, I_sets, parents=dense)
+
+
+def test_sharing_arguments_of_the_wrong_count_are_refused():
+    t = make_tt("gaussian", (4, 3, 3, 2), (2, 3, 2), seed=71)
+    I_sets, J_sets, _ = sample_valid_sets(t, (2, 6, 4), (2, 3, 2), seed=71)
+    parents = tt_incoherence(t)
+    alphas = row_sampling_factors(t, I_sets, parents=parents)
+    for call in (
+        lambda: row_sampling_factors(t, I_sets, parents=parents[:1]),
+        lambda: check_row_sampling_bounds(t, I_sets, parents=parents[:2]),
+        lambda: check_row_sampling_bounds(t, I_sets, parents=parents[::-1]),
+        lambda: check_column_sampling_bounds(t, I_sets, J_sets, parents=parents + parents[:1]),
+    ):
+        with pytest.raises(DomainError, match="parents must report unfoldings 1..3"):
+            call()
+    for bad in ([(1.0,)], alphas[:2], alphas[:2] + [alphas[2] + (1.0,)]):
+        for suite in (check_row_sampling_bounds, check_column_sampling_bounds):
+            args = (t, I_sets) if suite is check_row_sampling_bounds else (t, I_sets, J_sets)
+            with pytest.raises(DomainError, match="alphas must hold 3 levels"):
+                suite(*args, alphas=bad)
 
 
 def test_a_coherent_tensor_is_redrawn_and_agrees_with_the_dense_oracle():

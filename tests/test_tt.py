@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttinherit import (
+    KINDS,
     CapacityError,
     DomainError,
     IndexSet,
@@ -32,13 +33,13 @@ from ttinherit import (
     linearize,
     right_interface,
     row_restrict,
+    sample_without_replacement,
     submatrix_svd,
     thin_svd,
     to_dense,
     tt_rank_numerical,
     tt_svd_from_dense,
     unfolding_svd,
-    validate,
 )
 import ttinherit.tt as tt_mod
 from ttinherit.linalg import max_row_norm
@@ -54,34 +55,33 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 def test_validate_accepts_matching_chain():
     cores = [np.ones((1, 2, 3)), np.ones((3, 4, 1))]
-    assert validate(cores) == (3,)
     t = TTTensor(cores)
     assert t.shape == (2, 4) and t.ranks == (3,) and t.d == 2 and t.size == 8
 
 
 def test_validate_rejects_junction_mismatch():
     with pytest.raises(StructuralError):
-        validate([np.ones((1, 2, 3)), np.ones((2, 4, 1))])
+        TTTensor([np.ones((1, 2, 3)), np.ones((2, 4, 1))])
 
 
 def test_validate_rejects_single_core():
     with pytest.raises(StructuralError):
-        validate([np.ones((1, 2, 1))])
+        TTTensor([np.ones((1, 2, 1))])
 
 
 def test_validate_rejects_malformed_cores():
     with pytest.raises(StructuralError):
-        validate([np.ones((2, 2, 3)), np.ones((3, 4, 1))])  # r_0 != 1
+        TTTensor([np.ones((2, 2, 3)), np.ones((3, 4, 1))])  # r_0 != 1
     with pytest.raises(StructuralError):
-        validate([np.ones((1, 2, 3)), np.ones((3, 4, 2))])  # r_d != 1
+        TTTensor([np.ones((1, 2, 3)), np.ones((3, 4, 2))])  # r_d != 1
     with pytest.raises(StructuralError):
-        validate([np.ones((1, 2)), np.ones((2, 4, 1))])  # not 3-d
+        TTTensor([np.ones((1, 2)), np.ones((2, 4, 1))])  # not 3-d
     with pytest.raises(StructuralError):
-        validate([np.ones((1, 0, 3)), np.ones((3, 4, 1))])  # empty mode
+        TTTensor([np.ones((1, 0, 3)), np.ones((3, 4, 1))])  # empty mode
     bad = np.ones((1, 2, 3))
     bad[0, 0, 0] = np.nan
     with pytest.raises(NumericError):
-        validate([bad, np.ones((3, 4, 1))])
+        TTTensor([bad, np.ones((3, 4, 1))])
 
 
 def test_tensor_is_immutable_and_copies_input():
@@ -335,6 +335,7 @@ def test_a_row_restricted_subtensor_reads_the_parents_right_interfaces():
     for i in range(1, t.d):
         sub = row_restrict(t, i, I_sets[i - 1])
         B_sub, _ = right_orthogonal_form(sub)
+        assert B_sub._memo[1] is B._memo[1]
         for k in range(1, sub.d):
             assert right_interface(B_sub, k) is right_interface(B, i - 1 + k)
 
@@ -486,12 +487,14 @@ def test_form_grams_equal_the_interface_grams():
     for i in range(1, t.d):
         for form, side, key, Q in ((A, 0, i, left_interface(A, i)), (B, 1, t.d - i, right_interface(B, i))):
             G = tt_mod._form_gram(form, side, key)
+            assert form._memo[side][("G", key)] is G
             assert not G.flags.writeable
             assert np.abs(G - Q.T @ Q).max() <= 1e-14
-    # a subtensor of row_restrict shares the right Grams with the parent form
+    # a subtensor of row_restrict shares the right memo, Grams and all,
+    # with the parent form
     sub = row_restrict(t, 2, IndexSet([1, 5, 9], 12))
     B_sub, _ = right_orthogonal_form(sub)
-    assert B_sub._grams[1] is B._grams[1]
+    assert tt_mod._form_gram(B_sub, 1, 2) is tt_mod._form_gram(B, 1, 2)
 
 
 # ---------------------------------------------------------------- tt_rank_numerical
@@ -600,6 +603,27 @@ def test_row_restrict_inherits_the_parents_right_form():
         assert len(B_sub.cores) == len(B_new.cores) and len(T_sub) == len(T_new)
         for got, want in zip(B_sub.cores + T_sub, B_new.cores + T_new):
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize(
+    "shape, ranks",
+    [((20,) * 4, (2, 3, 2)), ((10,) * 6, (2, 3, 4, 3, 2)), ((100,) * 4, (2, 3, 2))],
+    ids=["desk", "deep", "paper"],
+)
+def test_one_left_step_carries_sampled_rows_into_the_next_interface(kind, shape, ranks):
+    # the interface chain and the row sweeps take the same step, so rows I
+    # of L_i carried through core i+1 are bit for bit the rows of L_{i+1}
+    # that I extended by mode i+1 selects
+    t = make_tt(kind, shape, ranks, seed=61)
+    A, _ = left_orthogonal_form(t)
+    rng = np.random.default_rng(61)
+    for i in range(1, t.d - 1):
+        P = t.shape.prefix_size(i)
+        I = sample_without_replacement(P, min(P, 7), rng)
+        got = tt_mod._left_step(left_interface(A, i)[I.zero_based()], A.cores[i])
+        want = left_interface(A, i + 1)[kron_extend(I, t.shape[i]).zero_based()]
+        assert got.tobytes() == want.tobytes(), i
 
 
 # ---------------------------------------------------------------- row_restrict
@@ -717,13 +741,18 @@ def test_factoring_never_writes_into_the_cores(shape, ranks, sizes):
     tt_rank_numerical(t)
     for i in range(1, t.d):
         unfolding_svd(t, i)
-    # every interface of both forms is cached now; the suites read them all,
-    # and the subtensors of row_restrict share B's right ones
-    def cached():
-        return {(side, key): X.tobytes() for side in (0, 1) for key, X in (A, B)[side]._interfaces[side].items()}
+    # every interface of both forms is in their memos now; the suites read
+    # them all, and the subtensors of row_restrict share B's right memo
+    def memo():
+        return {
+            (side, key): np.asarray(v).tobytes() for side in (0, 1) for key, v in (A, B)[side]._memo[side].items()
+        }
 
-    interfaces = cached()
-    assert len(interfaces) == 2 * (t.d - 1)
+    def interfaces(kept):
+        return sum(key[0] == "Q" for _, key in kept)
+
+    kept = memo()
+    assert interfaces(kept) == 2 * (t.d - 1)
     I_sets, J_sets, _ = sample_valid_sets(t, sizes, sizes, seed=23)
     for i in range(1, t.d):
         submatrix_svd(t, i, I_sets[i - 1], J_sets[i - 1])
@@ -732,7 +761,9 @@ def test_factoring_never_writes_into_the_cores(shape, ranks, sizes):
     check_column_sampling_bounds(t, I_sets, J_sets)
     assert [c.tobytes() for c in t.cores] == before
     assert [a.tobytes() for a in A.cores + S + B.cores + T] == forms
-    assert cached() == interfaces
+    now = memo()
+    assert {key: now[key] for key in kept} == kept
+    assert interfaces(now) == 2 * (t.d - 1)
 
 
 def test_submatrix_svd_rejects_bad_sets():
