@@ -45,15 +45,12 @@ from .linalg import (
 )
 from .tt import (
     TTTensor,
-    column_submatrix,
     entry,
     left_interface,
     right_interface,
     row_restrict,
     submatrix_svd,
-    to_dense,
     tt_rank_numerical,
-    tt_svd_from_dense,
     unfolding_svd,
 )
 from .container import load_tt, save_tt
@@ -72,6 +69,7 @@ from .properties import (
     row_sampling_factors,
     tt_incoherence,
 )
+from .oracle import column_submatrix, to_dense, tt_svd_from_dense
 from .generators import KINDS, GeneratorSpec, generate
 from .experiment import (
     BoxplotSummary,
@@ -122,15 +120,12 @@ __all__ = [
     # tt + container
     "TTTensor",
     "entry",
-    "to_dense",
     "left_interface",
     "right_interface",
     "unfolding_svd",
     "submatrix_svd",
     "tt_rank_numerical",
     "row_restrict",
-    "column_submatrix",
-    "tt_svd_from_dense",
     "save_tt",
     "load_tt",
     # properties
@@ -147,6 +142,10 @@ __all__ = [
     "check_rank_preservation",
     "check_row_sampling_bounds",
     "check_column_sampling_bounds",
+    # dense oracle
+    "to_dense",
+    "column_submatrix",
+    "tt_svd_from_dense",
     # generators
     "KINDS",
     "GeneratorSpec",

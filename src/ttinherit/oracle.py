@@ -5,7 +5,9 @@ SVDs, so it is only for desk-scale inputs — it exists to falsify the
 structured implementations in :mod:`ttinherit.tt` and
 :mod:`ttinherit.properties`, not to be fast.  A dense tensor here is just a
 float64 ``numpy.ndarray``; unfoldings use Fortran-order reshapes so the row
-and column orderings agree with the package-wide linearization.
+and column orderings agree with the package-wide linearization.  Dense
+results are capped at :data:`DENSE_CAP` entries, read at call time, and
+scipy is imported only inside :func:`cur_reconstruct_check`.
 """
 
 from __future__ import annotations
@@ -13,15 +15,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .errors import DomainError, NumericError, RankZeroError, SearchError
-from .linalg import DEFAULT_RANK_TOL, numerical_rank, pinv_spectral_norm, thin_svd
+from .errors import CapacityError, DomainError, NumericError, RankZeroError, SearchError
+from .linalg import DEFAULT_RANK_TOL, numerical_rank, pinv_spectral_norm, thin_svd, truncated_svd
 from .multiindex import IndexSet, Shape, _integer, kron_extend
 from .properties import UnfoldingReport, unfolding_report
-from .tt import TTTensor, row_restrict, to_dense
+from .tt import TTTensor, _check_block, left_interface, right_interface, row_restrict
 
 __all__ = [
+    "DENSE_CAP",
+    "to_dense",
+    "column_submatrix",
+    "tt_svd_from_dense",
     "dense_unfolding",
     "mode_k_product",
     "CurReport",
@@ -30,6 +35,8 @@ __all__ = [
     "dense_alpha_it",
     "dense_beta_i",
 ]
+
+DENSE_CAP = 10**7  # cap on every dense result here, in entries
 
 
 def _require_dense(x) -> np.ndarray:
@@ -41,6 +48,56 @@ def _require_dense(x) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise NumericError("dense tensor contains non-finite entries")
     return x
+
+
+def to_dense(t: TTTensor) -> np.ndarray:
+    """The full tensor, contracted by its own ``numpy.tensordot`` chain, not
+    by the interface code it is compared with; refused when it, or any
+    partial product, would hold more than :data:`DENSE_CAP` entries."""
+    most = max(t.shape.prefix_size(k) * c.shape[2] for k, c in enumerate(t.cores, start=1))
+    if most > DENSE_CAP:
+        raise CapacityError(f"dense tensor would hold {most} entries (cap {DENSE_CAP})")
+    X = t.cores[0][0]
+    for core in t.cores[1:]:
+        X = np.tensordot(X, core, axes=1)
+    return X[..., 0]
+
+
+def column_submatrix(t: TTTensor, i: int, rows: IndexSet, J: IndexSet) -> np.ndarray:
+    """Dense |rows| x |J| submatrix of the i-th unfolding, T_<i>(rows, J).
+
+    Built as L_i(rows, :) @ R_i(J, :).T; the full unfolding never exists.
+    The *result* is dense, so its size is capped.
+    """
+    i = _check_block(t, i, rows, J)
+    if len(rows) * len(J) > DENSE_CAP:
+        raise CapacityError(f"submatrix would hold {len(rows) * len(J)} entries (cap {DENSE_CAP})")
+    L = left_interface(t, i)[rows.zero_based(), :]
+    R = right_interface(t, i)[J.zero_based(), :]
+    return L @ R.T
+
+
+def tt_svd_from_dense(dense, rank_tol: float = DEFAULT_RANK_TOL) -> TTTensor:
+    """Build a TT from a dense array by sequential compact SVDs (TT-SVD,
+    Oseledets, SIAM J. Sci. Comput. 33(5), 2011, Algorithm 1).
+
+    The declared ranks of the result equal the numerical unfolding ranks of
+    the input at ``rank_tol``; reconstruction matches the input to roundoff.
+    """
+    X = _require_dense(dense)
+    if X.size > DENSE_CAP:
+        raise CapacityError(f"dense tensor holds {X.size} entries (cap {DENSE_CAP})")
+    cores = []
+    r_prev = 1
+    cur = X
+    for k in range(X.ndim - 1):
+        M = cur.reshape(r_prev * X.shape[k], -1, order="F")
+        U, s, Vt = truncated_svd(M, rank_tol)
+        cores.append(U.reshape(r_prev, X.shape[k], s.size, order="F"))
+        cur = s[:, None] * Vt
+        r_prev = s.size
+    cores.append(cur.reshape(r_prev, X.shape[-1], 1, order="F"))
+    return TTTensor(cores)
 
 
 def dense_unfolding(x, i: int) -> np.ndarray:
@@ -93,26 +150,29 @@ def cur_reconstruct_check(
     of raising.  Column selection is greedy QR pivoting on the kept rows;
     exhausting the pivots without reaching full rank raises
     :class:`SearchError`, and a numerically zero unfolding 1 raises
-    :class:`RankZeroError`.
+    :class:`RankZeroError`.  Its pivoted QR is the package's one use of
+    scipy (the ``test`` extra), imported here so the package never loads it.
     """
+    import scipy.linalg
+
     X = to_dense(t)
     M1 = dense_unfolding(X, 1)
     if I.domain != t.shape[0]:
         raise DomainError(f"I domain {I.domain} != first mode size {t.shape[0]}")
     if len(I) == 0:
         raise DomainError("I must be nonempty")
-    r1 = numerical_rank(scipy.linalg.svdvals(M1), rank_tol)
+    r1 = numerical_rank(np.linalg.svd(M1, compute_uv=False), rank_tol)
     if r1 == 0:
         raise RankZeroError("unfolding 1 is numerically zero")
     A = M1[I.zero_based(), :]
-    s = scipy.linalg.svdvals(A)
+    s = np.linalg.svd(A, compute_uv=False)
     if numerical_rank(s, rank_tol) != r1:
         return CurReport(False, None, float("nan"), False)
     _, _, piv = scipy.linalg.qr(A, mode="economic", pivoting=True)
     k = r1
     while True:
         cols = np.sort(piv[:k])
-        rank_k = numerical_rank(scipy.linalg.svdvals(A[:, cols]), rank_tol)
+        rank_k = numerical_rank(np.linalg.svd(A[:, cols], compute_uv=False), rank_tol)
         if rank_k == r1:
             break
         if k >= piv.size:

@@ -46,6 +46,7 @@ from .tt import (
     _check_index_set,
     _check_position,
     _row_sweep,
+    left_orthogonal_form,
     row_restrict,
     submatrix_svd,
     tt_rank_numerical,
@@ -370,10 +371,15 @@ def _check_shared(
     alphas: Sequence[Sequence[float]] | None = None,
 ) -> None:
     """Refuse ``parents`` unless it holds the reports of unfoldings 1..d-1
-    in order, and ``alphas`` unless it holds d - 1 levels, level i of d - i
-    values; None passes, as it means "compute them here"."""
+    of ``t`` in order, each W in the basis its left form keeps, and
+    ``alphas`` unless it holds d - 1 levels, level i of d - i values; None
+    passes, as it means "compute them here"."""
     if parents is not None and [p.i for p in parents] != list(range(1, t.d)):
         raise DomainError(f"parents must report unfoldings 1..{t.d - 1} in order")
+    for p in parents or ():
+        L = left_orthogonal_form(t)[0]._memo[0].get(("Q", p.i))
+        if L is None or not np.may_share_memory(p.svd.basis("W"), L):
+            raise DomainError(f"parents[{p.i - 1}] is not unfolding_svd of this tensor at {p.i}")
     if alphas is not None and [len(level) for level in alphas] != list(range(t.d - 1, 0, -1)):
         raise DomainError(f"alphas must hold {t.d - 1} levels, level i of {t.d} - i values")
 
@@ -439,7 +445,8 @@ def check_row_sampling_bounds(
     :func:`tt_incoherence` reports of ``t``, and ``alphas``, the
     :func:`row_sampling_factors` of ``t`` and ``nested``, may be passed to
     share them with the column suite; either is refused with
-    :class:`DomainError` unless it has one entry per unfolding or level.
+    :class:`DomainError` unless it has one entry per unfolding or level,
+    and ``parents`` also unless they are the reports of ``t`` itself.
     """
     validate_nested(t, nested)
     _check_shared(t, parents, alphas)

@@ -43,8 +43,8 @@ matrix of at most r_k rows with their singular values (:func:`_row_sweep`),
 and one sweep serves every k of a level.
 
 Every factorization here is numpy's (``numpy.linalg.qr`` and, through
-:mod:`ttinherit.linalg`, ``numpy.linalg.svd``).  scipy is left to the dense
-oracle, :mod:`ttinherit.oracle`, so the structured path never loads it.
+:mod:`ttinherit.linalg`, ``numpy.linalg.svd``).  Dense tensors and blocks
+are left to the oracle, :mod:`ttinherit.oracle`, which falsifies this module.
 """
 
 from __future__ import annotations
@@ -58,11 +58,9 @@ from .linalg import DEFAULT_RANK_TOL, ThinSVD, max_row_norm, truncated_svd
 from .multiindex import IndexSet, Shape, _integer
 
 __all__ = [
-    "DENSE_CAP",
     "INTERFACE_ELEM_CAP",
     "TTTensor",
     "entry",
-    "to_dense",
     "left_interface",
     "right_interface",
     "left_orthogonal_form",
@@ -71,11 +69,8 @@ __all__ = [
     "submatrix_svd",
     "tt_rank_numerical",
     "row_restrict",
-    "column_submatrix",
-    "tt_svd_from_dense",
 ]
 
-DENSE_CAP = 10**7  # default cap on dense materialization, in entries
 INTERFACE_ELEM_CAP = 1 << 27  # ~1 GiB of float64 per interface matrix
 
 
@@ -195,9 +190,9 @@ def _check_block(t: TTTensor, i: int, rows: IndexSet, J: IndexSet) -> int:
     return i
 
 
-def _check_capacity(cores, i: int, left: bool, max_elems: int) -> None:
+def _check_capacity(cores, i: int, left: bool) -> None:
     """Refuse the i-th left (or right) interface of ``cores`` when any step
-    of its chain, not just the last, would hold more than ``max_elems``.
+    of its chain, not just the last, would hold more than INTERFACE_ELEM_CAP.
 
     The count comes from the core shapes alone, so a cache hit is refused
     exactly when a build would be.
@@ -209,8 +204,8 @@ def _check_capacity(cores, i: int, left: bool, max_elems: int) -> None:
         elems = rows * core.shape[2 if left else 0]
         if elems > most:
             most = elems
-    if most > max_elems:
-        raise CapacityError(f"interface matrix would hold {most} elements (cap {max_elems})")
+    if most > INTERFACE_ELEM_CAP:
+        raise CapacityError(f"interface matrix would hold {most} elements (cap {INTERFACE_ELEM_CAP})")
 
 
 def _left_step(L: np.ndarray, core: np.ndarray) -> np.ndarray:
@@ -265,18 +260,18 @@ def _memoized(t: TTTensor, side: int, key: tuple, build, *args):
     return value
 
 
-def left_interface(t: TTTensor, i: int, max_elems: int = INTERFACE_ELEM_CAP) -> np.ndarray:
+def left_interface(t: TTTensor, i: int) -> np.ndarray:
     """L_i: rows are the first i modes linearized (first index fastest), cols r_i.
 
     On a tensor of :func:`left_orthogonal_form` the result is built once,
     cached and read-only.
     """
     i = _check_position(t, i)
-    _check_capacity(t.cores, i, True, max_elems)
+    _check_capacity(t.cores, i, True)
     return _memoized(t, 0, ("Q", i), _left_chain, t.cores, i)
 
 
-def right_interface(t: TTTensor, i: int, max_elems: int = INTERFACE_ELEM_CAP) -> np.ndarray:
+def right_interface(t: TTTensor, i: int) -> np.ndarray:
     """R_i: rows are modes i+1..d linearized (index i+1 fastest), cols r_i.
 
     On a tensor of :func:`right_orthogonal_form` the result is built once,
@@ -284,7 +279,7 @@ def right_interface(t: TTTensor, i: int, max_elems: int = INTERFACE_ELEM_CAP) ->
     subtensor of :func:`row_restrict` shares those cores and that memo.
     """
     i = _check_position(t, i)
-    _check_capacity(t.cores, i, False, max_elems)
+    _check_capacity(t.cores, i, False)
     return _memoized(t, 1, ("Q", t.d - i), _right_chain, t.cores, i)
 
 
@@ -492,14 +487,10 @@ def _row_sweep(t: TTTensor, I: IndexSet, i: int, svds: dict[int, ThinSVD]) -> di
     factor, and the result at k is ``R_k @ U_k``.  One walk up to the
     largest k serves every k, so each R_k is the same whichever others are
     asked for.  After the first QR, of the |I| sampled rows, no QR has
-    more than r'_{j-1} n_j rows.  An SVD whose W has another basis raises
-    :class:`DomainError`.
+    more than r'_{j-1} n_j rows.  The caller makes sure that each SVD is
+    the :func:`unfolding_svd` of ``t``, as ``properties._check_shared`` does.
     """
     A, _ = left_orthogonal_form(t)
-    for k, svd in svds.items():
-        L_k = A._memo[0].get(("Q", k))
-        if L_k is None or not np.may_share_memory(svd.basis("W"), L_k):
-            raise DomainError(f"svd is not unfolding_svd of this tensor at {k}")
     # L_k(A) is built, so L_i(A), a step of its chain, is within the cap
     L_i = _memoized(A, 0, ("Q", i), _left_chain, A.cores, i)
     R = np.linalg.qr(L_i[I.zero_based()], mode="r")
@@ -512,28 +503,12 @@ def _row_sweep(t: TTTensor, I: IndexSet, i: int, svds: dict[int, ThinSVD]) -> di
     return blocks
 
 
-def column_submatrix(
-    t: TTTensor, i: int, rows: IndexSet, J: IndexSet, cap: int = DENSE_CAP
-) -> np.ndarray:
-    """Dense |rows| x |J| submatrix of the i-th unfolding, T_<i>(rows, J).
-
-    Built as L_i(rows, :) @ R_i(J, :).T; the full unfolding never exists.
-    The *result* is dense, so its size is capped.
-    """
-    i = _check_block(t, i, rows, J)
-    if len(rows) * len(J) > cap:
-        raise CapacityError(f"submatrix would hold {len(rows) * len(J)} entries (cap {cap})")
-    L = left_interface(t, i)[rows.zero_based(), :]
-    R = right_interface(t, i)[J.zero_based(), :]
-    return L @ R.T
-
-
 def submatrix_svd(
     t: TTTensor, i: int, rows: IndexSet, J: IndexSet, rank_tol: float = DEFAULT_RANK_TOL
 ) -> ThinSVD:
-    """Compact SVD of :func:`column_submatrix` without materializing it.
+    """Compact SVD of the block T_<i>(rows, J) without materializing it.
 
-    Identical result (up to roundoff) to ``thin_svd(column_submatrix(...))``
+    Identical result (up to roundoff) to ``thin_svd(oracle.column_submatrix(...))``
     but costs 2 thin QRs of the selected rows of the interface factors, read
     from the orthogonal forms, plus a width x width SVD, so it works at
     scales where the dense block would not fit in memory.  The block
@@ -546,45 +521,3 @@ def submatrix_svd(
     QL, SL = _qr(left_interface(A, i)[rows.zero_based(), :] @ S[i - 1])
     QR, SR = _qr(right_interface(B, i)[J.zero_based(), :] @ T[i - 1])
     return _svd_between(QL, SL @ SR.T, QR, rank_tol)
-
-
-def to_dense(t: TTTensor, cap: int = DENSE_CAP) -> np.ndarray:
-    """Materialize the full tensor (F-ordered reshape of the left chain)."""
-    size = t.size
-    if size > cap:
-        raise CapacityError(f"dense tensor would hold {size} entries (cap {cap})")
-    _check_capacity(t.cores, t.d, True, INTERFACE_ELEM_CAP)
-    full = _left_chain(t.cores, t.d)
-    return full.reshape(t.shape, order="F")
-
-
-def tt_svd_from_dense(
-    dense, rank_tol: float = DEFAULT_RANK_TOL, cap: int = DENSE_CAP
-) -> TTTensor:
-    """Build a TT from a dense array by sequential compact SVDs.
-
-    The declared ranks of the result equal the numerical unfolding ranks of
-    the input at ``rank_tol``; reconstruction matches the input to roundoff.
-    """
-    X = np.asarray(dense, dtype=np.float64)
-    if X.ndim < 2:
-        raise DomainError(f"need at least 2 modes, got ndim={X.ndim}")
-    if min(X.shape) < 1:
-        raise DomainError(f"empty mode in shape {X.shape}")
-    if X.size > cap:
-        raise CapacityError(f"dense tensor holds {X.size} entries (cap {cap})")
-    if not np.all(np.isfinite(X)):
-        raise NumericError("dense tensor contains non-finite entries")
-    shape = X.shape
-    d = X.ndim
-    cores = []
-    r_prev = 1
-    cur = X
-    for k in range(d - 1):
-        M = cur.reshape(r_prev * shape[k], -1, order="F")
-        U, s, Vt = truncated_svd(M, rank_tol)
-        cores.append(U.reshape(r_prev, shape[k], s.size, order="F"))
-        cur = s[:, None] * Vt
-        r_prev = s.size
-    cores.append(cur.reshape(r_prev, shape[-1], 1, order="F"))
-    return TTTensor(cores)

@@ -4,8 +4,9 @@ Statically, no module of the package imports a name it never uses.  No
 pyflakes or ruff is assumed, so this walks each module's syntax tree.
 ``__init__.py`` is exempt because its imports are the package's re-exports.
 
-In a fresh interpreter, the package and its command line load neither scipy
-nor ``urllib.request``; only the dense oracle brings scipy in.
+In a fresh interpreter, the package, its command line and the dense oracle
+load neither scipy nor ``urllib.request``; only a call of
+``oracle.cur_reconstruct_check`` brings scipy in.
 """
 
 import ast
@@ -56,7 +57,10 @@ def test_the_run_path_imports_neither_scipy_nor_urllib():
         "print(sorted(m for m in ('scipy', 'urllib.request') if m in sys.modules))\n"
         "import ttinherit.oracle\n"
         "print('scipy' in sys.modules)\n"
+        "t = ttinherit.TTTensor([[[[1.0], [2.0]]], [[[3.0], [4.0]]]])\n"
+        "ttinherit.oracle.cur_reconstruct_check(t, ttinherit.IndexSet([1, 2], 2))\n"
+        "print('scipy' in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "True"]
+    assert proc.stdout.splitlines() == ["[]", "False", "True"]

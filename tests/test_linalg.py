@@ -126,7 +126,7 @@ def test_pinv_spectral_norm_is_inverse_smallest_singular_value():
 
 
 def test_pinv_spectral_norm_agrees_with_scipy_svdvals():
-    # the dense oracle reads singular values through scipy, the structured path through numpy
+    # scipy's LAPACK is an independent reference for numpy's singular values
     for seed, shape in enumerate([(8, 2), (12, 3), (30, 5), (5, 5), (200, 4)]):
         M = derived_rng(seed, "pinv-scipy").standard_normal(shape)
         want = 1.0 / scipy.linalg.svdvals(M)[-1]

@@ -687,6 +687,19 @@ def test_shared_reports_of_another_basis_are_refused():
         check_row_sampling_bounds(t, I_sets, parents=dense)
 
 
+def test_reports_of_another_tensor_are_refused_beside_shared_alphas():
+    # with alphas= passed no row sweep runs, so the suites check the
+    # reports' basis themselves
+    t = make_tt("gaussian", (4, 3, 3, 2), (2, 3, 2), seed=71)
+    u = make_tt("gaussian", (4, 3, 3, 2), (2, 3, 2), seed=72)
+    I_sets, J_sets, _ = sample_valid_sets(t, (2, 6, 4), (2, 3, 2), seed=71)
+    foreign, alphas = tt_incoherence(u), row_sampling_factors(t, I_sets)
+    with pytest.raises(DomainError, match="unfolding_svd"):
+        check_row_sampling_bounds(t, I_sets, parents=foreign, alphas=alphas)
+    with pytest.raises(DomainError, match="unfolding_svd"):
+        check_column_sampling_bounds(t, I_sets, J_sets, parents=foreign, alphas=alphas)
+
+
 def test_sharing_arguments_of_the_wrong_count_are_refused():
     t = make_tt("gaussian", (4, 3, 3, 2), (2, 3, 2), seed=71)
     I_sets, J_sets, _ = sample_valid_sets(t, (2, 6, 4), (2, 3, 2), seed=71)

@@ -41,6 +41,7 @@ from ttinherit import (
     tt_svd_from_dense,
     unfolding_svd,
 )
+import ttinherit.oracle as oracle_mod
 import ttinherit.tt as tt_mod
 from ttinherit.linalg import max_row_norm
 from ttinherit.oracle import dense_properties, dense_unfolding
@@ -130,8 +131,18 @@ def test_entry_rejects_bad_multi(hand_tt):
         entry(hand_tt, (1, 0))
 
 
-def test_entry_matches_dense_everywhere():
+def _refuse(*args):
+    raise AssertionError("the oracle contracted the cores with the interface chain")
+
+
+@pytest.mark.parametrize("interface_chain", ["kept", "refused"])
+def test_entry_matches_dense_everywhere(interface_chain, monkeypatch):
+    # to_dense must not lean on the left chain that the interfaces it
+    # falsifies are built from
     t = make_tt("gaussian", (2, 3, 2), (2, 2), seed=10)
+    if interface_chain == "refused":
+        monkeypatch.setattr(tt_mod, "_left_step", _refuse)
+        monkeypatch.setattr(tt_mod, "_left_chain", _refuse)
     X = to_dense(t)
     for multi in itertools.product(*(range(1, n + 1) for n in t.shape)):
         zero = tuple(j - 1 for j in multi)
@@ -143,10 +154,11 @@ def test_to_dense_hand_values(hand_tt, ones_tt):
     assert np.allclose(to_dense(ones_tt), np.ones((2, 2, 2, 2)))
 
 
-def test_to_dense_respects_capacity_cap():
+def test_to_dense_respects_capacity_cap(monkeypatch):
     t = make_tt("gaussian", (10, 10, 10), (2, 2), seed=1)
+    monkeypatch.setattr(oracle_mod, "DENSE_CAP", 999)
     with pytest.raises(CapacityError):
-        to_dense(t, cap=999)
+        to_dense(t)
 
 
 # ---------------------------------------------------------------- interfaces
@@ -209,7 +221,7 @@ def _chains(draw):
 @given(_chains())
 def test_interface_rows_multiply_out_to_entries(t):
     # entry() chains the core slices itself, so it shares no code with the
-    # GEMM layout of left_interface/right_interface (to_dense does)
+    # GEMM layout of left_interface/right_interface
     entries = np.empty(t.shape)
     scale = np.empty(t.shape)  # the same chains over |cores| bound the roundoff
     t_abs = TTTensor([np.abs(c) for c in t.cores])
@@ -261,10 +273,11 @@ def test_interfaces_agree_bitwise_across_blas_thread_counts():
     assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
-def test_interface_capacity_cap():
+def test_interface_capacity_cap(monkeypatch):
     t = make_tt("gaussian", (10, 10, 10), (2, 2), seed=1)
+    monkeypatch.setattr(tt_mod, "INTERFACE_ELEM_CAP", 50)
     with pytest.raises(CapacityError):
-        left_interface(t, 2, max_elems=50)
+        left_interface(t, 2)
 
 
 # ---------------------------------------------------------------- interface cache
@@ -300,7 +313,7 @@ def test_constructor_tensors_cache_no_interface():
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
-def test_a_cache_hit_is_refused_exactly_when_a_build_would_be(side):
+def test_a_cache_hit_is_refused_exactly_when_a_build_would_be(side, monkeypatch):
     # the largest array of each build is an intermediate step, not the
     # interface returned: left, (3*4)*8 entries before the 24 x 1 result;
     # right, (4*3)*8 before the 24 x 1 result
@@ -316,10 +329,11 @@ def test_a_cache_hit_is_refused_exactly_when_a_build_would_be(side):
     caps = range(1, 129)
     refused = []
     for cap in caps:
+        monkeypatch.setattr(tt_mod, "INTERFACE_ELEM_CAP", cap)
         outcomes = []
         for tensor in (form, fresh):
             try:
-                build(tensor, i, max_elems=cap)
+                build(tensor, i)
                 outcomes.append(False)
             except CapacityError:
                 outcomes.append(True)
@@ -693,7 +707,7 @@ def test_column_submatrix_hand_value(hand_tt):
     assert np.allclose(got, [[6.0]])
 
 
-def test_column_submatrix_shape_and_errors():
+def test_column_submatrix_shape_and_errors(monkeypatch):
     t = make_tt("gaussian", (4, 3, 5), (2, 2), seed=15)
     got = column_submatrix(t, 2, IndexSet([1, 5, 9], 12), IndexSet([2, 4], 5))
     assert got.shape == (3, 2)
@@ -703,8 +717,9 @@ def test_column_submatrix_shape_and_errors():
         column_submatrix(t, 2, IndexSet([1], 12), IndexSet([2], 6))
     with pytest.raises(DomainError):
         column_submatrix(t, 2, IndexSet([], 12), IndexSet([2], 5))
+    monkeypatch.setattr(oracle_mod, "DENSE_CAP", 5)
     with pytest.raises(CapacityError):
-        column_submatrix(t, 2, IndexSet([1, 5, 9], 12), IndexSet([2, 4], 5), cap=5)
+        column_submatrix(t, 2, IndexSet([1, 5, 9], 12), IndexSet([2, 4], 5))
 
 
 def test_submatrix_svd_matches_dense_block_svd():
@@ -798,12 +813,13 @@ def test_tt_svd_from_dense_round_trip():
     assert rel_err(to_dense(t2), X) <= 1e-10
 
 
-def test_tt_svd_from_dense_rejects_bad_input():
+def test_tt_svd_from_dense_rejects_bad_input(monkeypatch):
     with pytest.raises(RankZeroError):
         tt_svd_from_dense(np.zeros((2, 2)))
     with pytest.raises(DomainError):
         tt_svd_from_dense(np.ones(4))
     with pytest.raises(NumericError):
         tt_svd_from_dense(np.array([[1.0, np.inf], [0.0, 1.0]]))
+    monkeypatch.setattr(oracle_mod, "DENSE_CAP", 100)
     with pytest.raises(CapacityError):
-        tt_svd_from_dense(np.ones((40, 40)), cap=100)
+        tt_svd_from_dense(np.ones((40, 40)))
