@@ -16,6 +16,7 @@ standalone SVG boxplot per generator.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import json
@@ -335,6 +336,30 @@ class BoxplotSummary:
         return bool(np.all(np.isnan(stats))) and not self.outliers
 
 
+def _quartiles(ordered) -> tuple[float, float, float]:
+    """Type-7 quartiles of ascending finite values, bit for bit ``np.percentile``'s.
+
+    This is numpy's own interpolation written out, because
+    ``np.percentile`` calls ``np.unique``, which imports ``numpy.ma``.
+    Between order statistics a <= b at fraction g a quartile is
+    a + (b - a)*g, or b - (b - a)*(1 - g) when g >= 0.5; at the last
+    position it is the last value.  Only a zero quartile may differ, in
+    its sign, since numpy's partition may order 0.0 and -0.0 otherwise.
+    """
+    last = len(ordered) - 1
+    out = []
+    for q in (0.25, 0.5, 0.75):
+        pos = last * q
+        lo = int(pos)
+        if lo >= last:
+            out.append(float(ordered[last]))
+            continue
+        a, b = float(ordered[lo]), float(ordered[lo + 1])
+        g = pos - lo
+        out.append(a + (b - a) * g if g < 0.5 else b - (b - a) * (1.0 - g))
+    return tuple(out)
+
+
 def summarize_boxplot(values, label: str = "") -> BoxplotSummary:
     """Five-number summary with 1.5-IQR whiskers snapped to attained points.
 
@@ -353,7 +378,7 @@ def summarize_boxplot(values, label: str = "") -> BoxplotSummary:
     if vals.size == 0:
         nan = float("nan")
         return BoxplotSummary(label, nan, nan, nan, nan, nan, (), nan, excluded)
-    q1, med, q3 = np.percentile(vals, [25.0, 50.0, 75.0])
+    q1, med, q3 = _quartiles(np.sort(vals))
     iqr = q3 - q1
     lo_fence = q1 - 1.5 * iqr
     hi_fence = q3 + 1.5 * iqr
@@ -569,12 +594,13 @@ def _count_outcomes(results) -> tuple[int, int]:
 def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentResult:
     """Run the full generators x trials grid; optionally write all artifacts.
 
-    Trials are independent and may run on a small thread pool (numpy releases
-    the GIL inside LAPACK) of :func:`resolve_workers` threads, never more than
-    there are trials; results are collected in deterministic
-    (generator, trial) order regardless of scheduling.  While the pool runs,
-    every loaded OpenBLAS runs one thread
-    (:func:`~ttinherit.linalg.blas_thread_budget`).  The thread plan is
+    Trials are independent.  With :func:`resolve_workers` above one (never
+    more than there are trials) they run on a thread pool of that size
+    (numpy releases the GIL inside LAPACK); with one worker the calling
+    thread runs them one after another and no pool is made.  Results are
+    collected in deterministic (generator, trial) order regardless of
+    scheduling.  While the trials run, every loaded OpenBLAS runs one
+    thread (:func:`~ttinherit.linalg.blas_thread_budget`).  The thread plan is
     ``workers``, ``cpus`` and, per library, its file name, its threads
     before the run and its threads per worker (1).  A trial that raises
     (it exhausts its resample budget, its tensor cannot be generated, ...) is
@@ -588,7 +614,7 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentRe
     workers = min(resolve_workers(config), len(tasks))
     if write:
         os.makedirs(config.output_dir, exist_ok=True)
-    with blas_thread_budget() as before, ThreadPoolExecutor(max_workers=workers) as pool:
+    with blas_thread_budget() as before, contextlib.ExitStack() as stack:
         threads = {
             "workers": workers,
             "cpus": available_cpus(),
@@ -597,10 +623,14 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentRe
                 for name, n in before
             ],
         }
-        futures = [pool.submit(run_trial, config, kind, trial) for kind, trial in tasks]
-        for (kind, trial), fut in zip(tasks, futures):
+        if workers > 1:
+            pool = stack.enter_context(ThreadPoolExecutor(max_workers=workers))
+            outcomes = [pool.submit(run_trial, config, kind, trial).result for kind, trial in tasks]
+        else:  # one worker is the calling thread; a pool thread would add a malloc arena
+            outcomes = (functools.partial(run_trial, config, kind, trial) for kind, trial in tasks)
+        for (kind, trial), outcome in zip(tasks, outcomes):
             try:
-                results.append(fut.result())
+                results.append(outcome())
             except Exception as exc:  # one failed trial must not end the run
                 failures.append({"generator": kind, "trial": trial, "error": str(exc)})
                 warnings.warn(

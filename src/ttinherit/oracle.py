@@ -153,14 +153,14 @@ def cur_reconstruct_check(
     :class:`RankZeroError`.  Its pivoted QR is the package's one use of
     scipy (the ``test`` extra), imported here so the package never loads it.
     """
-    import scipy.linalg
-
-    X = to_dense(t)
-    M1 = dense_unfolding(X, 1)
     if I.domain != t.shape[0]:
         raise DomainError(f"I domain {I.domain} != first mode size {t.shape[0]}")
     if len(I) == 0:
         raise DomainError("I must be nonempty")
+    import scipy.linalg
+
+    X = to_dense(t)
+    M1 = dense_unfolding(X, 1)
     r1 = numerical_rank(np.linalg.svd(M1, compute_uv=False), rank_tol)
     if r1 == 0:
         raise RankZeroError("unfolding 1 is numerically zero")

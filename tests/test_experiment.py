@@ -6,11 +6,14 @@ import json
 import os
 import shutil
 import subprocess
+import threading
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import ttinherit.experiment as experiment_mod
 import ttinherit.linalg as linalg_mod
@@ -236,6 +239,19 @@ def test_summarize_boxplot_quartile_interpolation():
     # type-7 quartiles of [1..4]: q1 = 1.75, median = 2.5, q3 = 3.25
     s = summarize_boxplot([1.0, 2.0, 3.0, 4.0])
     assert (s.q1, s.median, s.q3) == (1.75, 2.5, 3.25)
+
+
+_SIGNED = st.builds(lambda m, neg: -m if neg else m, st.floats(1e-300, 1e300), st.booleans())
+_VALUES = st.lists(_SIGNED, min_size=1, max_size=60) | st.lists(
+    _SIGNED, min_size=1, max_size=5
+).flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=60))
+
+
+@given(_VALUES)
+def test_quartiles_are_bitwise_those_of_numpy_percentile(values):
+    vals = np.array(values)
+    got = np.array(experiment_mod._quartiles(np.sort(vals)))
+    assert got.tobytes() == np.percentile(vals, [25.0, 50.0, 75.0]).tobytes()
 
 
 def test_summarize_boxplot_constant_values():
@@ -676,6 +692,7 @@ def test_auto_workers_follow_the_largest_interface(monkeypatch, tmp_path, case):
     assert (elems < experiment_mod.POOL_MIN_INTERFACE_ELEMS) == (auto == 1)
     assert resolve_workers() == 4  # no config: one per CPU, at most 4
     pools = []
+    ran_on = []
 
     class RecordingPool(experiment_mod.ThreadPoolExecutor):
         def __init__(self, max_workers):
@@ -683,6 +700,7 @@ def test_auto_workers_follow_the_largest_interface(monkeypatch, tmp_path, case):
             super().__init__(max_workers=max_workers)
 
     def no_trial(config, kind, trial):
+        ran_on.append(threading.get_ident())
         raise TrialError("not run")
 
     monkeypatch.setattr(experiment_mod, "ThreadPoolExecutor", RecordingPool)
@@ -691,10 +709,17 @@ def test_auto_workers_follow_the_largest_interface(monkeypatch, tmp_path, case):
         if raw is not None:
             monkeypatch.setenv("TT_INHERIT_THREADS", raw)
         assert resolve_workers(cfg) == want
+        pools.clear()
+        ran_on.clear()
         with pytest.warns(RuntimeWarning, match="not run"):
             out = run_experiment(cfg, write=True)
         doc = json.loads((tmp_path / "summary.json").read_text())
-        assert pools[-1] == out.threads["workers"] == doc["threads"]["workers"] == want
+        assert out.threads["workers"] == doc["threads"]["workers"] == want
+        assert len(ran_on) == 6
+        if want == 1:  # one worker runs the trials in the calling thread
+            assert pools == [] and set(ran_on) == {threading.get_ident()}
+        else:
+            assert pools == [want] and threading.get_ident() not in ran_on
 
 
 BREAK_EVEN = Path(__file__).resolve().parent.parent / "BENCH_pool_break_even.json"

@@ -5,7 +5,8 @@ pyflakes or ruff is assumed, so this walks each module's syntax tree.
 ``__init__.py`` is exempt because its imports are the package's re-exports.
 
 In a fresh interpreter, the package, its command line and the dense oracle
-load neither scipy nor ``urllib.request``; only a call of
+load neither scipy nor ``urllib.request``, and a run that writes its
+artifacts loads neither of them nor ``numpy.ma``; only a call of
 ``oracle.cur_reconstruct_check`` brings scipy in.
 """
 
@@ -51,16 +52,21 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def test_the_run_path_imports_neither_scipy_nor_urllib():
+def test_the_run_path_imports_neither_scipy_nor_urllib(tmp_path):
     code = (
         "import sys, ttinherit, ttinherit.cli\n"
-        "print(sorted(m for m in ('scipy', 'urllib.request') if m in sys.modules))\n"
+        "def loaded():\n"
+        "    return sorted(m for m in ('numpy.ma', 'scipy', 'urllib.request') if m in sys.modules)\n"
+        "print(loaded())\n"
+        "config = ttinherit.desk_preset(trials=1, output_dir=sys.argv[1])\n"
+        "ttinherit.run_experiment(config, write=True)\n"
+        "print(loaded())\n"
         "import ttinherit.oracle\n"
         "print('scipy' in sys.modules)\n"
         "t = ttinherit.TTTensor([[[[1.0], [2.0]]], [[[3.0], [4.0]]]])\n"
         "ttinherit.oracle.cur_reconstruct_check(t, ttinherit.IndexSet([1, 2], 2))\n"
         "print('scipy' in sys.modules)\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "False", "True"]
+    assert proc.stdout.splitlines() == ["[]", "[]", "False", "True"]

@@ -1,5 +1,8 @@
 """Dense brute-force reference path and the skeleton-reconstruction identity."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -152,6 +155,25 @@ def test_cur_rejects_bad_index_sets():
         cur_reconstruct_check(t, IndexSet([1], 7))
     with pytest.raises(DomainError):
         cur_reconstruct_check(t, IndexSet([], 6))
+
+
+def test_cur_checks_the_index_set_before_building_anything():
+    # at 100^4 the dense tensor would be over DENSE_CAP, so a check made after
+    # building it would raise CapacityError; a refused call loads no scipy
+    code = (
+        "import sys\n"
+        "from ttinherit import GeneratorSpec, IndexSet, Shape, generate\n"
+        "from ttinherit.oracle import cur_reconstruct_check\n"
+        "t = generate(GeneratorSpec('gaussian', Shape((100,) * 4), (2, 3, 2), seed=35))\n"
+        "try:\n"
+        "    cur_reconstruct_check(t, IndexSet([1, 2], 50))\n"
+        "except Exception as exc:\n"
+        "    print(type(exc).__name__)\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["DomainError", "False"]
 
 
 # ---------------------------------------------------------------- dense_properties
