@@ -107,8 +107,9 @@ class ThinSVD:
     A square rotation is then orthogonal, so ``Q @ U`` has the row norms of
     ``Q``: :meth:`factor_max_row_norm` reads ``Q`` alone, unrotated.  A caller
     that caches that value per basis passes ``row_norms=(f_W, f_V)``,
-    zero-argument callables returning :func:`max_row_norm` of each basis,
-    called only when it is read; otherwise each read makes the pass.
+    zero-argument callables returning the largest row norm of each basis
+    (by :func:`max_row_norm` or within 1e-14 relative of it), called only
+    when it is read; otherwise each read makes the pass.
     Where ``U`` has more rows than columns, ``Q @ U`` is read in blocks of
     :data:`ROW_BLOCK` rows instead.
     """

@@ -178,8 +178,10 @@ def incoherence(svd: ThinSVD) -> IncoherencePair:
     ``ThinSVD`` has already checked its factors, so each factor's largest
     row norm is that of its orthonormal basis wherever the rotation is
     square: an SVD from :func:`~ttinherit.tt.unfolding_svd` reads it from
-    the form's memo, made in one pass per interface, so the parent's V_k
-    and V_t of a row-sampled subtensor give the same float.  Under a
+    the form's memo, made once per interface (a pass over a boundary core,
+    quadratic forms over the interface one mode shorter past it, within
+    1e-14 relative of a pass), so the parent's V_k and V_t of a
+    row-sampled subtensor give the same float.  Under a
     rotation that is not square (numerical rank below the form's rank) the
     basis is read rotated, block by block
     (:data:`~ttinherit.linalg.ROW_BLOCK` rows).  No factor is multiplied

@@ -29,12 +29,16 @@ orthonormality is checked on Grams carried through the cores of ``A`` and
 Each of ``A`` and ``B`` keeps one memo per side, a dict in which its
 interfaces, their Grams and their largest row norms are kept, read-only,
 when first built (keys ``("Q", k)``, ``("G", k)``, ``("norm", k)``), so
-every check of a tensor reads each interface built once, and the memo
-lives and dies with the form tensor.  A rotation that is square is
-orthogonal, so the largest row norm of a singular factor is that of its
-interface, read in one unrotated pass per interface.  A subtensor from
-:func:`row_restrict` shares ``B``'s trailing cores and so also its right
-memo.  Tensors from the :class:`TTTensor` constructor keep no memo.
+every check of a tensor reads each interface built once, each by one
+step from the interface one mode shorter, and the memo lives and dies
+with the form tensor.  A rotation that is square is orthogonal, so the
+largest row norm of a singular factor is that of its interface.  Only
+the first interface of each side, a boundary core, is read for it in a
+pass; every later one is read as quadratic forms over the interface one
+mode shorter (:func:`_interface_max_row_norm`), so no row of it is read.
+A subtensor from :func:`row_restrict` shares ``B``'s trailing cores and
+so also its right memo.  Tensors from the :class:`TTTensor` constructor
+keep no memo.
 
 Sampled rows of W_k that nested row sets induce, I_i extended by every
 value of modes i+1..k, are never gathered: a sweep of small QRs from
@@ -72,6 +76,12 @@ __all__ = [
 ]
 
 INTERFACE_ELEM_CAP = 1 << 27  # ~1 GiB of float64 per interface matrix
+
+# elements in the largest temporary of a quadratic-form row-norm block: at
+# most 128 KiB, so the blocks reuse heap memory instead of faulting in
+# fresh pages (2^16 raised a serial 10^6, d = 6 trial from 979 to 1,112
+# minor faults)
+_QUADRATIC_BLOCK = 1 << 14
 
 
 def _validate_cores(cores) -> tuple[Shape, tuple[int, ...]]:
@@ -223,25 +233,9 @@ def _left_step(L: np.ndarray, core: np.ndarray) -> np.ndarray:
     return (M @ L.T).reshape(r_out, n * L.shape[0]).T
 
 
-def _left_chain(cores, upto: int) -> np.ndarray:
-    """Contract cores[0:upto] into the (prod n_j) x r_upto interface matrix."""
-    L = cores[0][0]  # (n_1, r_1)
-    for k in range(1, upto):
-        L = _left_step(L, cores[k])
-    return L
-
-
 def _right_step(core: np.ndarray, R: np.ndarray) -> np.ndarray:
     """Y[j + n*b, a] = sum_c core[a, j, c] * R[b, c], column-major."""
     return np.matmul(R, core.transpose(0, 2, 1)).reshape(core.shape[0], -1).T
-
-
-def _right_chain(cores, i: int) -> np.ndarray:
-    """Contract cores[i:] into the (prod n_j) x r_i interface matrix."""
-    R = cores[-1][:, :, 0].T  # (n_d, r_{d-1})
-    for k in range(len(cores) - 2, i - 1, -1):
-        R = _right_step(cores[k], R)
-    return R
 
 
 def _memoized(t: TTTensor, side: int, key: tuple, build, *args):
@@ -260,6 +254,29 @@ def _memoized(t: TTTensor, side: int, key: tuple, build, *args):
     return value
 
 
+def _interface(t: TTTensor, side: int, key: int) -> np.ndarray:
+    """The interface of ``t`` over its first (``side`` 0) or last
+    (``side`` 1) ``key`` cores, kept in a form tensor's memo under
+    ``("Q", key)``: L_key, or R_{d-key}, unchecked.
+
+    Key 1 is a view of the boundary core; every later key is one
+    :func:`_left_step` or :func:`_right_step` from key - 1, read from the
+    memo, so no prefix of the chain is contracted twice.
+    """
+    return _memoized(t, side, ("Q", key), _chain_step, t, side, key)
+
+
+def _chain_step(t: TTTensor, side: int, key: int) -> np.ndarray:
+    """Build :func:`_interface` ``(t, side, key)``, reading key - 1 from it."""
+    if side == 0:
+        if key == 1:
+            return t.cores[0][0]  # (n_1, r_1)
+        return _left_step(_interface(t, 0, key - 1), t.cores[key - 1])
+    if key == 1:
+        return t.cores[-1][:, :, 0].T  # (n_d, r_{d-1})
+    return _right_step(t.cores[t.d - key], _interface(t, 1, key - 1))
+
+
 def left_interface(t: TTTensor, i: int) -> np.ndarray:
     """L_i: rows are the first i modes linearized (first index fastest), cols r_i.
 
@@ -268,7 +285,7 @@ def left_interface(t: TTTensor, i: int) -> np.ndarray:
     """
     i = _check_position(t, i)
     _check_capacity(t.cores, i, True)
-    return _memoized(t, 0, ("Q", i), _left_chain, t.cores, i)
+    return _interface(t, 0, i)
 
 
 def right_interface(t: TTTensor, i: int) -> np.ndarray:
@@ -280,7 +297,7 @@ def right_interface(t: TTTensor, i: int) -> np.ndarray:
     """
     i = _check_position(t, i)
     _check_capacity(t.cores, i, False)
-    return _memoized(t, 1, ("Q", t.d - i), _right_chain, t.cores, i)
+    return _interface(t, 1, t.d - i)
 
 
 def _gram(t: TTTensor, side: int, key: int) -> np.ndarray:
@@ -308,6 +325,44 @@ def _gram(t: TTTensor, side: int, key: int) -> np.ndarray:
 def _form_gram(t: TTTensor, side: int, key: int) -> np.ndarray:
     """:func:`_gram`, kept in the form tensor's memo under ``("G", key)``."""
     return _memoized(t, side, ("G", key), _gram, t, side, key)
+
+
+def _interface_max_row_norm(t: TTTensor, side: int, key: int) -> float:
+    """Largest row norm of the interface ``("Q", key)`` of the form tensor
+    ``t`` on ``side``, read without a pass over it past key 1.
+
+    Key 1, a boundary core, is read by :func:`max_row_norm`.  Past it, row
+    (p, j) of L_key is X[p] @ A[:, j, :] for X = L_{key-1} and A core key,
+    so its squared norm is the quadratic form X[p] H_j X[p].T with
+    H_j = A[:, j, :] @ A[:, j, :].T; on the right, row (j, b) of R_{d-key}
+    is B[:, j, :] @ X[b].T for X the interface over key - 1 cores, and
+    H_j = B[:, j, :].T @ B[:, j, :].  Each block of rows of X is one GEMM,
+    its pairwise products X[p, a] X[p, c] against the (r^2, n) table of H
+    entries, and no temporary of a block holds more than
+    :data:`_QUADRATIC_BLOCK` elements.  The sums run in another order than
+    a pass over the interface, so the result may differ from its
+    :func:`max_row_norm` by a few units in the last place (at most 1e-14
+    relative); the roundoff of a zero row may read slightly below zero,
+    and only the maximum is read.
+    """
+    if key == 1:
+        return max_row_norm(_interface(t, side, 1))
+    X = _interface(t, side, key - 1)
+    if side == 0:
+        core = t.cores[key - 1]
+        H = np.einsum("ajc,bjc->abj", core, core)
+    else:
+        core = t.cores[t.d - key]
+        H = np.einsum("aje,ajc->ecj", core, core)
+    r = X.shape[1]
+    H = H.reshape(r * r, -1)
+    step = max(1, _QUADRATIC_BLOCK // max(r * r, H.shape[1]))
+    most = 0.0
+    for start in range(0, X.shape[0], step):
+        P = X[start : start + step]
+        P = (P[:, :, None] * P[:, None, :]).reshape(-1, r * r)
+        most = max(most, (P @ H).max())
+    return float(np.sqrt(most))
 
 
 def _form_tensor(cores, shares: TTTensor | None = None) -> TTTensor:
@@ -433,8 +488,10 @@ def unfolding_svd(t: TTTensor, i: int, rank_tol: float = DEFAULT_RANK_TOL) -> Th
     and their orthonormality is checked on Grams carried through the form
     cores (:func:`_form_gram`), so making the SVD reads no interface row.
     Each interface's largest row norm, which is the factor's wherever the
-    rotation is square, is read in one pass when first asked for and kept
-    in the form's memo under ``("norm", key)``.
+    rotation is square, is made when first asked for and kept in the
+    form's memo under ``("norm", key)``: by a pass over a boundary core,
+    and as quadratic forms over the interface one mode shorter past it
+    (:func:`_interface_max_row_norm`).
     """
     i = _check_position(t, i)
     A, S = left_orthogonal_form(t)
@@ -443,8 +500,8 @@ def unfolding_svd(t: TTTensor, i: int, rank_tol: float = DEFAULT_RANK_TOL) -> Th
     QR = right_interface(B, i)
     grams = (_form_gram(A, 0, i), _form_gram(B, 1, t.d - i))
     norms = (
-        functools.partial(_memoized, A, 0, ("norm", i), max_row_norm, QL),
-        functools.partial(_memoized, B, 1, ("norm", t.d - i), max_row_norm, QR),
+        functools.partial(_memoized, A, 0, ("norm", i), _interface_max_row_norm, A, 0, i),
+        functools.partial(_memoized, B, 1, ("norm", t.d - i), _interface_max_row_norm, B, 1, t.d - i),
     )
     return _svd_between(QL, S[i - 1] @ T[i - 1].T, QR, rank_tol, grams, norms)
 
@@ -492,7 +549,7 @@ def _row_sweep(t: TTTensor, I: IndexSet, i: int, svds: dict[int, ThinSVD]) -> di
     """
     A, _ = left_orthogonal_form(t)
     # L_k(A) is built, so L_i(A), a step of its chain, is within the cap
-    L_i = _memoized(A, 0, ("Q", i), _left_chain, A.cores, i)
+    L_i = _interface(A, 0, i)
     R = np.linalg.qr(L_i[I.zero_based()], mode="r")
     blocks = {}
     for k in range(i, max(svds) + 1):

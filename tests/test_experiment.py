@@ -375,8 +375,8 @@ def test_run_trial_multiplies_no_singular_factor_out(monkeypatch):
 
 def test_run_trial_gathers_no_more_rows_than_a_sample_and_reads_each_basis_once(monkeypatch):
     # alpha_{i,t} comes from QR sweeps that start at the sampled rows, so no
-    # taller block of a factor is gathered; mu is read once per basis, and a
-    # subtensor's V_t is the parent's right interface, whose row norm is cached
+    # taller block of a factor is gathered; a subtensor's V_t is the parent's
+    # right interface, whose row norm is read once and kept in the form's memo
     cfg = desk_preset(trials=1)
     want = run_trial(cfg, "gaussian", 0)
     most = max(cfg.sample_sizes_I + cfg.sample_sizes_J)
@@ -387,14 +387,6 @@ def test_run_trial_gathers_no_more_rows_than_a_sample_and_reads_each_basis_once(
             raise AssertionError(f"{len(rows)} rows of {side} gathered")
         return gather(self, side, rows)
 
-    passes = {}  # (data address, shape) of each array read -> passes
-    one_pass = linalg_mod.max_row_norm
-
-    def counted(M, U=None):
-        key = (M.__array_interface__["data"][0], M.shape)
-        passes[key] = passes.get(key, 0) + 1
-        return one_pass(M, U)
-
     made = []  # (tensor, i, svd) of every unfolding_svd call
     unfold = tt_mod.unfolding_svd
 
@@ -403,19 +395,54 @@ def test_run_trial_gathers_no_more_rows_than_a_sample_and_reads_each_basis_once(
         return made[-1][2]
 
     monkeypatch.setattr(linalg_mod.ThinSVD, "factor_rows", refuse)
-    for mod in (linalg_mod, tt_mod):
-        monkeypatch.setattr(mod, "max_row_norm", counted)
     for mod in (experiment_mod, properties_mod):
         monkeypatch.setattr(mod, "unfolding_svd", kept)
     got = run_trial(cfg, "gaussian", 0)
     assert got.values == want.values and got.bound_pass == want.bound_pass
     assert got.resamples == want.resamples
-    assert passes and max(passes.values()) == 1
     (parent,) = [svd for t, i, svd in made if i == 1 and t.shape == cfg.shape]
     level_1 = (cfg.sample_sizes_I[0],) + cfg.shape[1:]
     (sub,) = [svd for t, i, svd in made if i == 1 and t.shape == level_1]
     assert np.shares_memory(sub.basis("V"), parent.basis("V"))
     assert sub.factor_max_row_norm("V") == parent.factor_max_row_norm("V")
+
+
+@pytest.mark.parametrize("geometry", ["desk", "deep"])
+def test_run_trial_makes_no_row_norm_pass_over_an_interface_past_a_boundary_core(geometry, monkeypatch):
+    # the largest row norm of every form interface past the first core (or
+    # the last) is read as quadratic forms over the interface one mode
+    # shorter, so a pass reads only boundary cores and sampled blocks; the
+    # interfaces are told apart by memory, not height, since a sampled
+    # block (160 rows at desk) can be as tall as a subtensor's interface
+    cfg = desk_preset(trials=1) if geometry == "desk" else _deep_geometry(trials=1)
+    want = {kind: run_trial(cfg, kind, 0) for kind in KINDS}
+    interfaces = {}  # id -> every interface built past a boundary core
+    build = tt_mod._interface
+    one_pass = linalg_mod.max_row_norm
+    reads = []
+
+    def recorded(t, side, key):
+        X = build(t, side, key)
+        if key > 1:
+            interfaces[id(X)] = X
+        return X
+
+    def refuse(M, U=None):
+        if any(np.may_share_memory(M, X) for X in interfaces.values()):
+            raise AssertionError(f"a row-norm pass over a {M.shape[0]}-row interface")
+        reads.append(M.shape[0])
+        return one_pass(M, U)
+
+    monkeypatch.setattr(tt_mod, "_interface", recorded)
+    for mod in (linalg_mod, tt_mod):
+        monkeypatch.setattr(mod, "max_row_norm", refuse)
+    for kind in KINDS:
+        got = run_trial(cfg, kind, 0)
+        assert got.values == want[kind].values and got.bound_pass == want[kind].bound_pass
+        assert got.resamples == want[kind].resamples
+    tallest = max(cfg.shape[0], cfg.shape[-1])
+    assert max(X.shape[0] for X in interfaces.values()) == cfg.shape.size // tallest
+    assert tallest in reads  # the boundary cores themselves still get their pass
 
 
 def test_run_trial_sweeps_each_sampled_level_once(monkeypatch):

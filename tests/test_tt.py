@@ -47,7 +47,7 @@ from ttinherit.linalg import max_row_norm
 from ttinherit.oracle import dense_properties, dense_unfolding
 from ttinherit.tt import left_orthogonal_form, right_orthogonal_form
 
-from conftest import make_tt, rel_err, sample_valid_sets
+from conftest import coherent, make_tt, rel_err, sample_valid_sets
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -142,7 +142,7 @@ def test_entry_matches_dense_everywhere(interface_chain, monkeypatch):
     t = make_tt("gaussian", (2, 3, 2), (2, 2), seed=10)
     if interface_chain == "refused":
         monkeypatch.setattr(tt_mod, "_left_step", _refuse)
-        monkeypatch.setattr(tt_mod, "_left_chain", _refuse)
+        monkeypatch.setattr(tt_mod, "_interface", _refuse)
     X = to_dense(t)
     for multi in itertools.product(*(range(1, n + 1) for n in t.shape)):
         zero = tuple(j - 1 for j in multi)
@@ -241,8 +241,9 @@ def test_interface_rows_multiply_out_to_entries(t):
 
 
 def test_interfaces_agree_bitwise_across_blas_thread_counts():
-    # 1e6-row interfaces at paper geometry; OpenBLAS splits GEMM and QR work
-    # over threads, which must not change a single bit
+    # 1e6-row interfaces at paper geometry and their largest row norms, from
+    # quadratic forms past the boundary cores; OpenBLAS splits GEMM and QR
+    # work over threads, which must not change a single bit
     script = (
         "import hashlib, numpy as np\n"
         "from ttinherit import TTTensor, left_interface, right_interface, unfolding_svd\n"
@@ -257,6 +258,8 @@ def test_interfaces_agree_bitwise_across_blas_thread_counts():
         "    s = unfolding_svd(t, i)\n"
         "    for a in (s.W, s.sigma, s.V):\n"
         "        h.update(a.tobytes())\n"
+        "    for side in 'WV':\n"
+        "        h.update(np.float64(s.factor_max_row_norm(side)).tobytes())\n"
         "print(h.hexdigest())\n"
     )
     digests = []
@@ -295,6 +298,34 @@ def test_form_interfaces_are_cached_read_only_and_bitwise_a_fresh_build():
             with pytest.raises(ValueError):
                 X[0, 0] = 1.0
             assert X.tobytes() == build(fresh, i).tobytes()
+
+
+@st.composite
+def _small_chains(draw):
+    """A TT with d in 2-6, modes of size 2-3 and ranks 1-4, in about half
+    the draws made coherent (see :func:`conftest.coherent`)."""
+    d = draw(st.integers(2, 6))
+    shape = draw(st.lists(st.integers(2, 3), min_size=d, max_size=d))
+    ranks = [1] + draw(st.lists(st.integers(1, 4), min_size=d - 1, max_size=d - 1)) + [1]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = TTTensor([rng.standard_normal((ranks[k], shape[k], ranks[k + 1])) for k in range(d)])
+    return coherent(t) if draw(st.booleans()) else t
+
+
+@settings(max_examples=80, deadline=None)
+@given(_small_chains())
+def test_row_norms_from_quadratic_forms_match_a_pass_over_the_interface(t):
+    # past a boundary core the memo's largest row norm is read from the
+    # interface one mode shorter; it must agree with a pass over the built
+    # interface within 1e-14 relative, and equal it at the boundary core
+    (A, _), (B, _) = left_orthogonal_form(t), right_orthogonal_form(t)
+    for key in range(1, t.d):
+        for form, side, Q in ((A, 0, left_interface(A, key)), (B, 1, right_interface(B, t.d - key))):
+            got, want = tt_mod._interface_max_row_norm(form, side, key), max_row_norm(Q)
+            if key == 1:
+                assert got == want
+            else:
+                assert abs(got - want) <= 1e-14 * want
 
 
 def _random_chain(shape, ranks, seed):
@@ -414,8 +445,8 @@ def _duplicated_rank_slice() -> TTTensor:
 
 def test_factor_rows_are_bitwise_and_row_norms_are_the_basis_where_the_rotation_is_square():
     rng = np.random.default_rng(41)
-    square = 0
-    for svd in _factored_svds():
+    square = quadratic = 0
+    for k, svd in enumerate(_factored_svds()):
         for side, F in (("W", svd.W), ("V", svd.V)):
             assert F is getattr(svd, side)  # multiplied out once, then cached
             assert F.flags.f_contiguous and not F.flags.writeable
@@ -425,9 +456,19 @@ def test_factor_rows_are_bitwise_and_row_norms_are_the_basis_where_the_rotation_
             Q = svd.basis(side)
             square += Q.shape[1] == F.shape[1]
             mu = svd.factor_max_row_norm(side)
-            assert mu == max_row_norm(Q if Q.shape[1] == F.shape[1] else F)
+            want = max_row_norm(Q if Q.shape[1] == F.shape[1] else F)
+            # the first three are the unfolding SVDs of the 20^4 tensor; a
+            # form interface past its boundary core is read as quadratic
+            # forms over the interface one mode shorter, every other basis
+            # by one pass, bit for bit
+            if k < 3 and Q.shape[0] > 20:
+                quadratic += 1
+                assert abs(mu - want) <= 1e-14 * want
+            else:
+                assert mu == want
             assert abs(mu - max_row_norm(F)) <= 1e-14 * max_row_norm(F)
     assert square == 2 * 7  # all but the two of the rank-1 unfolding
+    assert quadratic == 4  # V_1, W_2, V_2 and W_3
 
 
 def test_a_rotation_that_is_not_square_keeps_mu_equal_to_the_oracle():
