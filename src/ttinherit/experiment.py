@@ -600,9 +600,12 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentRe
     thread runs them one after another and no pool is made.  Results are
     collected in deterministic (generator, trial) order regardless of
     scheduling.  While the trials run, every loaded OpenBLAS runs one
-    thread (:func:`~ttinherit.linalg.blas_thread_budget`).  The thread plan is
-    ``workers``, ``cpus`` and, per library, its file name, its threads
-    before the run and its threads per worker (1).  A trial that raises
+    thread and, with glibc, malloc keeps the memory a trial frees for the
+    next one instead of handing it back to the OS
+    (:func:`~ttinherit.linalg.blas_thread_budget`); both are restored when
+    the run ends.  The thread plan is ``workers``, ``cpus``, per library its
+    file name, its threads before the run and its threads per worker (1),
+    and ``heap_kept``, whether malloc kept freed memory.  A trial that raises
     (it exhausts its resample budget, its tensor cannot be generated, ...) is
     excluded from the results with a warning and listed in ``failures``; the
     other trials still run.  With ``write`` the output directory is made
@@ -614,7 +617,7 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentRe
     workers = min(resolve_workers(config), len(tasks))
     if write:
         os.makedirs(config.output_dir, exist_ok=True)
-    with blas_thread_budget() as before, contextlib.ExitStack() as stack:
+    with blas_thread_budget() as (before, heap_kept), contextlib.ExitStack() as stack:
         threads = {
             "workers": workers,
             "cpus": available_cpus(),
@@ -622,6 +625,7 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentRe
                 {"library": name, "threads_before": n, "threads_per_worker": 1}
                 for name, n in before
             ],
+            "heap_kept": heap_kept,
         }
         if workers > 1:
             pool = stack.enter_context(ThreadPoolExecutor(max_workers=workers))

@@ -13,7 +13,8 @@ Outside the dense oracle, singular values meet ``rank_tol`` only here:
 the rank hypothesis of every inheritance bound.
 
 :func:`blas_thread_budget` runs the OpenBLAS behind those factorizations
-on one thread while a block runs.
+on one thread while a block runs, and with glibc keeps the memory the block
+frees in the process heap.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ __all__ = [
     "condition_number",
     "OpenBLAS",
     "loaded_openblas",
+    "GlibcMalloc",
+    "glibc_malloc",
     "blas_thread_budget",
 ]
 
@@ -381,48 +384,104 @@ def loaded_openblas() -> list[OpenBLAS]:
     return found
 
 
-class _SavedCounts:
-    """Thread counts saved by the first of the budgets that overlap in time.
+# glibc's mallopt parameters (malloc.h) and their defaults
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+DEFAULT_MALLOC_THRESHOLD = 128 * 1024
+# the largest mmap threshold 64-bit glibc takes: a 10**6-row interface of
+# rank 2 (16 MB) is served from the heap, not from a fresh mapping
+KEPT_MMAP_THRESHOLD = 32 * 1024 * 1024
+# above what a trial frees at the top of a heap, so no free is trimmed
+KEPT_TRIM_THRESHOLD = 1 << 30
 
-    The count is process-wide, so budgets entered from different threads
-    share it: the first to enter saves it and the last to leave restores it.
-    The lock is re-entrant because a budget that was entered and then
-    dropped without being left is closed by the garbage collector, which may
-    run on a thread that already holds the lock.
+
+@dataclass(frozen=True)
+class GlibcMalloc:
+    """glibc's malloc tuning calls in this process."""
+
+    mallopt: Callable[[int, int], int]
+    malloc_trim: Callable[[int], int]
+
+
+def glibc_malloc() -> GlibcMalloc | None:
+    """glibc's ``mallopt`` and ``malloc_trim`` as linked into this process.
+
+    ``None`` where the C library has no ``mallopt`` (macOS, musl) or cannot
+    be opened; nothing new is loaded.
+    """
+    try:
+        libc = ctypes.CDLL(None)
+        mallopt, malloc_trim = libc.mallopt, libc.malloc_trim
+    except (OSError, AttributeError, TypeError):  # TypeError: no CDLL(None) on Windows
+        return None
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    malloc_trim.argtypes, malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return GlibcMalloc(mallopt, malloc_trim)
+
+
+class _SavedSettings:
+    """Process-wide settings saved by the first of the budgets that overlap in time.
+
+    The settings are process-wide, so budgets entered from different threads
+    share them: the first to enter saves and changes them and the last to
+    leave restores them.  The lock is re-entrant because a budget that was
+    entered and then dropped without being left is closed by the garbage
+    collector, which may run on a thread that already holds the lock.
     """
 
     def __init__(self):
         self.lock = threading.RLock()
         self.users = 0
         self.counts: list[tuple[OpenBLAS, int]] = []
+        self.malloc: GlibcMalloc | None = None
 
 
-_SAVED = _SavedCounts()
+_SAVED = _SavedSettings()
 
 
 @contextmanager
 def blas_thread_budget():
-    """Run every loaded OpenBLAS on one thread inside the block.
+    """Run every loaded OpenBLAS on one thread and keep freed heap memory inside the block.
 
     On exit each library gets back the count it had on entry.  The count is
     process-wide, so it also holds for BLAS calls made outside the block's
     thread while the block runs; blocks that overlap in time on different
     threads share it, and the last one to end restores the count found by
-    the first.  Yields ``[(library file name, threads before), ...]``; no
-    OpenBLAS found means nothing changes and the list is empty.
+    the first.  No OpenBLAS found means no count changes.
+
+    The heap is process-wide too.  With glibc the first block raises
+    malloc's mmap threshold to 32 MiB and its trim threshold to 1 GiB, so
+    the 16 MB interfaces a trial frees stay in the heap for the next trial
+    instead of going back to the OS and faulting in again as fresh pages.
+    The last block to end sets both back to glibc's 128 KiB defaults and
+    calls ``malloc_trim(0)``, which returns what was kept.  glibc's dynamic
+    mmap threshold stays off after that, since no call turns it back on.
+    Without glibc's ``mallopt`` (:func:`glibc_malloc` is ``None``) the heap
+    is left alone.
+
+    Yields ``([(library file name, threads before), ...], heap kept)``.
     """
     with _SAVED.lock:
         if _SAVED.users == 0:
             _SAVED.counts = [(lib, lib.get_threads()) for lib in loaded_openblas()]
+            _SAVED.malloc = malloc = glibc_malloc()
+            if malloc is not None:
+                malloc.mallopt(M_MMAP_THRESHOLD, KEPT_MMAP_THRESHOLD)
+                malloc.mallopt(M_TRIM_THRESHOLD, KEPT_TRIM_THRESHOLD)
         libs = _SAVED.counts
+        heap_kept = _SAVED.malloc is not None
         for lib, _ in libs:
             lib.set_threads(1)
         _SAVED.users += 1
     try:
-        yield [(os.path.basename(lib.path), before) for lib, before in libs]
+        yield [(os.path.basename(lib.path), before) for lib, before in libs], heap_kept
     finally:
         with _SAVED.lock:
             _SAVED.users -= 1
             if _SAVED.users == 0:
                 for lib, before in libs:
                     lib.set_threads(before)
+                if (malloc := _SAVED.malloc) is not None:
+                    malloc.mallopt(M_MMAP_THRESHOLD, DEFAULT_MALLOC_THRESHOLD)
+                    malloc.mallopt(M_TRIM_THRESHOLD, DEFAULT_MALLOC_THRESHOLD)
+                    malloc.malloc_trim(0)

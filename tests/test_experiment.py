@@ -6,6 +6,7 @@ import json
 import os
 import shutil
 import subprocess
+import sys
 import threading
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -829,6 +830,7 @@ def test_run_experiment_gives_each_worker_its_blas_share(monkeypatch, openblas, 
             }
             for lib in openblas
         ],
+        "heap_kept": linalg_mod.glibc_malloc() is not None,
     }
 
 
@@ -861,10 +863,11 @@ def test_run_without_openblas_changes_no_thread_count(monkeypatch, openblas):
     cfg = _small_config(trials=2)
     with_blas = run_experiment(cfg, write=False)
     monkeypatch.setattr(linalg_mod, "loaded_openblas", lambda: [])
+    monkeypatch.setattr(linalg_mod, "glibc_malloc", lambda: None)  # a libc without mallopt
     seen = _reading_blas_threads(monkeypatch, openblas)
     without = run_experiment(cfg, write=False)
     assert set(seen) == {(3,) * len(openblas)}
-    assert without.threads == {"workers": 2, "cpus": 2, "openblas": []}
+    assert without.threads == {"workers": 2, "cpus": 2, "openblas": [], "heap_kept": False}
     assert [r.values for r in without.results] == [r.values for r in with_blas.results]
 
 
@@ -875,8 +878,41 @@ def test_written_summary_records_the_thread_plan(monkeypatch, tmp_path):
         doc = json.load(f)
     assert doc["threads"] == out.threads
     assert doc["threads"]["workers"] == 2
+    assert doc["threads"]["heap_kept"] is (linalg_mod.glibc_malloc() is not None)
     for entry in doc["threads"]["openblas"]:
         assert set(entry) == {"library", "threads_before", "threads_per_worker"}
+
+
+@pytest.mark.skipif(linalg_mod.glibc_malloc() is None, reason="the C library has no mallopt")
+def test_trials_after_the_first_fault_in_no_fresh_pages():
+    # each trial at 40^4 frees interfaces of 1 MB; kept in the heap, they
+    # serve the next trial's arrays from pages it already has (each such
+    # trial faulted about 500 times when malloc handed them back to the OS)
+    code = (
+        "import json, resource, ttinherit, ttinherit.experiment as ex\n"
+        "real, faults = ex.run_trial, []\n"
+        "def counting(config, kind, trial):\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    try:\n"
+        "        return real(config, kind, trial)\n"
+        "    finally:\n"
+        "        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        "ex.run_trial = counting\n"
+        "config = ttinherit.ExperimentConfig(\n"
+        "    shape=(40,) * 4, ranks=(2, 3, 2), generators=('gaussian',), trials=4, master_seed=0\n"
+        ")\n"
+        "out = ttinherit.run_experiment(config, write=False)\n"
+        "print(json.dumps([faults, out.threads]))\n"
+    )
+    env = {**os.environ, "TT_INHERIT_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    faults, threads = json.loads(proc.stdout)
+    assert threads["workers"] == 1 and threads["heap_kept"] is True
+    assert len(faults) == 4
+    assert max(faults[1:]) < 50, faults
 
 
 def test_resolve_workers(monkeypatch):

@@ -357,30 +357,67 @@ def test_loaded_openblas_finds_each_library_once(openblas_libs):
     assert all("openblas" in lib.path.lower() and lib.get_threads() >= 1 for lib in libs)
 
 
-def test_blas_thread_budget_restores_counts_after_an_error(openblas_libs):
+@pytest.fixture()
+def malloc_calls(monkeypatch):
+    """The libc lookup patched to a glibc whose every malloc call is recorded."""
+    calls = []
+    fake = linalg_mod.GlibcMalloc(
+        mallopt=lambda param, value: calls.append(("mallopt", param, value)) or 1,
+        malloc_trim=lambda pad: calls.append(("malloc_trim", pad)) or 1,
+    )
+    monkeypatch.setattr(linalg_mod, "glibc_malloc", lambda: fake)
+    return calls
+
+
+HEAP_KEPT = [
+    ("mallopt", linalg_mod.M_MMAP_THRESHOLD, 32 * 1024 * 1024),
+    ("mallopt", linalg_mod.M_TRIM_THRESHOLD, linalg_mod.KEPT_TRIM_THRESHOLD),
+]
+HEAP_RESTORED = [
+    ("mallopt", linalg_mod.M_MMAP_THRESHOLD, 128 * 1024),
+    ("mallopt", linalg_mod.M_TRIM_THRESHOLD, 128 * 1024),
+    ("malloc_trim", 0),
+]
+
+
+def test_blas_thread_budget_restores_counts_after_an_error(openblas_libs, malloc_calls):
     libs = openblas_libs
     before = [lib.get_threads() for lib in libs]
+    with blas_thread_budget() as (_, heap_kept):
+        assert heap_kept and malloc_calls == HEAP_KEPT
+    assert malloc_calls == HEAP_KEPT + HEAP_RESTORED
+    malloc_calls.clear()
     with pytest.raises(RuntimeError):
-        with blas_thread_budget() as found:
+        with blas_thread_budget() as (found, heap_kept):
             assert [lib.get_threads() for lib in libs] == [1] * len(libs)
             assert [n for _, n in found] == before
+            assert heap_kept and malloc_calls == HEAP_KEPT
             raise RuntimeError("inside the budget")
     assert [lib.get_threads() for lib in libs] == before
+    assert malloc_calls == HEAP_KEPT + HEAP_RESTORED
 
 
-def test_overlapping_budgets_restore_the_count_found_first(openblas_libs):
+def test_overlapping_budgets_restore_the_count_found_first(openblas_libs, malloc_calls):
     libs = openblas_libs
     before = [lib.get_threads() for lib in libs]
     first, second = blas_thread_budget(), blas_thread_budget()
     first.__enter__()
-    second.__enter__()
+    entered = []
+    th = threading.Thread(target=lambda: entered.append(second.__enter__()))
+    th.start()
+    th.join(timeout=30)
+    assert not th.is_alive()
     try:
         first.__exit__(None, None, None)
         while_second_runs = [lib.get_threads() for lib in libs]
+        malloc_while_second_runs = list(malloc_calls)
     finally:
         second.__exit__(None, None, None)
     assert while_second_runs == [1] * len(libs)
     assert [lib.get_threads() for lib in libs] == before
+    assert entered[0][1] is True
+    assert malloc_while_second_runs == HEAP_KEPT  # set once, by the first
+    assert malloc_calls == HEAP_KEPT + HEAP_RESTORED
 
 
 def test_budgets_entered_from_many_threads_restore_the_count(openblas_libs):
