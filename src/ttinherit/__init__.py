@@ -40,7 +40,6 @@ from .linalg import (
     condition_number,
     numerical_rank,
     pinv_spectral_norm,
-    row_two_inf_norm,
     thin_svd,
 )
 from .tt import (
@@ -115,7 +114,6 @@ __all__ = [
     "thin_svd",
     "numerical_rank",
     "pinv_spectral_norm",
-    "row_two_inf_norm",
     "condition_number",
     # tt + container
     "TTTensor",

@@ -14,11 +14,9 @@ fields.
 through the writer ``run`` uses; of an existing summary.json it replaces only
 ``summaries``, ``version`` and ``quartile_method`` and keeps the run's record,
 and it exits 1 when that record lists failed trials.
-TT_INHERIT_THREADS sets the number of trial workers; 0 or unset means one
-worker when the largest interface matrix of the configured tensor holds
-fewer than 500,000 entries, else one per CPU this process may use, at most 4,
-and never more than there are trials.  One worker is the calling thread,
-which runs the trials one after another; more run as a thread pool.  Each
+TT_INHERIT_THREADS sets the number of trial workers, never more than there
+are trials; 0 or unset means one.  One worker is the calling thread, which
+runs the trials one after another; more run as a thread pool.  Each
 worker runs OpenBLAS on one thread; summary.json records the plan under
 ``threads``.  Quartiles are numpy's type-7 interpolation, computed without
 ``np.percentile`` so that a run never loads ``numpy.ma``.

@@ -41,7 +41,6 @@ __all__ = [
     "numerical_rank",
     "pinv_spectral_norm",
     "max_row_norm",
-    "row_two_inf_norm",
     "condition_number",
     "OpenBLAS",
     "loaded_openblas",
@@ -332,11 +331,6 @@ def max_row_norm(M: np.ndarray, U: np.ndarray | None = None) -> float:
             B = _rotate(B, U)
         most = max(most, np.einsum("ij,ij->i", B, B).max())
     return float(np.sqrt(most))
-
-
-def row_two_inf_norm(M) -> float:
-    """Largest Euclidean row norm, ``max_i ||M[i, :]||_2``."""
-    return max_row_norm(_require_matrix(M))
 
 
 def condition_number(svd: ThinSVD) -> float:

@@ -339,11 +339,19 @@ def _interface_max_row_norm(t: TTTensor, side: int, key: int) -> float:
     H_j = B[:, j, :].T @ B[:, j, :].  Each block of rows of X is one GEMM,
     its pairwise products X[p, a] X[p, c] against the (r^2, n) table of H
     entries, and no temporary of a block holds more than
-    :data:`_QUADRATIC_BLOCK` elements.  The sums run in another order than
-    a pass over the interface, so the result may differ from its
-    :func:`max_row_norm` by a few units in the last place (at most 1e-14
-    relative); the roundoff of a zero row may read slightly below zero,
-    and only the maximum is read.
+    :data:`_QUADRATIC_BLOCK` elements.
+
+    When X is taller than one block, only candidate rows are evaluated.
+    Each H_j is positive semidefinite, so X[p] H_j X[p].T is at most
+    lambda_max(H_j) |X[p]|^2 <= tr(H_j) |X[p]|^2: seeded with the forms of
+    the row of largest |X[p]|, the maximum cannot come from a row whose
+    |X[p]|^2 max_j tr(H_j) falls below it, and the factor 1 + 1e-12 keeps
+    every row whose bound only roundoff puts below it.
+
+    The sums run in another order than a pass over the interface, so the
+    result may differ from its :func:`max_row_norm` by a few units in the
+    last place (at most 1e-14 relative); the roundoff of a zero row may read
+    slightly below zero, and only the maximum is read.
     """
     if key == 1:
         return max_row_norm(_interface(t, side, 1))
@@ -358,6 +366,12 @@ def _interface_max_row_norm(t: TTTensor, side: int, key: int) -> float:
     H = H.reshape(r * r, -1)
     step = max(1, _QUADRATIC_BLOCK // max(r * r, H.shape[1]))
     most = 0.0
+    if X.shape[0] > step:
+        squares = np.einsum("ij,ij->i", X, X)
+        P = X[squares.argmax()]
+        most = max(most, (np.outer(P, P).reshape(r * r) @ H).max())
+        # rows a*(r+1) of H hold the diagonals H_j[a, a]
+        X = X[squares * (H[:: r + 1].sum(axis=0).max() * (1 + 1e-12)) >= most]
     for start in range(0, X.shape[0], step):
         P = X[start : start + step]
         P = (P[:, :, None] * P[:, None, :]).reshape(-1, r * r)

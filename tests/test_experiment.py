@@ -9,7 +9,6 @@ import subprocess
 import sys
 import threading
 import xml.etree.ElementTree as ET
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -691,36 +690,10 @@ def test_run_experiment_summarizes_around_nan_values(monkeypatch, tmp_path):
     assert labels == [g[0] for g in param_grid(4) if g[0] != "beta_3"]
 
 
-def test_resolve_workers_counts_the_cpus_the_process_may_use(monkeypatch):
-    monkeypatch.delenv("TT_INHERIT_THREADS", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    for cpus, workers in ((1, 1), (3, 3), (8, 4)):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False)
-        assert resolve_workers() == workers
-
-
-# (config builder, largest interface in entries, workers when auto on 8 CPUs);
-# 50^3 x 99 and 50^3 x 100 sit just below and at POOL_MIN_INTERFACE_ELEMS
-WORKER_RULE_CASES = {
-    "desk": (desk_preset, 16_000, 1),
-    "paper": (paper_preset, 2_000_000, 4),
-    "deep": (_deep_geometry, 200_000, 1),
-    "50^3x99": (lambda **kw: desk_preset(shape=(50, 50, 50, 99), **kw), 495_000, 1),
-    "50^3x100": (lambda **kw: desk_preset(shape=(50, 50, 50, 100), **kw), 500_000, 4),
-}
-
-
-@pytest.mark.parametrize("case", list(WORKER_RULE_CASES))
-def test_auto_workers_follow_the_largest_interface(monkeypatch, tmp_path, case):
-    build, elems, auto = WORKER_RULE_CASES[case]
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    monkeypatch.delenv("TT_INHERIT_THREADS", raising=False)
-    cfg = build(trials=2, output_dir=str(tmp_path), emit_svg=False)  # 6 tasks
-    assert experiment_mod.largest_interface_elems(cfg) == elems
-    assert (elems < experiment_mod.POOL_MIN_INTERFACE_ELEMS) == (auto == 1)
-    assert resolve_workers() == 4  # no config: one per CPU, at most 4
-    pools = []
-    ran_on = []
+def _recording_plan(monkeypatch):
+    """Patch the pool class and run_trial to record the pools a run builds
+    and the thread each trial runs on; every trial raises ``not run``."""
+    pools, ran_on = [], []
 
     class RecordingPool(experiment_mod.ThreadPoolExecutor):
         def __init__(self, max_workers):
@@ -733,10 +706,32 @@ def test_auto_workers_follow_the_largest_interface(monkeypatch, tmp_path, case):
 
     monkeypatch.setattr(experiment_mod, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(experiment_mod, "run_trial", no_trial)
-    for raw, want in ((None, auto), ("0", auto), ("2", 2)):
+    return pools, ran_on
+
+
+def test_thread_plan_counts_the_cpus_the_process_may_use(monkeypatch):
+    monkeypatch.delenv("TT_INHERIT_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    _recording_plan(monkeypatch)
+    for cpus in (1, 3, 8):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False)
+        with pytest.warns(RuntimeWarning, match="not run"):
+            out = run_experiment(_small_config(trials=1), write=False)
+        assert out.threads["cpus"] == cpus and out.threads["workers"] == 1
+
+
+@pytest.mark.parametrize("build", [desk_preset, paper_preset, _deep_geometry], ids=["desk", "paper", "deep"])
+def test_auto_workers_run_every_trial_in_the_calling_thread(monkeypatch, tmp_path, build):
+    # auto is one worker at every geometry, however many CPUs there are;
+    # only an explicit count builds a pool
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.delenv("TT_INHERIT_THREADS", raising=False)
+    cfg = build(trials=2, output_dir=str(tmp_path), emit_svg=False)  # 6 tasks
+    pools, ran_on = _recording_plan(monkeypatch)
+    for raw, want in ((None, 1), ("0", 1), ("2", 2)):
         if raw is not None:
             monkeypatch.setenv("TT_INHERIT_THREADS", raw)
-        assert resolve_workers(cfg) == want
+        assert resolve_workers() == want
         pools.clear()
         ran_on.clear()
         with pytest.warns(RuntimeWarning, match="not run"):
@@ -748,31 +743,6 @@ def test_auto_workers_follow_the_largest_interface(monkeypatch, tmp_path, case):
             assert pools == [] and set(ran_on) == {threading.get_ident()}
         else:
             assert pools == [want] and threading.get_ident() not in ran_on
-
-
-BREAK_EVEN = Path(__file__).resolve().parent.parent / "BENCH_pool_break_even.json"
-
-
-def test_auto_workers_pick_the_side_that_won_the_committed_crossover_sweep(monkeypatch):
-    # a row is decided where the pool's speed-up (one-worker over two-worker
-    # median) lies farther from 1 than the interquartile range of its
-    # alternating pairs' ratios; auto must run the pool exactly where it won
-    doc = json.loads(BREAK_EVEN.read_text())
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)  # its 2 vCPU
-    monkeypatch.delenv("TT_INHERIT_THREADS", raising=False)
-    decided = {1: 0, 2: 0}
-    for row in doc["sweep"]["rows"] + doc["confirmation"]["rows"]:
-        cfg = ExperimentConfig(
-            shape=row["shape"], ranks=row["ranks"], generators=KINDS, trials=1, master_seed=0
-        )
-        assert experiment_mod.largest_interface_elems(cfg) == row["largest_interface_elems"]
-        speedup, noise = row["pool_speedup"], row["pair_speedup"]["iqr"]
-        if abs(speedup - 1) <= noise:
-            continue
-        winner = 2 if speedup > 1 else 1
-        decided[winner] += 1
-        assert resolve_workers(cfg) == winner, (row["shape"], row["ranks"], speedup)
-    assert decided[1] >= 10 and decided[2] >= 4
 
 
 # ---------------------------------------------------------------- BLAS threads
@@ -919,9 +889,9 @@ def test_resolve_workers(monkeypatch):
     monkeypatch.setenv("TT_INHERIT_THREADS", "3")
     assert resolve_workers() == 3
     monkeypatch.setenv("TT_INHERIT_THREADS", "0")
-    assert 1 <= resolve_workers() <= 4
+    assert resolve_workers() == 1
     monkeypatch.delenv("TT_INHERIT_THREADS", raising=False)
-    assert 1 <= resolve_workers() <= 4
+    assert resolve_workers() == 1
     monkeypatch.setenv("TT_INHERIT_THREADS", "abc")
     with pytest.raises(ConfigError):
         resolve_workers()

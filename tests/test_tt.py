@@ -328,6 +328,71 @@ def test_row_norms_from_quadratic_forms_match_a_pass_over_the_interface(t):
                 assert abs(got - want) <= 1e-14 * want
 
 
+@st.composite
+def _tall_chains(draw):
+    """A TT with d in 3-4, modes of size 40-120 and ranks 1-4, in about half
+    the draws made coherent; at d = 4 the interface a mode shorter than
+    L_3 (R_1) is taller than one block of the quadratic-form reader."""
+    d = draw(st.integers(3, 4))
+    shape = draw(st.lists(st.integers(40, 120), min_size=d, max_size=d))
+    ranks = [1] + draw(st.lists(st.integers(1, 4), min_size=d - 1, max_size=d - 1)) + [1]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = TTTensor([rng.standard_normal((ranks[k], shape[k], ranks[k + 1])) for k in range(d)])
+    return coherent(t) if draw(st.booleans()) else t
+
+
+def _assert_row_norms_match_a_pass(t):
+    """Every key of both form memos of ``t`` within 1e-14 of a pass."""
+    (A, _), (B, _) = left_orthogonal_form(t), right_orthogonal_form(t)
+    for key in range(2, t.d):
+        for form, side, Q in ((A, 0, left_interface(A, key)), (B, 1, right_interface(B, t.d - key))):
+            got, want = tt_mod._interface_max_row_norm(form, side, key), max_row_norm(Q)
+            assert abs(got - want) <= 1e-14 * want, (side, key)
+
+
+@settings(max_examples=16, deadline=None)
+@given(_tall_chains())
+def test_row_norms_from_candidate_rows_match_a_pass_over_the_interface(t):
+    # past one block of rows only candidates are evaluated, those whose
+    # squared norm times max_j tr(H_j) reaches the largest form of the row
+    # of largest norm
+    _assert_row_norms_match_a_pass(t)
+
+
+def _reversed(t: TTTensor) -> TTTensor:
+    """``t`` with its modes in reverse order: its right interfaces are the
+    left interfaces of ``t``."""
+    return TTTensor([c.transpose(2, 1, 0) for c in reversed(t.cores)])
+
+
+@pytest.mark.parametrize("case", ["longest row is not the largest", "every row a candidate"])
+def test_candidate_rows_keep_the_largest_form(case):
+    # L_1 is 5,000 x 2, taller than one block (4,096 rows at n = 2, r = 2);
+    # every H_j of the second core is diag(1, 0.01), so a row's form weighs
+    # its first entry 100 times its second
+    rng = np.random.default_rng(35)
+    if case == "longest row is not the largest":
+        # rows of norm below 0.5, then the longest row [0, 1] (form 0.01)
+        # and a shorter row [0.9, 0] whose form, 0.81, is the largest
+        rows = rng.uniform(-0.35, 0.35, (5000, 2))
+        rows[17], rows[4000] = [0.0, 1.0], [0.9, 0.0]
+    else:
+        # every row of norm 1, so no row's bound falls below the largest
+        # form and every row is evaluated
+        angle = rng.uniform(0.0, 2.0 * np.pi, 5000)
+        rows = np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    middle = np.broadcast_to(np.diag([1.0, 0.1])[:, None, :], (2, 2, 2))
+    t = TTTensor([rows[None], middle, rng.standard_normal((2, 3, 1))])
+    want = np.sqrt((rows[:, 0] ** 2 + 0.01 * rows[:, 1] ** 2).max())
+    if case == "longest row is not the largest":
+        assert np.einsum("ij,ij->i", rows, rows).argmax() == 17 and want == 0.9
+    for tensor, side in ((t, 0), (_reversed(t), 1)):
+        Q = left_interface(tensor, 2) if side == 0 else right_interface(tensor, 1)
+        got = tt_mod._interface_max_row_norm(tensor, side, 2)
+        assert abs(got - max_row_norm(Q)) <= 1e-14 * max_row_norm(Q)
+        assert abs(got - want) <= 1e-14 * want
+
+
 def _random_chain(shape, ranks, seed):
     """Cores of the declared ranks, not checked against the unfolding ranks."""
     r = (1,) + tuple(ranks) + (1,)
