@@ -636,11 +636,18 @@ def version_stamp() -> str:
 
     The commit is added only when the git work tree around this file holds
     the package at ``src/ttinherit/``; a copy inside another repository
-    gets the bare version, not that repository's commit.
+    gets the bare version, not that repository's commit.  The stamp is
+    worked out once per package directory and kept, since the loaded code
+    does not change after import; each later call costs no ``git`` process.
     """
+    return _version_stamp(os.path.dirname(os.path.abspath(__file__)))
+
+
+@functools.cache
+def _version_stamp(here: str) -> str:
+    """:func:`version_stamp` of the package in the directory ``here``."""
 
     def git(*args) -> str:
-        here = os.path.dirname(os.path.abspath(__file__))
         proc = subprocess.run(["git", *args], cwd=here, capture_output=True, text=True, timeout=5)
         return proc.stdout.strip() if proc.returncode == 0 else ""
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import operator
 import os
 import threading
 from contextlib import contextmanager
@@ -59,13 +60,32 @@ ORTHONORMALITY_TOL = 1e-12
 ROW_BLOCK = 1 << 16
 
 
+def _require_rank_tol(rank_tol) -> None:
+    """Refuse a ``rank_tol`` outside ``[0, 1)``, NaN among them."""
+    if not 0.0 <= rank_tol < 1.0:
+        raise DomainError(f"rank_tol must be in [0, 1), got {rank_tol}")
+
+
+def _non_increasing(s: list[float]) -> bool:
+    """Whether the Python floats ``s`` are non-increasing."""
+    return not any(map(operator.lt, s, s[1:]))
+
+
+@functools.lru_cache(maxsize=32)
+def _identity(n: int) -> np.ndarray:
+    """The read-only n x n identity, built once per size."""
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
+
+
 def _require_matrix(M, name="matrix") -> np.ndarray:
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2:
         raise DomainError(f"{name} must be 2-d, got ndim={M.ndim}")
     if M.shape[0] == 0 or M.shape[1] == 0:
         raise DomainError(f"{name} must be non-empty, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise NumericError(f"{name} contains non-finite entries")
     return M
 
@@ -105,6 +125,9 @@ class ThinSVD:
     ``G`` without a pass over ``Q`` passes it in ``grams=(G_W, G_V)`` and
     vouches for it; otherwise ``G`` is computed.  A non-finite entry in any
     input raises :class:`NumericError`.  Everything stored is read-only.
+    ``sigma`` is read once into Python floats for its checks, and the
+    identities the deviations are taken against come from a read-only cache
+    keyed by size, so a small SVD costs what its small matrices cost.
 
     A square rotation is then orthogonal, so ``Q @ U`` has the row norms of
     ``Q``: :meth:`factor_max_row_norm` reads ``Q`` alone, unrotated.  A caller
@@ -120,10 +143,11 @@ class ThinSVD:
 
     def __init__(self, W, sigma, V, rotations=(None, None), grams=(None, None), row_norms=(None, None)):
         sigma = np.asarray(sigma, dtype=np.float64).reshape(-1)
-        r = sigma.size
+        s = sigma.tolist()  # read once; the checks below run on Python floats
+        r = len(s)
         if r == 0:
             raise RankZeroError("ThinSVD cannot hold an empty spectrum")
-        eye = np.eye(r)
+        eye = _identity(r)
         bases, rots, devs = [], [], []
         with np.errstate(over="ignore", invalid="ignore"):
             for name, Q, U, G in zip("WV", (W, V), rotations, grams):
@@ -145,19 +169,19 @@ class ThinSVD:
                     G = Q.T @ Q
                 dev = np.abs((G if U is None else U.T @ G @ U) - eye).max()
                 if U is not None:  # an orthonormal basis makes a square U orthogonal
-                    dev = max(dev, np.abs(G - np.eye(q)).max())
+                    dev = max(dev, np.abs(G - _identity(q)).max())
                 devs.append(float(dev))
                 bases.append(Q)
                 rots.append(U)
         # a non-finite entry anywhere makes sigma or a deviation non-finite,
         # so the inputs themselves, Q among them, are scanned only then
         rotated = tuple(U for U in rots if U is not None)
-        if not (np.isfinite(sigma).all() and all(map(math.isfinite, devs))):
+        if not (all(map(math.isfinite, s)) and all(map(math.isfinite, devs))):
             if not all(np.isfinite(X).all() for X in (sigma, *rotated, *bases)):
                 raise NumericError("ThinSVD factors contain non-finite entries")
-        if sigma[-1] <= 0.0:
+        if s[-1] <= 0.0:
             raise DomainError("singular values must be strictly positive")
-        if np.any(np.diff(sigma) > 0):
+        if not _non_increasing(s):
             raise DomainError("singular values must be non-increasing")
         for name, dev in zip("WV", devs):
             if not dev <= ORTHONORMALITY_TOL:  # a NaN deviation (overflowed Gram) fails too
@@ -254,24 +278,23 @@ class ThinSVD:
 def numerical_rank(sigma, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     """Number of singular values above ``rank_tol * sigma[0]``.
 
-    ``sigma`` must be non-negative and non-increasing.  An empty spectrum or
-    a zero leading value has rank 0.
+    ``sigma`` must be finite, non-negative and non-increasing, and
+    ``rank_tol`` must lie in ``[0, 1)``.  An empty spectrum or a zero
+    leading value has rank 0.  The spectrum is read once into Python floats,
+    and every check and the count run on those, not on numpy reductions.
     """
-    sigma = np.asarray(sigma, dtype=np.float64).reshape(-1)
-    if sigma.size == 0:
-        return 0
-    if not np.all(np.isfinite(sigma)):
+    _require_rank_tol(rank_tol)
+    s = np.asarray(sigma, dtype=np.float64).reshape(-1).tolist()
+    if not all(map(math.isfinite, s)):
         raise NumericError("singular values contain non-finite entries")
-    if np.any(sigma < 0):
+    if s and min(s) < 0.0:
         raise DomainError("singular values must be non-negative")
-    if np.any(np.diff(sigma) > 0):
+    if not _non_increasing(s):
         raise DomainError("singular values must be non-increasing")
-    if rank_tol < 0:
-        raise DomainError(f"rank_tol must be >= 0, got {rank_tol}")
-    s0 = sigma[0]
-    if s0 == 0.0:
+    if not s or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(sigma > rank_tol * s0))
+    cut = float(rank_tol) * s[0]
+    return sum(x > cut for x in s)
 
 
 def truncated_svd(M: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL):
@@ -301,7 +324,9 @@ def pinv_spectral_norm(M, rank_tol: float = DEFAULT_RANK_TOL) -> float:
     matrix is not numerically full column rank: fewer rows than columns, or
     ``sigma_min <= rank_tol * sigma_max``, the rank convention of
     :func:`numerical_rank`.  This is the package's full-column-rank test.
+    ``rank_tol`` must lie in ``[0, 1)``.
     """
+    _require_rank_tol(rank_tol)
     M = _require_matrix(M)
     m, n = M.shape
     if m < n:

@@ -354,17 +354,35 @@ def _record(
     )
 
 
+def _refines(I_i: IndexSet, I_prev: IndexSet) -> bool:
+    """Whether ``I_i`` lies in ``I_prev`` extended by a full mode, given
+    that the domain of ``I_i`` is the domain P of ``I_prev`` times the mode size.
+
+    Row q of the refinement has the leading part ((q - 1) mod P) + 1, so
+    each leading part is looked up in ``I_prev`` by binary search; the
+    extended set itself is never built.
+    """
+    lead = (I_i.indices - 1) % I_prev.domain + 1
+    pos = np.searchsorted(I_prev.indices, lead)
+    # a lead above every entry of I_prev lands past the end; clipping it to
+    # the last entry, which is smaller, makes it a miss
+    return bool((I_prev.indices.take(pos, mode="clip") == lead).all())
+
+
 def validate_nested(t: TTTensor, nested: Sequence[IndexSet]) -> None:
-    """Require I_i to refine I_{i-1}: each I_i inside I_{i-1} extended by mode i."""
+    """Require I_i to refine I_{i-1}: each I_i inside I_{i-1} extended by mode i.
+
+    Each row of I_i is checked by looking its leading part up in I_{i-1}
+    (:func:`_refines`), with I_0 = {1}; no extended set is built.
+    """
     if len(nested) != t.d - 1:
         raise DomainError(f"need {t.d - 1} row index sets, got {len(nested)}")
-    pool = IndexSet.full(1)  # I_0 = {1}
+    I_prev = IndexSet.full(1)
     for i, I_i in enumerate(nested, start=1):
         _check_index_set(t, i, I_i, True, f"I_{i}")
-        allowed = kron_extend(pool, t.shape[i - 1])
-        if not I_i.is_subset_of(allowed):
+        if not _refines(I_i, I_prev):
             raise DomainError(f"I_{i} is not contained in I_{i - 1} extended by mode {i}")
-        pool = I_i
+        I_prev = I_i
 
 
 def _check_shared(

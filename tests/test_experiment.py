@@ -1016,6 +1016,29 @@ def test_version_stamp_names_a_commit_only_of_the_packages_own_checkout(
     assert version_stamp() == ("0.1.0+g" + commit if stamped else "0.1.0")
 
 
+def test_version_stamp_starts_git_once_per_package_directory(monkeypatch, tmp_path):
+    calls = []
+    real_run = subprocess.run
+
+    def counting_run(args, **kwargs):
+        calls.append(kwargs["cwd"])
+        return real_run(args, **kwargs)
+
+    monkeypatch.setattr(experiment_mod.subprocess, "run", counting_run)
+    other = tmp_path / "ttinherit" / "experiment.py"
+    other.parent.mkdir()
+    here = os.path.dirname(os.path.abspath(experiment_mod.__file__))
+    first = version_stamp()  # may already be cached by an earlier call
+    assert version_stamp() == first
+    assert calls.count(here) <= 2  # rev-parse, then describe when stamped
+    before = len(calls)
+    monkeypatch.setattr(experiment_mod, "__file__", str(other))
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+    assert version_stamp() == "0.1.0"  # another directory: looked up afresh
+    assert calls[before:] == [str(other.parent)]
+    assert version_stamp() == "0.1.0" and len(calls) == before + 1
+
+
 # ---------------------------------------------------------------- SVG rendering
 
 

@@ -41,6 +41,51 @@ def test_numerical_rank_rejects_bad_spectra():
         numerical_rank(np.array([1.0, -0.5]), 1e-9)  # negative
 
 
+@pytest.mark.parametrize(
+    "sigma, error, message",
+    [
+        ([1.0, np.nan], NumericError, "singular values contain non-finite entries"),
+        ([np.inf, 1.0], NumericError, "singular values contain non-finite entries"),
+        ([1.0, -0.5], DomainError, "singular values must be non-negative"),
+        # negative and increasing: the sign is checked first
+        ([0.5, -1.0, 2.0], DomainError, "singular values must be non-negative"),
+        ([1.0, 2.0], DomainError, "singular values must be non-increasing"),
+        ([3.0, 1.0, 1.0, 2.0], DomainError, "singular values must be non-increasing"),
+    ],
+)
+def test_numerical_rank_refuses_each_bad_spectrum_with_its_own_message(sigma, error, message):
+    with pytest.raises(error) as info:
+        numerical_rank(np.array(sigma), 1e-9)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_numerical_rank_counts_ties_and_zeros():
+    assert numerical_rank(np.array([1.0, 1.0, 0.0]), 1e-9) == 2
+    assert numerical_rank(np.array([0.0, 0.0]), 1e-9) == 0
+    assert numerical_rank([2.0, 1e-9, 1e-300], 0.0) == 3
+    assert numerical_rank(np.array([2.0, 2e-9, 1e-9]), 1e-9) == 1  # at the cut is out
+    assert type(numerical_rank(np.array([2.0, 1.0]), np.float64(0.5))) is int
+
+
+@pytest.mark.parametrize("rank_tol", [np.nan, -1.0, 1.0])
+def test_rank_tol_outside_zero_one_is_refused_at_both_entry_points(rank_tol):
+    # a NaN tolerance compares False against every value, so it once counted
+    # no singular value and let a zero column through as 1 / 0
+    message = f"rank_tol must be in [0, 1), got {rank_tol}"
+    with pytest.raises(DomainError) as info:
+        numerical_rank([1.0, 0.5], rank_tol)
+    assert str(info.value) == message
+    with pytest.raises(DomainError) as info:
+        numerical_rank([], rank_tol)
+    assert str(info.value) == message
+    with pytest.raises(DomainError) as info:
+        pinv_spectral_norm(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]), rank_tol)
+    assert str(info.value) == message
+    with pytest.raises(DomainError) as info:
+        thin_svd(np.eye(2), rank_tol)  # through truncated_svd
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------- thin_svd
 
 
@@ -234,6 +279,57 @@ def test_thin_svd_refuses_a_finite_factor_whose_gram_overflows(signs):
         W[2048:, 1] = -1e200
     with pytest.raises(DomainError, match="orthonormality"):
         ThinSVD(W, s, V)
+
+
+@pytest.mark.parametrize(
+    "case, error, message",
+    [
+        ("zero last sigma", DomainError, "singular values must be strictly positive"),
+        ("increasing sigma", DomainError, "singular values must be non-increasing"),
+        ("NaN sigma", NumericError, "ThinSVD factors contain non-finite entries"),
+        ("infinite last sigma", NumericError, "ThinSVD factors contain non-finite entries"),
+        ("NaN in W", NumericError, "ThinSVD factors contain non-finite entries"),
+        ("infinity in a rotation", NumericError, "ThinSVD factors contain non-finite entries"),
+        ("W off by 2e-12", DomainError, "W columns deviate from orthonormality by 2.000e-12"),
+        ("V off by 2e-12", DomainError, "V columns deviate from orthonormality by 2.000e-12"),
+        ("Gram overflows to inf", DomainError, "W columns deviate from orthonormality by inf"),
+        ("Gram overflows to NaN", DomainError, "W columns deviate from orthonormality by nan"),
+    ],
+)
+def test_thin_svd_refuses_each_bad_input_with_its_own_message(case, error, message):
+    W, s, V = _valid_factors()
+    rotations = (None, None)
+    if case == "zero last sigma":
+        s = np.array([1.0, 0.0])
+    elif case == "increasing sigma":
+        s = np.array([1.0, 2.0])
+    elif case == "NaN sigma":
+        s = np.array([np.nan, 1.0])
+    elif case == "infinite last sigma":  # also increasing: finiteness comes first
+        s = np.array([1.0, np.inf])
+    elif case == "NaN in W":
+        W[2, 1] = np.nan
+    elif case == "infinity in a rotation":
+        QW, UW, s, V, UV = _rotated_factors()
+        UV[1, 0] = np.inf
+        W, rotations = QW, (UW, UV)
+    elif case == "W off by 2e-12":
+        W = W * (1 + 1e-12)
+    elif case == "V off by 2e-12":
+        V = V * (1 + 1e-12)
+    else:  # finite entries whose squares overflow (see the test above)
+        W = np.full((4096, 2), 1e200)
+        if case.endswith("NaN"):
+            W[2048:, 1] = -1e200
+    with pytest.raises(error) as info:
+        ThinSVD(W, s, V, rotations=rotations)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_thin_svd_accepts_a_deviation_within_the_tolerance():
+    W, s, V = _valid_factors()
+    svd = ThinSVD(W * (1 + 4e-13), s, V * (1 - 4e-13))  # about 8e-13 off
+    assert svd.rank == 2
 
 
 def test_thin_svd_container_is_read_only():

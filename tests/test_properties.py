@@ -39,7 +39,7 @@ from ttinherit import (
 )
 from ttinherit.multiindex import Shape, derived_rng
 from ttinherit.oracle import dense_alpha_it, dense_beta_i, dense_properties, dense_unfolding
-from ttinherit.properties import validate_nested
+from ttinherit.properties import BOUND_SLACK, _refines, validate_nested
 
 from conftest import coherent, make_tt, rel_err, sample_valid_sets
 
@@ -321,6 +321,78 @@ def test_validate_nested_rejects_broken_chain():
         validate_nested(t, [I1, IndexSet([1], 11), IndexSet([1], 24)])  # wrong domain
 
 
+def _flat_tt(shape) -> TTTensor:
+    """A rank-1 TT of ones: validate_nested reads only the shape."""
+    return TTTensor([np.ones((1, n, 1)) for n in shape])
+
+
+@pytest.mark.parametrize(
+    "sets, message",
+    [
+        ([[1, 3], [2], [1]], "I_2 is not contained in I_1 extended by mode 2"),
+        ([[1, 3], [1, 3, 5], [2]], "I_3 is not contained in I_2 extended by mode 3"),
+        # 13 = 1 + 12 is row 1 of I_2 with j_3 = 2, and 14 is row 2 with j_3 = 2
+        ([[1, 3], [1, 3, 5], [13, 14]], "I_3 is not contained in I_2 extended by mode 3"),
+    ],
+)
+def test_validate_nested_names_the_first_level_not_nested(sets, message):
+    shape = (4, 3, 2, 2)
+    t = _flat_tt(shape)
+    nested = [IndexSet(q, Shape(shape).prefix_size(i)) for i, q in enumerate(sets, start=1)]
+    with pytest.raises(DomainError) as info:
+        validate_nested(t, nested)
+    assert type(info.value) is DomainError and str(info.value) == message
+
+
+@st.composite
+def _index_chains(draw):
+    """Mode sizes 2-4 (2 drawn most), and per level a set that is full, a
+    subset of the previous level's refinement, or such a subset with one
+    entry swapped for any other row of the level."""
+    d = draw(st.integers(2, 5))
+    shape = tuple(draw(st.lists(st.sampled_from((2, 2, 3, 4)), min_size=d, max_size=d)))
+    sets, prev = [], IndexSet.full(1)
+    for i, n in enumerate(shape[:-1], start=1):
+        P = Shape(shape).prefix_size(i)
+        how = draw(st.sampled_from(("full", "nested", "perturbed")))
+        if how == "full":
+            I = IndexSet.full(P)
+        else:
+            pool = kron_extend(prev, n).indices.tolist()
+            picked = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=len(pool), unique=True))
+            if how == "perturbed" and len(picked) < P:
+                others = [q for q in range(1, P + 1) if q not in picked]
+                picked[draw(st.integers(0, len(picked) - 1))] = draw(st.sampled_from(others))
+            I = IndexSet(picked, P)
+        sets.append(I)
+        prev = I
+    return shape, sets
+
+
+@settings(max_examples=300, deadline=None)
+@given(_index_chains())
+@example(((2, 2), [IndexSet.full(2)]))
+@example(((2, 2, 2), [IndexSet([2], 2), IndexSet.full(4)]))
+@example(((2, 2, 2), [IndexSet([2], 2), IndexSet([2, 4], 4)]))
+@example(((3, 2, 2), [IndexSet([1, 3], 3), IndexSet([3, 6], 6)]))
+def test_the_leading_part_lookup_agrees_with_the_extended_pool(case):
+    shape, sets = case
+    first_miss = None
+    prev = IndexSet.full(1)  # I_0
+    for i, (n, I) in enumerate(zip(shape, sets), start=1):
+        nested = I.is_subset_of(kron_extend(prev, n))
+        assert _refines(I, prev) == nested, (i, I, prev)
+        if not nested and first_miss is None:
+            first_miss = i
+        prev = I
+    t = _flat_tt(shape)
+    if first_miss is None:
+        validate_nested(t, sets)
+    else:
+        with pytest.raises(DomainError, match=f"^I_{first_miss} is not contained in I_{first_miss - 1} extended"):
+            validate_nested(t, sets)
+
+
 # ---------------------------------------------------------------- row-sampling bounds
 
 
@@ -574,6 +646,70 @@ def test_both_suites_agree_with_the_dense_oracle(case):
     if not to_dense(t).any() or _roundoff_block(t, I_sets, J_sets):
         reject()  # the known defect pinned by test_roundoff_is_not_rank
     _agree_with_the_oracle(t, I_sets, J_sets)
+
+
+def _kappa_free_companions(X: np.ndarray, t: TTTensor, rec, I_sets, J_sets):
+    """``(name, lhs, rhs)`` of each κ-free companion of ``rec``, every value
+    from the dense oracle; none where the oracle finds the rank hypothesis
+    failed.
+
+    Row suite, unfolding k = i + t - 1 of the subtensor on I_i: it is
+    W_rows Σ Vᵀ with W_rows the rows of W_k that I_i induces, so
+    μ1(sub) <= α²μ1 and κ(sub) <= κ(W_rows)·κ.  Column suite, block C of
+    rows I_{i-1} x [n_i] and columns J_i: μ2(C) <= β²μ2, and for i >= 2
+    μ1(C) <= α_i²μ1 with α_i the level-(i - 1) factor at offset 2.
+    """
+    i = rec.i
+    if rec.kind == "alpha_it":
+        k = i + rec.t - 1
+        parent = dense_properties(X, k)
+        I_i = I_sets[i - 1]
+        rows = I_i
+        for j in range(i + 1, k + 1):
+            rows = kron_extend(rows, t.shape[j - 1])
+        s = np.linalg.svd(parent.svd.W[rows.zero_based()], compute_uv=False)
+        sub_rows = dense_unfolding(X, i)[I_i.zero_based(), :]
+        sub = dense_properties(sub_rows.reshape((len(I_i),) + t.shape[i:], order="F"), rec.t)
+        if sub.rank != parent.rank:
+            return []
+        alpha = dense_alpha_it(X, I_i, i, rec.t)
+        return [("mu1", sub.mu1, alpha**2 * parent.mu1), ("kappa", sub.kappa, s[0] / s[-1] * parent.kappa)]
+    parent = dense_properties(X, i)
+    I_prev = I_sets[i - 2] if i >= 2 else IndexSet.full(1)
+    rows = kron_extend(I_prev, t.shape[i - 1]).zero_based()
+    C = dense_properties(dense_unfolding(X, i)[np.ix_(rows, J_sets[i - 1].zero_based())], 1)
+    if C.rank != parent.rank:
+        return []
+    beta = dense_beta_i(X, J_sets[i - 1], i)
+    out = [("mu2", C.mu2, beta**2 * parent.mu2)]
+    if i >= 2:
+        out.append(("mu1", C.mu1, dense_alpha_it(X, I_prev, i - 1, 2) ** 2 * parent.mu1))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(_sampled_geometries())
+def test_kappa_free_companions_hold_against_the_dense_oracle(case):
+    kind, shape, ranks, seed, sizes_I, sizes_J, make_coherent = case
+    try:
+        t = make_tt(kind, shape, ranks, seed)
+        if make_coherent:
+            t = coherent(t)
+        I_sets, J_sets, _ = sample_valid_sets(t, sizes_I, sizes_J, seed)
+    except (GenerationError, TrialError):  # +-1 entries short of rank; budget spent
+        reject()
+    X = to_dense(t)
+    if not X.any() or _roundoff_block(t, I_sets, J_sets):
+        reject()  # the known defect pinned by test_roundoff_is_not_rank
+    records = check_row_sampling_bounds(t, I_sets) + check_column_sampling_bounds(t, I_sets, J_sets)
+    checked = 0
+    for rec in records:
+        if rec.kind == "alpha_i":  # carries the row factor; no inequality of its own
+            continue
+        for name, lhs, rhs in _kappa_free_companions(X, t, rec, I_sets, J_sets):
+            assert lhs <= rhs * (1.0 + BOUND_SLACK), (rec.label, name, lhs, rhs)
+            checked += 1
+    assert checked > 0
 
 
 # d = 2; d = 5 with modes of 2-3 and sample sizes equal to the ranks; and a
