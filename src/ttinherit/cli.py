@@ -14,12 +14,10 @@ fields.
 through the writer ``run`` uses; of an existing summary.json it replaces only
 ``summaries``, ``version`` and ``quartile_method`` and keeps the run's record,
 and it exits 1 when that record lists failed trials.
-TT_INHERIT_THREADS sets the number of trial workers, never more than there
-are trials; 0 or unset means one.  One worker is the calling thread, which
-runs the trials one after another; more run as a thread pool.  Each
-worker runs OpenBLAS on one thread; summary.json records the plan under
-``threads``.  Quartiles are numpy's type-7 interpolation, computed without
-``np.percentile`` so that a run never loads ``numpy.ma``.
+The calling thread runs the trials one after another, with OpenBLAS on one
+thread; summary.json records that plan under ``threads``.  Quartiles are
+numpy's type-7 interpolation, computed without ``np.percentile`` so that a
+run never loads ``numpy.ma``.
 """
 
 from __future__ import annotations

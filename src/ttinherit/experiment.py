@@ -16,7 +16,6 @@ standalone SVG boxplot per generator.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import functools
 import json
@@ -25,7 +24,6 @@ import subprocess
 import sys
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -503,22 +501,14 @@ def available_cpus() -> int:
 
 
 def resolve_workers() -> int:
-    """Worker count from TT_INHERIT_THREADS; 0 or unset means one.
+    """The number of trial workers: always one, the calling thread.
 
-    One worker is the calling thread.  On 2 CPUs a pool of two ran
-    ``paper`` 1.03x as fast as one worker for 1.33x the CPU, and lost at
-    ``desk`` and ``deep`` (BENCH_serial_default.json).  A count above one
-    asks for a thread pool, which buys some wall time only where LAPACK on
-    large interfaces releases the GIL (1.12x in 30-trial runs at 100^4).
+    On 2 CPUs a thread pool of two ran ``paper`` 1.03x as fast as one
+    worker for 1.33x the CPU and 1.47x the peak RSS, and lost at ``desk``,
+    ``deep`` and in 30-trial runs at 64^4, 40^4 and 48^4
+    (BENCH_serial_default.json), so trials have no pool.
     """
-    raw = os.environ.get("TT_INHERIT_THREADS", "0").strip()
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"TT_INHERIT_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise ConfigError(f"TT_INHERIT_THREADS must be >= 0, got {n}")
-    return max(1, n)
+    return 1
 
 
 @dataclass
@@ -546,11 +536,17 @@ class ExperimentResult:
 
 
 def _count_outcomes(results) -> tuple[int, int]:
-    """(bound violations, rank-hypothesis failures) over every record of ``results``."""
+    """(bound violations, rank-hypothesis failures) over the records of ``results``.
+
+    An alpha_i record only repeats the rank verdict of the beta_i record of
+    its column block, so each block is counted once, on beta_i.
+    """
     n_viol = 0
     n_hyp = 0
     for res in results:
         for rec in res.records_rows + res.records_cols:
+            if rec.kind == "alpha_i":
+                continue
             if not rec.rank_hypothesis_ok:
                 n_hyp += 1
             elif not rec.satisfied:
@@ -561,33 +557,27 @@ def _count_outcomes(results) -> tuple[int, int]:
 def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentResult:
     """Run the full generators x trials grid; optionally write all artifacts.
 
-    Trials are independent.  By default (:func:`resolve_workers`) the
-    calling thread runs them one after another and no pool is made; with
-    TT_INHERIT_THREADS above one they run on a thread pool of that size,
-    never more than there are trials (numpy releases the GIL inside
-    LAPACK).  Results are
-    collected in deterministic (generator, trial) order regardless of
-    scheduling.  While the trials run, every loaded OpenBLAS runs one
-    thread and, with glibc, malloc keeps the memory a trial frees for the
-    next one instead of handing it back to the OS
-    (:func:`~ttinherit.linalg.blas_thread_budget`); both are restored when
-    the run ends.  The thread plan is ``workers``, ``cpus``, per library its
-    file name, its threads before the run and its threads per worker (1),
-    and ``heap_kept``, whether malloc kept freed memory.  A trial that raises
-    (it exhausts its resample budget, its tensor cannot be generated, ...) is
-    excluded from the results with a warning and listed in ``failures``; the
-    other trials still run.  With ``write`` the output directory is made
-    before the first trial, so a path that cannot be one fails at once.
+    Trials are independent; the calling thread runs them one after another
+    in (generator, trial) order, and the run starts no thread.  While the
+    trials run, every loaded OpenBLAS runs one thread and, with glibc,
+    malloc keeps the memory a trial frees for the next one instead of
+    handing it back to the OS (:func:`~ttinherit.linalg.blas_thread_budget`);
+    both are restored when the run ends.  The thread plan is ``workers``
+    (1), ``cpus``, per library its file name, its threads before the run
+    and its threads per worker (1), and ``heap_kept``, whether malloc kept
+    freed memory.  A trial that raises (it exhausts its resample budget,
+    its tensor cannot be generated, ...) is excluded from the results with
+    a warning and listed in ``failures``; the other trials still run.
+    With ``write`` the output directory is made before the first trial, so
+    a path that cannot be one fails at once.
     """
-    tasks = [(kind, trial) for kind in config.generators for trial in range(config.trials)]
     results: list[TrialResult] = []
     failures: list[dict] = []
-    workers = min(resolve_workers(), len(tasks))
     if write:
         os.makedirs(config.output_dir, exist_ok=True)
-    with blas_thread_budget() as (before, heap_kept), contextlib.ExitStack() as stack:
+    with blas_thread_budget() as (before, heap_kept):
         threads = {
-            "workers": workers,
+            "workers": resolve_workers(),
             "cpus": available_cpus(),
             "openblas": [
                 {"library": name, "threads_before": n, "threads_per_worker": 1}
@@ -595,21 +585,17 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentRe
             ],
             "heap_kept": heap_kept,
         }
-        if workers > 1:
-            pool = stack.enter_context(ThreadPoolExecutor(max_workers=workers))
-            outcomes = [pool.submit(run_trial, config, kind, trial).result for kind, trial in tasks]
-        else:  # one worker is the calling thread; a pool thread would add a malloc arena
-            outcomes = (functools.partial(run_trial, config, kind, trial) for kind, trial in tasks)
-        for (kind, trial), outcome in zip(tasks, outcomes):
-            try:
-                results.append(outcome())
-            except Exception as exc:  # one failed trial must not end the run
-                failures.append({"generator": kind, "trial": trial, "error": str(exc)})
-                warnings.warn(
-                    f"trial {trial} ({kind}) excluded: {type(exc).__name__}: {exc}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
+        for kind in config.generators:
+            for trial in range(config.trials):
+                try:
+                    results.append(run_trial(config, kind, trial))
+                except Exception as exc:  # one failed trial must not end the run
+                    failures.append({"generator": kind, "trial": trial, "error": str(exc)})
+                    warnings.warn(
+                        f"trial {trial} ({kind}) excluded: {type(exc).__name__}: {exc}",
+                        RuntimeWarning,
+                        stacklevel=2,
+                    )
 
     labels = [label for label, _, _, _ in param_grid(config.d)]
     values: dict[str, dict[str, list[float]]] = {}

@@ -309,8 +309,11 @@ def check_rank_preservation(
     column rank (:func:`pinv_spectral_norm`), so they span the column space
     of unfolding 1.  When it holds, the subtensor's numerical rank tuple
     must equal the original's; when it fails, the report says so and
-    ``passed`` is False without raising.
+    ``passed`` is False without raising, an empty I included.  An I whose
+    domain is not n_1 raises :class:`DomainError` before any work.
     """
+    if I.domain != t.shape[0]:
+        raise DomainError(f"I domain {I.domain} != n_1 = {t.shape[0]}")
     svds = [unfolding_svd(t, i, rank_tol) for i in range(1, t.d)]
     expected = tuple(svd.rank for svd in svds)
     try:

@@ -7,6 +7,7 @@ the suite fails if and only if a criterion does.
 
 import os
 import resource
+import threading
 import time
 
 import numpy as np
@@ -35,6 +36,7 @@ from ttinherit import (
     to_dense,
     tt_incoherence,
 )
+import ttinherit.experiment as experiment_mod
 from ttinherit.experiment import param_grid
 from ttinherit.oracle import (
     cur_reconstruct_check,
@@ -343,18 +345,38 @@ def _strip_timing(csv_text: str) -> list[str]:
 
 def test_acceptance_07_runs_are_deterministic(tmp_path, monkeypatch):
     cfg = desk_preset(trials=6)
-    monkeypatch.setenv("TT_INHERIT_THREADS", "2")
-    run_experiment(cfg.replace(output_dir=str(tmp_path / "a")), write=True)
-    monkeypatch.setenv("TT_INHERIT_THREADS", "1")
-    run_experiment(cfg.replace(output_dir=str(tmp_path / "b")), write=True)
-    a = _strip_timing((tmp_path / "a" / "trials.csv").read_text())
-    b = _strip_timing((tmp_path / "b" / "trials.csv").read_text())
-    ok = a == b and len(a) == 1 + 6 * 3 * 11
+    run_experiment(cfg.replace(output_dir=str(tmp_path / "alone")), write=True)
+
+    # two identical runs at once, from two threads; both wait inside their
+    # first trial until the other arrives, so their BLAS budgets overlap
+    real, arrived = experiment_mod.run_trial, threading.Barrier(2, timeout=60)
+
+    def meeting(config, kind, trial):
+        if (kind, trial) == (cfg.generators[0], 0):
+            arrived.wait()
+        return real(config, kind, trial)
+
+    monkeypatch.setattr(experiment_mod, "run_trial", meeting)
+    runs = [
+        threading.Thread(
+            target=run_experiment, args=(cfg.replace(output_dir=str(tmp_path / name)), True)
+        )
+        for name in ("x", "y")
+    ]
+    for run in runs:
+        run.start()
+    for run in runs:
+        run.join()
+
+    alone, x, y = (
+        _strip_timing((tmp_path / name / "trials.csv").read_text()) for name in ("alone", "x", "y")
+    )
+    ok = alone == x == y and len(alone) == 1 + 6 * 3 * 11
     _report(
         7,
-        "identical config and seed give byte-identical trial rows across thread counts",
+        "identical config and seed give byte-identical trial rows, also from two threads at once",
         ok,
-        f"{len(a)} vs {len(b)} lines",
+        f"{len(alone)}, {len(x)} and {len(y)} lines",
     )
 
 

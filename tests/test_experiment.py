@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import xml.etree.ElementTree as ET
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from ttinherit import (
     KINDS,
     SingularityError,
     TrialError,
+    check_column_sampling_bounds,
     desk_preset,
     paper_preset,
     param_grid,
@@ -38,10 +40,16 @@ from ttinherit import (
     thin_svd,
     write_outputs,
 )
-from ttinherit.experiment import CSV_COLUMNS, _sample_level, resolve_workers, version_stamp
+from ttinherit.experiment import (
+    CSV_COLUMNS,
+    _count_outcomes,
+    _sample_level,
+    resolve_workers,
+    version_stamp,
+)
 from ttinherit.svgplot import render_boxplot_svg
 
-from conftest import coherent_config, serve_coherent_tensor
+from conftest import coherent_config, make_tt, serve_coherent_tensor
 
 # ---------------------------------------------------------------- parameter grid
 
@@ -536,8 +544,7 @@ def test_run_trial_takes_an_integral_trial_index_of_any_type():
 # ---------------------------------------------------------------- full experiment
 
 
-def test_run_experiment_counts_and_order(monkeypatch):
-    monkeypatch.setenv("TT_INHERIT_THREADS", "1")
+def test_run_experiment_counts_and_order():
     cfg = _small_config()
     out = run_experiment(cfg, write=False)
     assert len(out.results) == cfg.trials * len(cfg.generators)
@@ -554,39 +561,44 @@ def test_run_experiment_counts_and_order(monkeypatch):
     assert out.paths == {}  # write=False leaves no artifacts
 
 
-def test_run_experiment_thread_count_does_not_change_values(monkeypatch):
-    cfg = _small_config(trials=2)
-    monkeypatch.setenv("TT_INHERIT_THREADS", "1")
-    serial = run_experiment(cfg, write=False)
-    monkeypatch.setenv("TT_INHERIT_THREADS", "3")
-    threaded = run_experiment(cfg, write=False)
-    assert [(r.generator, r.trial) for r in serial.results] == [
-        (r.generator, r.trial) for r in threaded.results
+def test_a_failed_column_block_counts_as_one_rank_hypothesis_failure():
+    # one column of J_2 cannot keep rank 3, so level 2 fails its rank
+    # hypothesis; alpha_2 repeats beta_2's verdict and must not count again
+    t = make_tt("gaussian", (5, 5, 5, 5), (2, 3, 2), seed=1)
+    nested = [
+        IndexSet([1, 2, 3, 4], 5),
+        IndexSet([1, 2, 3, 4, 6, 7, 8, 9], 25),
+        IndexSet([1, 2, 3, 26, 27, 28], 125),
     ]
-    for a, b in zip(serial.results, threaded.results):
+    J_sets = [IndexSet.full(125), IndexSet([3], 25), IndexSet.full(5)]
+    records = check_column_sampling_bounds(t, nested, J_sets)
+    failed = [rec.label for rec in records if not rec.rank_hypothesis_ok]
+    assert failed == ["alpha_2", "beta_2"]
+    trial = SimpleNamespace(records_rows=(), records_cols=tuple(records))
+    assert _count_outcomes([trial]) == (0, 1)
+
+
+def test_run_experiment_gives_the_values_run_trial_gives():
+    cfg = _small_config(trials=2)
+    out = run_experiment(cfg, write=False)
+    alone = [run_trial(cfg, kind, trial) for kind in cfg.generators for trial in range(cfg.trials)]
+    assert [(r.generator, r.trial) for r in out.results] == [(r.generator, r.trial) for r in alone]
+    for a, b in zip(out.results, alone):
         assert a.values == b.values
         assert a.bound_pass == b.bound_pass
         assert a.resamples == b.resamples
 
 
-def test_a_d6_run_with_sample_sizes_equal_to_the_ranks_is_the_same_on_any_worker_count(
-    monkeypatch,
-):
-    # the auto rule runs deep-like geometries on one worker; a pool of two
-    # must still give the same values, passes and redraws
+def test_a_d6_run_with_sample_sizes_equal_to_the_ranks_is_the_same_on_every_run():
+    # every level's redraws and failed rank hypotheses repeat exactly
     cfg = _deep_geometry(shape=(3,) * 6, trials=2)
-    runs = []
-    for raw in ("1", "2"):
-        monkeypatch.setenv("TT_INHERIT_THREADS", raw)
-        runs.append(run_experiment(cfg, write=False))
-    serial, pooled = runs
-    assert pooled.threads["workers"] == 2
-    assert serial.failures == pooled.failures
-    assert [(r.generator, r.trial) for r in serial.results] == [
-        (r.generator, r.trial) for r in pooled.results
+    first, second = run_experiment(cfg, write=False), run_experiment(cfg, write=False)
+    assert first.failures == second.failures
+    assert [(r.generator, r.trial) for r in first.results] == [
+        (r.generator, r.trial) for r in second.results
     ]
-    assert len(serial.results) == 6
-    for a, b in zip(serial.results, pooled.results):
+    assert len(first.results) == 6
+    for a, b in zip(first.results, second.results):
         assert list(a.values) == list(b.values)
         # bitwise, NaN where a level's rank hypothesis failed on both
         np.testing.assert_array_equal(list(a.values.values()), list(b.values.values()))
@@ -595,7 +607,6 @@ def test_a_d6_run_with_sample_sizes_equal_to_the_ranks_is_the_same_on_any_worker
 
 
 def test_run_experiment_survives_failed_trial(monkeypatch):
-    monkeypatch.setenv("TT_INHERIT_THREADS", "1")
     cfg = _small_config(trials=2)
     real = run_trial
 
@@ -615,10 +626,9 @@ def test_run_experiment_survives_failed_trial(monkeypatch):
     assert set(out.summaries) == {"gaussian", "hadamard"}
 
 
-def test_run_experiment_keeps_going_when_generation_fails(monkeypatch):
+def test_run_experiment_keeps_going_when_generation_fails():
     # hadamard trial 3 of this tiny geometry finds no full-rank draw; the
     # GenerationError is recorded like any other failed trial
-    monkeypatch.setenv("TT_INHERIT_THREADS", "1")
     cfg = ExperimentConfig(
         shape=(2, 2, 2, 2),
         ranks=(2, 2, 2),
@@ -638,7 +648,6 @@ def test_run_experiment_keeps_going_when_generation_fails(monkeypatch):
 
 
 def test_a_coherent_tensor_that_exhausts_its_redraws_is_a_failed_trial(monkeypatch):
-    monkeypatch.setenv("TT_INHERIT_THREADS", "1")
     cfg = coherent_config()
     serve_coherent_tensor(monkeypatch, cfg)
     with pytest.warns(RuntimeWarning, match="excluded"):
@@ -659,7 +668,6 @@ def test_a_coherent_tensor_that_exhausts_its_redraws_is_a_failed_trial(monkeypat
 def test_run_experiment_summarizes_around_nan_values(monkeypatch, tmp_path):
     # a failed rank hypothesis records NaN; the finished run must still be
     # summarized and written, with the NaN counted instead of summarized
-    monkeypatch.setenv("TT_INHERIT_THREADS", "1")
     cfg = _small_config(trials=2, generators=("gaussian",), output_dir=str(tmp_path), emit_svg=True)
     real = run_trial
 
@@ -690,29 +698,22 @@ def test_run_experiment_summarizes_around_nan_values(monkeypatch, tmp_path):
     assert labels == [g[0] for g in param_grid(4) if g[0] != "beta_3"]
 
 
-def _recording_plan(monkeypatch):
-    """Patch the pool class and run_trial to record the pools a run builds
-    and the thread each trial runs on; every trial raises ``not run``."""
-    pools, ran_on = [], []
-
-    class RecordingPool(experiment_mod.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
+def _recording_threads(monkeypatch):
+    """Patch run_trial to record the thread each trial runs on; every
+    trial raises ``not run``."""
+    ran_on = []
 
     def no_trial(config, kind, trial):
         ran_on.append(threading.get_ident())
         raise TrialError("not run")
 
-    monkeypatch.setattr(experiment_mod, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(experiment_mod, "run_trial", no_trial)
-    return pools, ran_on
+    return ran_on
 
 
 def test_thread_plan_counts_the_cpus_the_process_may_use(monkeypatch):
-    monkeypatch.delenv("TT_INHERIT_THREADS", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    _recording_plan(monkeypatch)
+    _recording_threads(monkeypatch)
     for cpus in (1, 3, 8):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False)
         with pytest.warns(RuntimeWarning, match="not run"):
@@ -722,27 +723,27 @@ def test_thread_plan_counts_the_cpus_the_process_may_use(monkeypatch):
 
 @pytest.mark.parametrize("build", [desk_preset, paper_preset, _deep_geometry], ids=["desk", "paper", "deep"])
 def test_auto_workers_run_every_trial_in_the_calling_thread(monkeypatch, tmp_path, build):
-    # auto is one worker at every geometry, however many CPUs there are;
-    # only an explicit count builds a pool
+    # one worker at every geometry, however many CPUs there are
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    monkeypatch.delenv("TT_INHERIT_THREADS", raising=False)
     cfg = build(trials=2, output_dir=str(tmp_path), emit_svg=False)  # 6 tasks
-    pools, ran_on = _recording_plan(monkeypatch)
-    for raw, want in ((None, 1), ("0", 1), ("2", 2)):
-        if raw is not None:
-            monkeypatch.setenv("TT_INHERIT_THREADS", raw)
-        assert resolve_workers() == want
-        pools.clear()
-        ran_on.clear()
-        with pytest.warns(RuntimeWarning, match="not run"):
-            out = run_experiment(cfg, write=True)
-        doc = json.loads((tmp_path / "summary.json").read_text())
-        assert out.threads["workers"] == doc["threads"]["workers"] == want
-        assert len(ran_on) == 6
-        if want == 1:  # one worker runs the trials in the calling thread
-            assert pools == [] and set(ran_on) == {threading.get_ident()}
-        else:
-            assert pools == [want] and threading.get_ident() not in ran_on
+    ran_on = _recording_threads(monkeypatch)
+    assert resolve_workers() == 1
+    with pytest.warns(RuntimeWarning, match="not run"):
+        out = run_experiment(cfg, write=True)
+    doc = json.loads((tmp_path / "summary.json").read_text())
+    assert out.threads["workers"] == doc["threads"]["workers"] == 1
+    assert ran_on == [threading.get_ident()] * 6
+
+
+def test_a_desk_run_starts_no_thread(monkeypatch, tmp_path):
+    def refuse(self):
+        raise AssertionError(f"thread {self.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    cfg = desk_preset(trials=2, output_dir=str(tmp_path))
+    out = run_experiment(cfg, write=True)
+    assert out.failures == [] and len(out.results) == 2 * len(cfg.generators)
+    assert (tmp_path / "trials.csv").exists() and (tmp_path / "summary.json").exists()
 
 
 # ---------------------------------------------------------------- BLAS threads
@@ -782,7 +783,6 @@ def _reading_blas_threads(monkeypatch, libs, fail_trial=None):
 @pytest.mark.parametrize("cpus, per_worker", [(16, 1), (1, 1)])
 def test_run_experiment_gives_each_worker_its_blas_share(monkeypatch, openblas, cpus, per_worker):
     # one BLAS thread per worker, however many CPUs and threads there were
-    monkeypatch.setenv("TT_INHERIT_THREADS", "2")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     seen = _reading_blas_threads(monkeypatch, openblas)
     out = run_experiment(_small_config(trials=2), write=False)
@@ -790,7 +790,7 @@ def test_run_experiment_gives_each_worker_its_blas_share(monkeypatch, openblas, 
     assert set(seen) == {(per_worker,) * len(openblas)}
     assert [lib.get_threads() for lib in openblas] == [3] * len(openblas)
     assert out.threads == {
-        "workers": 2,
+        "workers": 1,
         "cpus": cpus,
         "openblas": [
             {
@@ -804,20 +804,7 @@ def test_run_experiment_gives_each_worker_its_blas_share(monkeypatch, openblas, 
     }
 
 
-def test_pool_never_has_more_workers_than_trials(monkeypatch, openblas):
-    # 2 tasks on 8 CPUs: 2 workers, not 4, each on one BLAS thread
-    monkeypatch.setenv("TT_INHERIT_THREADS", "4")
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    seen = _reading_blas_threads(monkeypatch, openblas)
-    out = run_experiment(_small_config(trials=1), write=False)
-    assert len(seen) == 2
-    assert set(seen) == {(1,) * len(openblas)}
-    assert out.threads["workers"] == 2
-    assert [e["threads_per_worker"] for e in out.threads["openblas"]] == [1] * len(openblas)
-
-
 def test_blas_threads_are_restored_when_a_trial_raises(monkeypatch, openblas):
-    monkeypatch.setenv("TT_INHERIT_THREADS", "2")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     seen = _reading_blas_threads(monkeypatch, openblas, fail_trial=0)
     with pytest.warns(RuntimeWarning, match="synthetic failure"):
@@ -828,7 +815,6 @@ def test_blas_threads_are_restored_when_a_trial_raises(monkeypatch, openblas):
 
 
 def test_run_without_openblas_changes_no_thread_count(monkeypatch, openblas):
-    monkeypatch.setenv("TT_INHERIT_THREADS", "2")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     cfg = _small_config(trials=2)
     with_blas = run_experiment(cfg, write=False)
@@ -837,17 +823,16 @@ def test_run_without_openblas_changes_no_thread_count(monkeypatch, openblas):
     seen = _reading_blas_threads(monkeypatch, openblas)
     without = run_experiment(cfg, write=False)
     assert set(seen) == {(3,) * len(openblas)}
-    assert without.threads == {"workers": 2, "cpus": 2, "openblas": [], "heap_kept": False}
+    assert without.threads == {"workers": 1, "cpus": 2, "openblas": [], "heap_kept": False}
     assert [r.values for r in without.results] == [r.values for r in with_blas.results]
 
 
-def test_written_summary_records_the_thread_plan(monkeypatch, tmp_path):
-    monkeypatch.setenv("TT_INHERIT_THREADS", "2")
+def test_written_summary_records_the_thread_plan(tmp_path):
     out = run_experiment(_small_config(trials=1, output_dir=str(tmp_path)), write=True)
     with open(tmp_path / "summary.json") as f:
         doc = json.load(f)
     assert doc["threads"] == out.threads
-    assert doc["threads"]["workers"] == 2
+    assert doc["threads"]["workers"] == 1
     assert doc["threads"]["heap_kept"] is (linalg_mod.glibc_malloc() is not None)
     for entry in doc["threads"]["openblas"]:
         assert set(entry) == {"library", "threads_before", "threads_per_worker"}
@@ -874,10 +859,7 @@ def test_trials_after_the_first_fault_in_no_fresh_pages():
         "out = ttinherit.run_experiment(config, write=False)\n"
         "print(json.dumps([faults, out.threads]))\n"
     )
-    env = {**os.environ, "TT_INHERIT_THREADS": "1"}
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     faults, threads = json.loads(proc.stdout)
     assert threads["workers"] == 1 and threads["heap_kept"] is True
@@ -885,19 +867,8 @@ def test_trials_after_the_first_fault_in_no_fresh_pages():
     assert max(faults[1:]) < 50, faults
 
 
-def test_resolve_workers(monkeypatch):
-    monkeypatch.setenv("TT_INHERIT_THREADS", "3")
-    assert resolve_workers() == 3
-    monkeypatch.setenv("TT_INHERIT_THREADS", "0")
+def test_resolve_workers():
     assert resolve_workers() == 1
-    monkeypatch.delenv("TT_INHERIT_THREADS", raising=False)
-    assert resolve_workers() == 1
-    monkeypatch.setenv("TT_INHERIT_THREADS", "abc")
-    with pytest.raises(ConfigError):
-        resolve_workers()
-    monkeypatch.setenv("TT_INHERIT_THREADS", "-1")
-    with pytest.raises(ConfigError):
-        resolve_workers()
 
 
 # ---------------------------------------------------------------- output files
@@ -907,11 +878,7 @@ def test_resolve_workers(monkeypatch):
 def written_run(tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("run")
     cfg = _small_config(trials=2, output_dir=str(out_dir), emit_svg=True)
-    os.environ["TT_INHERIT_THREADS"] = "1"
-    try:
-        result = run_experiment(cfg, write=True)
-    finally:
-        os.environ.pop("TT_INHERIT_THREADS", None)
+    result = run_experiment(cfg, write=True)
     return cfg, result, out_dir
 
 

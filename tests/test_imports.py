@@ -56,7 +56,8 @@ def test_the_run_path_imports_neither_scipy_nor_urllib(tmp_path):
     code = (
         "import sys, ttinherit, ttinherit.cli\n"
         "def loaded():\n"
-        "    return sorted(m for m in ('numpy.ma', 'scipy', 'urllib.request') if m in sys.modules)\n"
+        "    mods = ('concurrent.futures', 'numpy.ma', 'scipy', 'urllib.request')\n"
+        "    return sorted(m for m in mods if m in sys.modules)\n"
         "print(loaded())\n"
         "config = ttinherit.desk_preset(trials=1, output_dir=sys.argv[1])\n"
         "ttinherit.run_experiment(config, write=True)\n"

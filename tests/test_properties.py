@@ -37,6 +37,7 @@ from ttinherit import (
     sample_without_replacement,
     unfolding_svd,
 )
+import ttinherit.properties as properties_mod
 from ttinherit.multiindex import Shape, derived_rng
 from ttinherit.oracle import dense_alpha_it, dense_beta_i, dense_properties, dense_unfolding
 from ttinherit.properties import BOUND_SLACK, _refines, validate_nested
@@ -296,6 +297,20 @@ def test_rank_preservation_flags_an_empty_row_set():
     t = make_tt("gaussian", (6, 5, 4), (2, 2), seed=52)
     rep = check_rank_preservation(t, IndexSet([], 6))
     assert not rep.hypothesis_ok and not rep.passed and rep.observed is None
+
+
+@pytest.mark.parametrize("I", [IndexSet([7], 10), IndexSet([1, 2, 3], 10)], ids=["outside", "inside"])
+def test_rank_preservation_refuses_a_row_set_over_another_domain_before_any_work(monkeypatch, I):
+    # refused before any SVD or pinv: [7] would index past W_1's rows, and
+    # [1, 2, 3] lies inside them
+    t = make_tt("gaussian", (5, 5, 5, 5), (2, 3, 2), seed=1)
+
+    def no_svd(*args):
+        raise AssertionError("unfolding_svd ran")
+
+    monkeypatch.setattr(properties_mod, "unfolding_svd", no_svd)
+    with pytest.raises(DomainError, match="I domain 10 != n_1 = 5"):
+        check_rank_preservation(t, I)
 
 
 # ---------------------------------------------------------------- nested-set validation
