@@ -196,7 +196,10 @@ def _cmd_report(args) -> int:
                 raise TTInheritError(f"{where}: value {row['value']!r} is not a number") from None
             per_gen = values.setdefault(row["generator"], {})
             per_gen.setdefault(row["parameter_label"], []).append(value)
-            any_fail |= row["bound_pass"].strip().lower() == "false"
+            passed = row["bound_pass"].strip().lower()
+            if passed not in ("true", "false"):
+                raise TTInheritError(f"{where}: bound_pass {row['bound_pass']!r} is not true or false")
+            any_fail |= passed == "false"
     if not values:
         raise TTInheritError(f"{csv_path}: no data rows")
 

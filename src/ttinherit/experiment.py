@@ -470,10 +470,12 @@ def run_trial(config: ExperimentConfig, kind: str, trial: int) -> TrialResult:
     passes: dict[str, bool] = {}
     resamples: dict[str, int] = {}
     for label, family, i, _ in param_grid(d):
-        values[label] = by_label[label].value
-        # alpha_i has no checks of its own: the level-i inequalities and the
-        # rank hypothesis it shares with beta_i live on the beta_i record
-        passes[label] = by_label[f"beta_{i}" if family == "alpha_i" else label].satisfied
+        # alpha_i, alpha_{i-1,2}, has no record: its value is the row
+        # sweep's, and the level-i inequalities it enters and their rank
+        # hypothesis live on the beta_i record
+        rec = by_label[f"beta_{i}" if family == "alpha_i" else label]
+        values[label] = alphas[i - 2][1] if family == "alpha_i" else rec.value
+        passes[label] = rec.satisfied
         if family == "beta_i":
             resamples[label] = redraws["cols"][i - 1]
         else:  # alpha_i keeps the rows I_{i-1}
@@ -536,17 +538,12 @@ class ExperimentResult:
 
 
 def _count_outcomes(results) -> tuple[int, int]:
-    """(bound violations, rank-hypothesis failures) over the records of ``results``.
-
-    An alpha_i record only repeats the rank verdict of the beta_i record of
-    its column block, so each block is counted once, on beta_i.
-    """
+    """(bound violations, rank-hypothesis failures) over the records of
+    ``results``: one record per row-sampled unfolding and per column block."""
     n_viol = 0
     n_hyp = 0
     for res in results:
         for rec in res.records_rows + res.records_cols:
-            if rec.kind == "alpha_i":
-                continue
             if not rec.rank_hypothesis_ok:
                 n_hyp += 1
             elif not rec.satisfied:

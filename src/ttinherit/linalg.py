@@ -109,25 +109,26 @@ class ThinSVD:
 
     Each singular factor is held as an orthonormal basis and a small
     rotation, ``W = Q_W @ U_W`` and ``V = Q_V @ U_V``: ``Q`` is (m, q) and
-    ``U`` is (q, r).  ``ThinSVD(W, sigma, V)`` takes the factors themselves
-    (``U = I``); with ``rotations=(U_W, U_V)`` the first and third
-    arguments are the bases.  The bases are never copied or multiplied out
-    when the SVD is made, so a factor over 10^6 rows costs only its r x r
-    rotation: :meth:`factor_rows` reads a few rows as ``Q[rows] @ U`` and
-    :meth:`rotate` takes any other rows of ``Q``, or an R factor of them,
-    through ``U``.  ``W`` and ``V`` are multiplied out on first read,
-    column-major, and cached.
+    ``U`` is (q, r).  ``ThinSVD(W, sigma, V)`` takes the factors as bases
+    with the identity as rotation; with ``rotations=(U_W, U_V)`` the first
+    and third arguments are the bases.  The bases are never copied or
+    multiplied out when the SVD is made, so a factor over 10^6 rows costs
+    only its r x r rotation: :meth:`factor_rows` reads a few rows as
+    ``Q[rows] @ U`` and :meth:`rotate` takes any other rows of ``Q``, or an
+    R factor of them, through ``U``.  ``W`` and ``V`` are multiplied out,
+    column-major, on each read.
 
     ``sigma`` must be strictly positive and non-increasing, and both factors
-    must have orthonormal columns: max |W^T W - I| <= :data:`ORTHONORMALITY_TOL`,
-    evaluated as ``U^T G U`` with ``G = Q^T Q``; so must a basis given with
-    a rotation, max |G - I| within the same tolerance.  A caller that knows
-    ``G`` without a pass over ``Q`` passes it in ``grams=(G_W, G_V)`` and
-    vouches for it; otherwise ``G`` is computed.  A non-finite entry in any
-    input raises :class:`NumericError`.  Everything stored is read-only.
+    must have orthonormal columns: max |G - I| and max |U^T G U - I| must be
+    within :data:`ORTHONORMALITY_TOL`, with ``G = Q^T Q``, so ``Q`` is
+    orthonormal and a square ``U`` orthogonal.  A caller that knows ``G``
+    without a pass over ``Q`` passes it in ``grams=(G_W, G_V)`` and vouches
+    for it; otherwise ``G`` is computed.  A non-finite entry in any input
+    raises :class:`NumericError`.  Everything stored is read-only.
     ``sigma`` is read once into Python floats for its checks, and the
-    identities the deviations are taken against come from a read-only cache
-    keyed by size, so a small SVD costs what its small matrices cost.
+    identities the deviations are taken against, and the rotations of
+    factors given as they are, come from a read-only cache keyed by size,
+    so a small SVD costs what its small matrices cost.
 
     A square rotation is then orthogonal, so ``Q @ U`` has the row norms of
     ``Q``: :meth:`factor_max_row_norm` reads ``Q`` alone, unrotated.  A caller
@@ -139,7 +140,7 @@ class ThinSVD:
     :data:`ROW_BLOCK` rows instead.
     """
 
-    __slots__ = ("sigma", "_bases", "_rotations", "_factors", "_row_norms")
+    __slots__ = ("sigma", "_bases", "_rotations", "_row_norms")
 
     def __init__(self, W, sigma, V, rotations=(None, None), grams=(None, None), row_norms=(None, None)):
         sigma = np.asarray(sigma, dtype=np.float64).reshape(-1)
@@ -153,31 +154,31 @@ class ThinSVD:
             for name, Q, U, G in zip("WV", (W, V), rotations, grams):
                 # views: the read-only flag set below must not reach the caller's arrays
                 Q = np.asfortranarray(Q, dtype=np.float64).view()
-                U = None if U is None else np.asarray(U, dtype=np.float64).view()
+                U = _identity(Q.shape[-1]) if U is None else np.asarray(U, dtype=np.float64).view()
                 G = None if G is None else np.asarray(G, dtype=np.float64)
-                if Q.ndim != 2 or (U is not None and U.ndim != 2):
+                if Q.ndim != 2 or U.ndim != 2:
                     raise DomainError("ThinSVD factors must be 2-d")
                 q = Q.shape[1]
-                width = q if U is None else U.shape[1]
-                if width != r:
-                    raise DomainError(f"{name} has width {width}, which does not match rank {r}")
-                if U is not None and U.shape[0] != q:
+                if U.shape[1] != r:
+                    raise DomainError(f"{name} has width {U.shape[1]}, which does not match rank {r}")
+                if U.shape[0] != q:
                     raise DomainError(f"{name} rotation has {U.shape[0]} rows for a basis of width {q}")
                 if G is not None and G.shape != (q, q):
                     raise DomainError(f"{name} Gram has shape {G.shape} for a basis of width {q}")
                 if G is None:
                     G = Q.T @ Q
-                dev = np.abs((G if U is None else U.T @ G @ U) - eye).max()
-                if U is not None:  # an orthonormal basis makes a square U orthogonal
-                    dev = max(dev, np.abs(G - _identity(q)).max())
-                devs.append(float(dev))
+                # |G - I| first: an overflowed Gram reads inf, not the NaN a
+                # rotation's zeros make of it; a NaN goes first in max()
+                dev = float(np.abs(G - _identity(q)).max())
+                if math.isfinite(dev):
+                    dev = max(float(np.abs(U.T @ G @ U - eye).max()), dev)
+                devs.append(dev)
                 bases.append(Q)
                 rots.append(U)
         # a non-finite entry anywhere makes sigma or a deviation non-finite,
         # so the inputs themselves, Q among them, are scanned only then
-        rotated = tuple(U for U in rots if U is not None)
         if not (all(map(math.isfinite, s)) and all(map(math.isfinite, devs))):
-            if not all(np.isfinite(X).all() for X in (sigma, *rotated, *bases)):
+            if not all(np.isfinite(X).all() for X in (sigma, *rots, *bases)):
                 raise NumericError("ThinSVD factors contain non-finite entries")
         if s[-1] <= 0.0:
             raise DomainError("singular values must be strictly positive")
@@ -188,13 +189,11 @@ class ThinSVD:
                 raise DomainError(
                     f"{name} columns deviate from orthonormality by {dev:.3e}"
                 )
-        for arr in (sigma, *bases, *rotated):
+        for arr in (sigma, *bases, *rots):
             arr.setflags(write=False)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "_bases", tuple(bases))
         object.__setattr__(self, "_rotations", tuple(rots))
-        # a factor with U = I is its basis; a rotated one is built on first read
-        object.__setattr__(self, "_factors", [Q if U is None else None for Q, U in zip(bases, rots)])
         norms = tuple(functools.partial(max_row_norm, Q) if f is None else f for Q, f in zip(bases, row_norms))
         object.__setattr__(self, "_row_norms", norms)
 
@@ -214,19 +213,13 @@ class ThinSVD:
 
     @property
     def W(self) -> np.ndarray:
-        """The (m, r) left factor, multiplied out on first read."""
-        return self._factor(0)
+        """The (m, r) left factor, multiplied out on each read."""
+        return self._materialize(0)
 
     @property
     def V(self) -> np.ndarray:
-        """The (n, r) right factor, multiplied out on first read."""
-        return self._factor(1)
-
-    def _factor(self, side: int) -> np.ndarray:
-        F = self._factors[side]
-        if F is None:
-            F = self._factors[side] = self._materialize(side)
-        return F
+        """The (n, r) right factor, multiplied out on each read."""
+        return self._materialize(1)
 
     def _materialize(self, side: int) -> np.ndarray:
         """``Q @ U`` of one side as a read-only column-major array."""
@@ -234,7 +227,7 @@ class ThinSVD:
         F.setflags(write=False)
         return F
 
-    def _side(self, side: str) -> tuple[np.ndarray, np.ndarray | None]:
+    def _side(self, side: str) -> tuple[np.ndarray, np.ndarray]:
         if side not in _SIDES:
             raise DomainError(f"factor side must be 'W' or 'V', got {side!r}")
         k = _SIDES[side]
@@ -245,15 +238,13 @@ class ThinSVD:
         return self._side(side)[0]
 
     def rotate(self, side: str, B: np.ndarray) -> np.ndarray:
-        """``B @ U`` for the rotation ``U`` of ``side`` ("W" or "V"), ``B``
-        itself where ``U = I``.
+        """``B @ U`` for the rotation ``U`` of ``side`` ("W" or "V").
 
         With ``B = Q[rows]`` this is :meth:`factor_rows`.  With ``B`` the R
         of a QR of some rows of ``Q``, it has the singular values of those
         rows of the factor in at most q rows.
         """
-        _, U = self._side(side)
-        return B if U is None else _rotate(B, U)
+        return _rotate(B, self._side(side)[1])
 
     def factor_rows(self, side: str, rows) -> np.ndarray:
         """``W[rows]`` (``side`` "W") or ``V[rows]`` (``side`` "V"), 0-based
@@ -263,10 +254,10 @@ class ThinSVD:
     def factor_max_row_norm(self, side: str) -> float:
         """Largest Euclidean row norm of ``W`` or ``V``, with no temporary as
         tall as the factor: that of the basis ``Q`` where the rotation is
-        square (or absent), else :func:`max_row_norm` of ``Q`` rotated by
+        square, else :func:`max_row_norm` of ``Q`` rotated by
         ``U``."""
         Q, U = self._side(side)
-        if U is None or U.shape[0] == U.shape[1]:
+        if U.shape[0] == U.shape[1]:
             return self._row_norms[_SIDES[side]]()
         return max_row_norm(Q, U)
 

@@ -15,8 +15,8 @@ controlled way.  The controlling factors are
     alpha_it  — row-sampling factor of the k-th unfolding (k = i + t - 1),
                 sqrt(|I_i| / prod(n_1..n_i)) * ||W_k(rows, :)^+||_2 with
                 rows = I_i extended by the full modes i+1..k,
-    alpha_i   — the t = 2 flavor used for column submatrices (alpha_1 = 1
-                by convention),
+    alpha_i   — the t = 2 flavor used for column submatrices, alpha_{i-1,2}
+                (alpha_1 = 1 by convention),
     beta_i    — the column-side analogue from V_i(J_i, :).
 
 ``check_row_sampling_bounds`` / ``check_column_sampling_bounds`` evaluate
@@ -45,8 +45,8 @@ from .tt import (
     TTTensor,
     _check_index_set,
     _check_position,
+    _is_left_interface,
     _row_sweep,
-    left_orthogonal_form,
     row_restrict,
     submatrix_svd,
     tt_rank_numerical,
@@ -140,7 +140,8 @@ class BoundCheck:
 class InheritanceRecord:
     """A sampling factor plus the inequalities it certifies.
 
-    ``kind`` is "alpha_it", "alpha_i", or "beta_i"; ``t`` is None except for
+    ``kind`` is "alpha_it" (row suite) or "beta_i" (column suite, one
+    record per block, alpha_i entering its checks); ``t`` is None except for
     alpha_it.  ``kappa``/``mu1``/``mu2``/``rank`` are the parent-unfolding
     quantities the right-hand sides are built from.  ``rank_hypothesis_ok``
     records whether the sampled block kept full rank; when it is False the
@@ -166,8 +167,6 @@ class InheritanceRecord:
     def label(self) -> str:
         if self.kind == "alpha_it":
             return f"alpha_{self.i}_{self.t}"
-        if self.kind == "alpha_i":
-            return f"alpha_{self.i}"
         return f"beta_{self.i}"
 
 
@@ -337,12 +336,9 @@ def _record(
     value: float,
     parent: UnfoldingReport,
     checks: tuple[BoundCheck, ...] = (),
-    rank_hypothesis_ok: bool | None = None,
 ) -> InheritanceRecord:
     """A record against ``parent``; empty ``checks`` mean the rank hypothesis
-    failed unless ``rank_hypothesis_ok`` says otherwise."""
-    if rank_hypothesis_ok is None:
-        rank_hypothesis_ok = bool(checks)
+    failed."""
     return InheritanceRecord(
         kind=kind,
         i=i,
@@ -353,7 +349,7 @@ def _record(
         mu2=parent.mu2,
         rank=parent.rank,
         checks=checks,
-        rank_hypothesis_ok=rank_hypothesis_ok,
+        rank_hypothesis_ok=bool(checks),
     )
 
 
@@ -400,8 +396,7 @@ def _check_shared(
     if parents is not None and [p.i for p in parents] != list(range(1, t.d)):
         raise DomainError(f"parents must report unfoldings 1..{t.d - 1} in order")
     for p in parents or ():
-        L = left_orthogonal_form(t)[0]._memo[0].get(("Q", p.i))
-        if L is None or not np.may_share_memory(p.svd.basis("W"), L):
+        if not _is_left_interface(t, p.i, p.svd.basis("W")):
             raise DomainError(f"parents[{p.i - 1}] is not unfolding_svd of this tensor at {p.i}")
     if alphas is not None and [len(level) for level in alphas] != list(range(t.d - 1, 0, -1)):
         raise DomainError(f"alphas must hold {t.d - 1} levels, level i of {t.d} - i values")
@@ -525,10 +520,11 @@ def check_column_sampling_bounds(
                 mu2(C) <= beta^2 kappa^2 mu2,
                 kappa(C) <= alpha beta sqrt(mu1 mu2) r kappa
 
-    Returns, per level, an "alpha_i" record (i >= 2, carrying the row
-    factor, no checks of its own) followed by a "beta_i" record carrying
-    the three inequalities.  ``parents`` and ``alphas`` are as in
-    :func:`check_row_sampling_bounds`; alpha_i is read from ``alphas``.
+    Returns one "beta_i" record per level, d - 1 in all, carrying beta_i
+    and the three inequalities.  alpha_i = alpha_{i-1,2} has no record: it
+    is read from ``alphas``, and where it is NaN the block fails its rank
+    hypothesis.  ``parents`` and ``alphas`` are as in
+    :func:`check_row_sampling_bounds`.
     """
     validate_nested(t, nested)
     if len(J_sets) != t.d - 1:
@@ -554,10 +550,7 @@ def check_column_sampling_bounds(
                 csvd = submatrix_svd(t, i, rows, J, rank_tol)
             except (SingularityError, RankZeroError):
                 pass
-        hypothesis_ok = csvd is not None and csvd.rank == parent.rank
-        if i >= 2:
-            records.append(_record("alpha_i", i, None, a, parent, rank_hypothesis_ok=hypothesis_ok))
-        if not hypothesis_ok:
+        if csvd is None or csvd.rank != parent.rank:
             records.append(_record("beta_i", i, None, b, parent))
             continue
         c_rep = unfolding_report(i, csvd)

@@ -543,6 +543,14 @@ def row_restrict(t: TTTensor, i: int, I: IndexSet) -> TTTensor:
     return sub
 
 
+def _is_left_interface(t: TTTensor, i: int, Q: np.ndarray) -> bool:
+    """Whether ``Q`` shares memory with ``left_interface(A, i)`` of the left
+    form ``A`` of ``t`` as kept in its memo, as the basis of W in
+    :func:`unfolding_svd` ``(t, i)`` does; False while it is not built."""
+    L = left_orthogonal_form(t)[0]._memo[0].get(("Q", i))
+    return L is not None and np.may_share_memory(Q, L)
+
+
 def _row_sweep(t: TTTensor, I: IndexSet, i: int, svds: dict[int, ThinSVD]) -> dict[int, np.ndarray]:
     """For each unfolding k >= i of ``svds``, a matrix of at most r'_k rows
     with the singular values of the rows of ``svds[k].W`` that level-i rows
@@ -559,7 +567,8 @@ def _row_sweep(t: TTTensor, I: IndexSet, i: int, svds: dict[int, ThinSVD]) -> di
     largest k serves every k, so each R_k is the same whichever others are
     asked for.  After the first QR, of the |I| sampled rows, no QR has
     more than r'_{j-1} n_j rows.  The caller makes sure that each SVD is
-    the :func:`unfolding_svd` of ``t``, as ``properties._check_shared`` does.
+    the :func:`unfolding_svd` of ``t``: that the basis of its W is ``t``'s
+    left-form interface at k, which :func:`_is_left_interface` tells.
     """
     A, _ = left_orthogonal_form(t)
     # L_k(A) is built, so L_i(A), a step of its chain, is within the cap

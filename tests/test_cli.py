@@ -295,7 +295,11 @@ def test_report_keeps_the_run_record(config_path, tmp_path):
 
 @pytest.mark.parametrize(
     "field, bad, message",
-    [(5, "abc", "value 'abc' is not a number"), (8, None, "fewer than 9 fields")],
+    [
+        (5, "abc", "value 'abc' is not a number"),
+        (8, None, "fewer than 9 fields"),
+        (6, "no", "bound_pass 'no' is not true or false"),
+    ],
 )
 def test_report_malformed_trials_csv_is_usage_error(config_path, tmp_path, capsys,
                                                     field, bad, message):

@@ -29,6 +29,7 @@ from ttinherit import (
     KINDS,
     SingularityError,
     TrialError,
+    alpha_i,
     check_column_sampling_bounds,
     desk_preset,
     paper_preset,
@@ -49,7 +50,7 @@ from ttinherit.experiment import (
 )
 from ttinherit.svgplot import render_boxplot_svg
 
-from conftest import coherent_config, make_tt, serve_coherent_tensor
+from conftest import coherent_config, make_tt, sample_valid_sets, serve_coherent_tensor
 
 # ---------------------------------------------------------------- parameter grid
 
@@ -361,7 +362,9 @@ def test_run_trial_produces_full_grid():
     assert all(np.isfinite(v) and v > 0 for v in res.values.values())
     assert all(res.bound_pass.values())
     assert all(n >= 0 for n in res.resamples.values())
-    assert len(res.records_rows) == 6 and len(res.records_cols) == 5
+    # one record per row-sampled unfolding and one per column block
+    assert len(res.records_rows) == 6
+    assert [rec.label for rec in res.records_cols] == ["beta_1", "beta_2", "beta_3"]
     assert res.generator == "gaussian" and res.trial == 0
     assert res.wall_time_s >= 0.0
 
@@ -563,7 +566,7 @@ def test_run_experiment_counts_and_order():
 
 def test_a_failed_column_block_counts_as_one_rank_hypothesis_failure():
     # one column of J_2 cannot keep rank 3, so level 2 fails its rank
-    # hypothesis; alpha_2 repeats beta_2's verdict and must not count again
+    # hypothesis; its block has one record, beta_2, counted once
     t = make_tt("gaussian", (5, 5, 5, 5), (2, 3, 2), seed=1)
     nested = [
         IndexSet([1, 2, 3, 4], 5),
@@ -573,9 +576,33 @@ def test_a_failed_column_block_counts_as_one_rank_hypothesis_failure():
     J_sets = [IndexSet.full(125), IndexSet([3], 25), IndexSet.full(5)]
     records = check_column_sampling_bounds(t, nested, J_sets)
     failed = [rec.label for rec in records if not rec.rank_hypothesis_ok]
-    assert failed == ["alpha_2", "beta_2"]
+    assert failed == ["beta_2"]
     trial = SimpleNamespace(records_rows=(), records_cols=tuple(records))
     assert _count_outcomes([trial]) == (0, 1)
+
+
+def test_each_column_block_has_one_record_and_alpha_i_is_read_from_the_row_sweep(monkeypatch):
+    # alpha_i = alpha_{i-1,2} enters the level-i column bounds but has no
+    # record of its own: the column suite gives one beta_i record per level
+    for shape, ranks in (((5, 4), (2,)), ((5, 4, 4, 3), (2, 3, 2)), ((3,) * 6, (2, 3, 3, 3, 2))):
+        t = make_tt("gaussian", shape, ranks, seed=3)
+        I_sets, J_sets, _ = sample_valid_sets(t, ranks, ranks, seed=3)
+        records = check_column_sampling_bounds(t, I_sets, J_sets)
+        assert [(rec.kind, rec.label) for rec in records] == [("beta_i", f"beta_{i}") for i in range(1, t.d)]
+    # a trial's alpha_i rows are the row sweep's alpha_{i-1,2}, bit for bit
+    seen = []
+    sweep = experiment_mod.row_sampling_factors
+
+    def recorded(t, I_sets, *args):
+        seen.append((t, I_sets, sweep(t, I_sets, *args)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(experiment_mod, "row_sampling_factors", recorded)
+    res = run_trial(desk_preset(trials=1), "gaussian", 0)
+    ((t, I_sets, alphas),) = seen
+    for i in range(2, t.d):
+        got = res.values[f"alpha_{i}"]
+        assert got.hex() == alphas[i - 2][1].hex() == alpha_i(t, I_sets[i - 2], i).hex()
 
 
 def test_run_experiment_gives_the_values_run_trial_gives():

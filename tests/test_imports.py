@@ -3,6 +3,8 @@
 Statically, no module of the package imports a name it never uses.  No
 pyflakes or ruff is assumed, so this walks each module's syntax tree.
 ``__init__.py`` is exempt because its imports are the package's re-exports.
+The same walk checks that only ``tt.py`` reads a tensor's ``_memo`` or
+``_forms``, so their layout is known in one module.
 
 In a fresh interpreter, the package, its command line and the dense oracle
 load neither scipy nor ``urllib.request``, and a run that writes its
@@ -50,6 +52,27 @@ def test_checker_flags_only_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_reads(source: str, names=("_memo", "_forms")) -> list[str]:
+    """Attributes in ``names`` that the module reads or writes, with lines."""
+    return [
+        f"{n.attr} (line {n.lineno})"
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Attribute) and n.attr in names
+    ]
+
+
+def test_private_reads_flags_the_attribute_not_the_name():
+    source = "_memo = 1\nx = t._memo[0]\ny = getattr(t, '_forms')\nz = t.memo\n"
+    assert private_reads(source) == ["_memo (line 2)"]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "tt.py"), ids=lambda p: p.name
+)
+def test_only_tt_reads_the_tensor_memo(path):
+    assert private_reads(path.read_text(encoding="utf-8")) == []
 
 
 def test_the_run_path_imports_neither_scipy_nor_urllib(tmp_path):

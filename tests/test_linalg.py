@@ -343,14 +343,17 @@ def test_thin_svd_container_is_read_only():
 
 
 def test_thin_svd_leaves_the_callers_arrays_writeable():
-    # a factor already column-major is stored without a copy; the read-only
-    # flag must go on ThinSVD's own view of it, not on the caller's array
+    # a factor already column-major is stored as the basis without a copy;
+    # the read-only flag must go on ThinSVD's own view of it, not on the
+    # caller's array.  W is that basis times the identity, made on each read
     A = np.random.default_rng(5).standard_normal((6, 3))
     W = np.asfortranarray(np.linalg.qr(A)[0])
     s = np.array([3.0, 2.0, 1.0])
     svd = ThinSVD(W, s, W.copy())
-    assert np.shares_memory(svd.W, W)
+    assert np.shares_memory(svd.basis("W"), W) and not np.shares_memory(svd.W, W)
+    assert svd.W.tobytes(order="F") == W.tobytes(order="F")
     assert W.flags.writeable and s.flags.writeable
+    assert not svd.basis("W").flags.writeable
     assert not svd.W.flags.writeable and not svd.sigma.flags.writeable
 
 
@@ -428,7 +431,8 @@ def test_factor_rows_reads_either_side_and_refuses_another():
     R = np.linalg.qr(QW[idx], mode="r")
     got = np.linalg.svd(svd.rotate("W", R), compute_uv=False)
     assert np.abs(got - np.linalg.svd(svd.factor_rows("W", idx), compute_uv=False)).max() <= 1e-15
-    assert thin_svd(np.eye(3)).rotate("V", R) is R  # no rotation: B itself
+    # factors given as they are rotate by the identity, which keeps B's bits
+    assert thin_svd(np.eye(3)).rotate("V", R).tobytes() == R.tobytes()
     with pytest.raises(DomainError):
         svd.factor_rows("U", idx)
     with pytest.raises(AttributeError):

@@ -480,16 +480,15 @@ def test_column_bounds_full_sampling():
     nested = [IndexSet.full(4), IndexSet.full(16), IndexSet.full(64)]
     J_sets = [IndexSet.full(64), IndexSet.full(16), IndexSet.full(4)]
     records = check_column_sampling_bounds(t, nested, J_sets)
-    assert [r.kind for r in records] == ["beta_i", "alpha_i", "beta_i", "alpha_i", "beta_i"]
-    assert [r.label for r in records] == ["beta_1", "alpha_2", "beta_2", "alpha_3", "beta_3"]
+    assert [r.kind for r in records] == ["beta_i"] * 3
+    assert [r.label for r in records] == ["beta_1", "beta_2", "beta_3"]
     for rec in records:
         assert rec.rank_hypothesis_ok
         assert np.isclose(rec.value, 1.0, atol=1e-12)
-        if rec.kind == "beta_i":
-            assert rec.satisfied
-            assert {c.name for c in rec.checks} == {"mu1", "mu2", "kappa"}
-        else:
-            assert rec.checks == ()
+        assert rec.satisfied
+        assert {c.name for c in rec.checks} == {"mu1", "mu2", "kappa"}
+    # alpha_i under full sampling is 1 too, the row factor of levels 2 and 3
+    assert all(np.isclose(alpha_i(t, nested[i - 2], i), 1.0, atol=1e-12) for i in (2, 3))
 
 
 def test_column_bounds_random_sampling_all_hold():
@@ -497,11 +496,10 @@ def test_column_bounds_random_sampling_all_hold():
         t = make_tt(kind, (8, 8, 8, 8), (2, 3, 2), seed=seed)
         I_sets, J_sets, _ = sample_valid_sets(t, (4, 6, 4), (4, 6, 4), seed=seed)
         records = check_column_sampling_bounds(t, I_sets, J_sets, parents=tt_incoherence(t))
-        assert len(records) == 5
+        assert [r.label for r in records] == ["beta_1", "beta_2", "beta_3"]
         for rec in records:
             assert rec.rank_hypothesis_ok
-            if rec.kind == "beta_i":
-                assert rec.satisfied, (kind, rec.i, rec.checks)
+            assert rec.satisfied, (kind, rec.i, rec.checks)
 
 
 def test_column_bounds_level_one_mu1_is_exact():
@@ -549,10 +547,13 @@ def test_failed_alpha_i_records_nan_like_its_offset_two_row_factor():
     J_sets = [IndexSet.full(24), IndexSet.full(12), IndexSet.full(3)]
     rows = {r.label: r for r in check_row_sampling_bounds(t, nested)}
     cols = {r.label: r for r in check_column_sampling_bounds(t, nested, J_sets)}
-    for rec in (rows["alpha_1_2"], cols["alpha_2"]):
+    # alpha_2 is alpha_{1,2}: NaN on the row record, and a failed level-2
+    # block on the column side, which then reads no beta_2
+    for rec in (rows["alpha_1_2"], cols["beta_2"]):
         assert not rec.rank_hypothesis_ok
         assert np.isnan(rec.value)
-    assert cols["alpha_3"].value == rows["alpha_2_2"].value
+    assert cols["beta_2"].checks == ()
+    assert sorted(cols) == ["beta_1", "beta_2", "beta_3"]
 
 
 # ---------------------------------------------------------------- record labels
@@ -606,9 +607,6 @@ def _agree_with_the_oracle(t: TTTensor, I_sets, J_sets) -> None:
             want = dense_alpha_it(X, I_i, i, rec.t)
             rows = dense_unfolding(X, i)[I_i.zero_based(), :]
             sub = dense_properties(rows.reshape((len(I_i),) + t.shape[i:], order="F"), rec.t)
-        elif rec.kind == "alpha_i":
-            parent = parents[i - 1]
-            want, sub = dense_alpha_it(X, I_sets[i - 2], i - 1, 2), None
         else:
             parent = parents[i - 1]
             want = dense_beta_i(X, J_sets[i - 1], i)
@@ -623,8 +621,6 @@ def _agree_with_the_oracle(t: TTTensor, I_sets, J_sets) -> None:
         # the sets were drawn to keep W_i's and V_i's rank, so every factor
         # exists; the oracle decides the rest of the hypothesis on its own
         assert rel_err(rec.value, want) <= 1e-8, label
-        if sub is None:
-            continue
         assert rec.rank_hypothesis_ok == (sub.rank == parent.rank), label
         if rec.rank_hypothesis_ok:
             assert rec.satisfied, label
@@ -719,8 +715,6 @@ def test_kappa_free_companions_hold_against_the_dense_oracle(case):
     records = check_row_sampling_bounds(t, I_sets) + check_column_sampling_bounds(t, I_sets, J_sets)
     checked = 0
     for rec in records:
-        if rec.kind == "alpha_i":  # carries the row factor; no inequality of its own
-            continue
         for name, lhs, rhs in _kappa_free_companions(X, t, rec, I_sets, J_sets):
             assert lhs <= rhs * (1.0 + BOUND_SLACK), (rec.label, name, lhs, rhs)
             checked += 1
@@ -800,17 +794,19 @@ def test_both_suites_read_alpha_from_the_row_sweep():
     assert [r.value for r in check_row_sampling_bounds(t, I_sets, alphas=alphas)] == [
         a for level in alphas for a in level
     ]
+    # alpha_i of levels 2 and 3, alphas[0][1] and alphas[1][1], enter the
+    # column bounds as they are: the kappa bound is alpha beta sqrt(mu1 mu2) r kappa
     cols = check_column_sampling_bounds(t, I_sets, J_sets, alphas=alphas)
-    assert {r.label: r.value for r in cols if r.kind == "alpha_i"} == {
-        "alpha_2": alphas[0][1],
-        "alpha_3": alphas[1][1],
-    }
+    assert [r.label for r in cols] == ["beta_1", "beta_2", "beta_3"]
+    for rec in cols[1:]:
+        (kappa,) = [c for c in rec.checks if c.name == "kappa"]
+        a = alphas[rec.i - 2][1]
+        assert kappa.rhs == float(a * rec.value * np.sqrt(rec.mu1 * rec.mu2) * rec.rank * rec.kappa)
     # a NaN alpha_{2,2}, rows short of rank, fails level 3 and reads no beta_3
     alphas[1] = (alphas[1][0], float("nan"))
     by_label = {r.label: r for r in check_column_sampling_bounds(t, I_sets, J_sets, alphas=alphas)}
-    for label in ("alpha_3", "beta_3"):
-        assert np.isnan(by_label[label].value)
-        assert not by_label[label].rank_hypothesis_ok
+    assert np.isnan(by_label["beta_3"].value)
+    assert not by_label["beta_3"].rank_hypothesis_ok
     assert by_label["beta_2"].rank_hypothesis_ok
 
 

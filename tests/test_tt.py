@@ -513,7 +513,8 @@ def test_factor_rows_are_bitwise_and_row_norms_are_the_basis_where_the_rotation_
     square = quadratic = 0
     for k, svd in enumerate(_factored_svds()):
         for side, F in (("W", svd.W), ("V", svd.V)):
-            assert F is getattr(svd, side)  # multiplied out once, then cached
+            again = getattr(svd, side)  # multiplied out again, to the same bits
+            assert again is not F and again.tobytes() == F.tobytes()
             assert F.flags.f_contiguous and not F.flags.writeable
             idx = np.sort(rng.choice(F.shape[0], min(12, F.shape[0]), replace=False))
             assert svd.factor_rows(side, idx).tobytes() == F[idx].tobytes()
