@@ -170,38 +170,52 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _read_trials(reader: csv.DictReader, csv_path: str):
+    """(values per generator and label, in file order; whether a bound
+    failed) from the rows of trials.csv, each row checked before it counts."""
+    values: dict[str, dict[str, list[float]]] = {}
+    any_fail = False
+    needed = {"generator", "trial", "parameter_label", "value", "bound_pass"}
+    missing = needed - set(reader.fieldnames or ())
+    if missing:
+        raise TTInheritError(f"{csv_path}: missing columns {sorted(missing)}")
+    for row in reader:
+        where = f"{csv_path}, line {reader.line_num}"
+        if None in row.values():
+            raise TTInheritError(f"{where}: fewer than {len(reader.fieldnames)} fields")
+        try:
+            value = float(row["value"])
+        except ValueError:
+            raise TTInheritError(f"{where}: value {row['value']!r} is not a number") from None
+        kind = row["generator"]
+        if any(c in kind for c in ("\0", os.sep, os.altsep) if c):  # it names an SVG file
+            raise TTInheritError(f"{where}: generator {kind!r} holds a path separator or NUL")
+        values.setdefault(kind, {}).setdefault(row["parameter_label"], []).append(value)
+        passed = row["bound_pass"].strip().lower()
+        if passed not in ("true", "false"):
+            raise TTInheritError(f"{where}: bound_pass {row['bound_pass']!r} is not true or false")
+        any_fail |= passed == "false"
+    if not values:
+        raise TTInheritError(f"{csv_path}: no data rows")
+    return values, any_fail
+
+
 def _cmd_report(args) -> int:
     """Summaries and SVGs from trials.csv, written as ``run`` writes them.
 
     An existing summary.json keeps the run's record; only its ``summaries``,
     ``version`` and ``quartile_method`` are replaced.  Failed trials listed
-    in that record exit 1, like bound failures in trials.csv.
+    in that record exit 1, like bound failures in trials.csv.  Every row is
+    read and checked before anything is written.
     """
     csv_path = os.path.join(args.in_dir, "trials.csv")
-    values: dict[str, dict[str, list[float]]] = {}  # generators and labels in file order
-    any_fail = False
     with open(csv_path, "r", encoding="utf-8", newline="") as f:
         reader = csv.DictReader(f)
-        needed = {"generator", "trial", "parameter_label", "value", "bound_pass"}
-        missing = needed - set(reader.fieldnames or ())
-        if missing:
-            raise TTInheritError(f"{csv_path}: missing columns {sorted(missing)}")
-        for row in reader:
-            where = f"{csv_path}, line {reader.line_num}"
-            if None in row.values():
-                raise TTInheritError(f"{where}: fewer than {len(reader.fieldnames)} fields")
-            try:
-                value = float(row["value"])
-            except ValueError:
-                raise TTInheritError(f"{where}: value {row['value']!r} is not a number") from None
-            per_gen = values.setdefault(row["generator"], {})
-            per_gen.setdefault(row["parameter_label"], []).append(value)
-            passed = row["bound_pass"].strip().lower()
-            if passed not in ("true", "false"):
-                raise TTInheritError(f"{where}: bound_pass {row['bound_pass']!r} is not true or false")
-            any_fail |= passed == "false"
-    if not values:
-        raise TTInheritError(f"{csv_path}: no data rows")
+        try:
+            values, any_fail = _read_trials(reader, csv_path)
+        except csv.Error as exc:  # e.g. a field over csv's size limit
+            # DictReader counts a line only once it has parsed it
+            raise TTInheritError(f"{csv_path}, line {reader.reader.line_num}: {exc}") from None
 
     summary_path = os.path.join(args.in_dir, "summary.json")
     record = {"source": csv_path}

@@ -19,11 +19,13 @@ controlled way.  The controlling factors are
                 (alpha_1 = 1 by convention),
     beta_i    — the column-side analogue from V_i(J_i, :).
 
-``check_row_sampling_bounds`` / ``check_column_sampling_bounds`` evaluate
-both sides of every inheritance inequality these factors enter and report
-them as :class:`InheritanceRecord` rows; with exact arithmetic every
-inequality is a proven fact, so a violation (beyond a tiny multiplicative
-slack) means a bug, not bad luck.
+``check_row_sampling_bounds`` / ``check_column_sampling_bounds`` compute
+each factor, each sampled object's SVD and the right-hand sides of every
+inheritance inequality these factors enter; ``_record`` alone turns them
+into :class:`InheritanceRecord` rows of :class:`BoundCheck` and decides
+the rank hypothesis, and each verdict is derived from what a record holds.
+With exact arithmetic every inequality is a proven fact, so a violation
+(beyond a tiny multiplicative slack) means a bug, not bad luck.
 """
 
 from __future__ import annotations
@@ -97,24 +99,26 @@ class IncoherencePair:
 
 @dataclass(frozen=True)
 class UnfoldingReport:
-    """Rank, incoherence, conditioning, and spectrum of one unfolding, with
-    the compact SVD they were read from."""
+    """Incoherence and conditioning of one unfolding, with the compact SVD
+    they were read from; its ``rank`` and spectrum ``sigma`` are the SVD's
+    own (:class:`~ttinherit.linalg.ThinSVD` refuses rank 0)."""
 
     i: int
-    rank: int
     mu: IncoherencePair
     kappa: float
-    sigma: np.ndarray
     svd: ThinSVD = field(repr=False, compare=False)
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise DomainError("unfolding rank must be >= 1")
         if not np.isfinite(self.kappa) or self.kappa < 1.0 - 1e-12:
             raise DomainError(f"condition number must be finite and >= 1, got {self.kappa}")
-        sigma = np.asarray(self.sigma, dtype=np.float64)
-        sigma.setflags(write=False)
-        object.__setattr__(self, "sigma", sigma)
+
+    @property
+    def rank(self) -> int:
+        return self.svd.rank
+
+    @property
+    def sigma(self) -> np.ndarray:
+        return self.svd.sigma
 
     @property
     def mu1(self) -> float:
@@ -127,13 +131,16 @@ class UnfoldingReport:
 
 @dataclass(frozen=True)
 class BoundCheck:
-    """One verified inequality: lhs <= rhs up to multiplicative slack."""
+    """One inequality of the paper, ``lhs <= rhs``, judged with the
+    multiplicative slack :data:`BOUND_SLACK`."""
 
     name: str
     lhs: float
     rhs: float
-    slack: float
-    satisfied: bool
+
+    @property
+    def satisfied(self) -> bool:
+        return self.lhs <= self.rhs * (1.0 + BOUND_SLACK)
 
 
 @dataclass(frozen=True)
@@ -143,9 +150,11 @@ class InheritanceRecord:
     ``kind`` is "alpha_it" (row suite) or "beta_i" (column suite, one
     record per block, alpha_i entering its checks); ``t`` is None except for
     alpha_it.  ``kappa``/``mu1``/``mu2``/``rank`` are the parent-unfolding
-    quantities the right-hand sides are built from.  ``rank_hypothesis_ok``
-    records whether the sampled block kept full rank; when it is False the
-    checks tuple is empty and ``value`` may be NaN.
+    quantities the right-hand sides are built from.  ``checks`` is empty
+    exactly when the rank hypothesis failed (the sampled object kept less
+    than the parent's rank, or its SVD could not be taken); ``value`` is
+    then still the factor, NaN only where it, or the alpha_i it needs,
+    could not be read.
     """
 
     kind: str
@@ -157,7 +166,10 @@ class InheritanceRecord:
     mu2: float
     rank: int
     checks: tuple[BoundCheck, ...]
-    rank_hypothesis_ok: bool
+
+    @property
+    def rank_hypothesis_ok(self) -> bool:
+        return bool(self.checks)
 
     @property
     def satisfied(self) -> bool:
@@ -195,14 +207,7 @@ def incoherence(svd: ThinSVD) -> IncoherencePair:
 
 def unfolding_report(i: int, svd: ThinSVD) -> UnfoldingReport:
     """Package rank/incoherence/conditioning of one unfolding SVD."""
-    return UnfoldingReport(
-        i=i,
-        rank=svd.rank,
-        mu=incoherence(svd),
-        kappa=condition_number(svd),
-        sigma=svd.sigma,
-        svd=svd,
-    )
+    return UnfoldingReport(i=i, mu=incoherence(svd), kappa=condition_number(svd), svd=svd)
 
 
 def tt_incoherence(t: TTTensor, rank_tol: float = DEFAULT_RANK_TOL) -> list[UnfoldingReport]:
@@ -323,33 +328,28 @@ def check_rank_preservation(
     return RankPreservationReport(True, expected, observed, observed == expected)
 
 
-def _check(name: str, lhs: float, rhs: float) -> BoundCheck:
-    return BoundCheck(
-        name, float(lhs), float(rhs), BOUND_SLACK, bool(lhs <= rhs * (1.0 + BOUND_SLACK))
-    )
-
-
 def _record(
     kind: str,
     i: int,
     t: int | None,
     value: float,
     parent: UnfoldingReport,
-    checks: tuple[BoundCheck, ...] = (),
+    sampled: ThinSVD | None,
+    rhs: tuple[float, float, float],
 ) -> InheritanceRecord:
-    """A record against ``parent``; empty ``checks`` mean the rank hypothesis
-    failed."""
+    """The one maker of records and checks, and the one judge of the rank
+    hypothesis: it holds when ``sampled``, the compact SVD of the sampled
+    object (None where it could not be taken), has the parent's rank.  Then
+    its mu1, mu2 and kappa are checked against ``rhs``; otherwise the record
+    has no checks."""
+    checks = ()
+    if sampled is not None and sampled.rank == parent.rank:
+        mu = incoherence(sampled)
+        lhs = (mu.mu1, mu.mu2, condition_number(sampled))
+        checks = tuple(BoundCheck(*c) for c in zip(("mu1", "mu2", "kappa"), lhs, map(float, rhs)))
     return InheritanceRecord(
-        kind=kind,
-        i=i,
-        t=t,
-        value=value,
-        kappa=parent.kappa,
-        mu1=parent.mu1,
-        mu2=parent.mu2,
-        rank=parent.rank,
-        checks=checks,
-        rank_hypothesis_ok=bool(checks),
+        kind=kind, i=i, t=t, value=value, checks=checks,
+        kappa=parent.kappa, mu1=parent.mu1, mu2=parent.mu2, rank=parent.rank,
     )
 
 
@@ -458,8 +458,10 @@ def check_row_sampling_bounds(
         mu2(sub) <= mu2                      (no amplification, exact)
         kappa(sub) <= alpha_it * sqrt(mu1 * r_k) * kappa
 
-    Records are ordered by (i, t).  A failed rank hypothesis flags the
-    record and skips its checks instead of raising.  ``parents``, the
+    Records are ordered by (i, t), each built by :func:`_record`.  A
+    subtensor unfolding whose SVD raises or loses rank fails its rank
+    hypothesis: its record keeps alpha_it and has no checks, and nothing
+    raises.  ``parents``, the
     :func:`tt_incoherence` reports of ``t``, and ``alphas``, the
     :func:`row_sampling_factors` of ``t`` and ``nested``, may be passed to
     share them with the column suite; either is refused with
@@ -477,26 +479,15 @@ def check_row_sampling_bounds(
         sub = row_restrict(t, i, nested[i - 1])
         for t_off in range(1, t.d - i + 1):
             parent = parents[i + t_off - 2]  # unfolding k = i + t_off - 1
-            a, ssvd = alphas[i - 1][t_off - 1], None
+            a, sampled = alphas[i - 1][t_off - 1], None
             if not np.isnan(a):
                 try:
-                    ssvd = unfolding_svd(sub, t_off, rank_tol)
+                    sampled = unfolding_svd(sub, t_off, rank_tol)
                 except (SingularityError, RankZeroError):
-                    a = float("nan")
-            if ssvd is None or ssvd.rank != parent.rank:
-                records.append(_record("alpha_it", i, t_off, a, parent))
-                continue
-            sub_rep = unfolding_report(t_off, ssvd)
-            checks = (
-                _check("mu1", sub_rep.mu1, a**2 * parent.kappa**2 * parent.mu1),
-                _check("mu2", sub_rep.mu2, parent.mu2),
-                _check(
-                    "kappa",
-                    sub_rep.kappa,
-                    a * np.sqrt(parent.mu1 * parent.rank) * parent.kappa,
-                ),
-            )
-            records.append(_record("alpha_it", i, t_off, a, parent, checks))
+                    pass
+            kap, mu1, mu2, r = parent.kappa, parent.mu1, parent.mu2, parent.rank
+            rhs = (a**2 * kap**2 * mu1, mu2, a * np.sqrt(mu1 * r) * kap)
+            records.append(_record("alpha_it", i, t_off, a, parent, sampled, rhs))
     return records
 
 
@@ -521,9 +512,11 @@ def check_column_sampling_bounds(
                 kappa(C) <= alpha beta sqrt(mu1 mu2) r kappa
 
     Returns one "beta_i" record per level, d - 1 in all, carrying beta_i
-    and the three inequalities.  alpha_i = alpha_{i-1,2} has no record: it
-    is read from ``alphas``, and where it is NaN the block fails its rank
-    hypothesis.  ``parents`` and ``alphas`` are as in
+    and the three inequalities (:func:`_record`).  alpha_i = alpha_{i-1,2}
+    has no record: it is read from ``alphas``, and where it is NaN the block
+    fails its rank hypothesis and beta_i is not read (NaN).  A block whose
+    SVD raises or loses rank fails it too and keeps beta_i; a failed
+    record has no checks.  ``parents`` and ``alphas`` are as in
     :func:`check_row_sampling_bounds`.
     """
     validate_nested(t, nested)
@@ -537,35 +530,26 @@ def check_column_sampling_bounds(
     if alphas is None:
         alphas = row_sampling_factors(t, nested, rank_tol, parents)
     records = []
-    for i in range(1, t.d):
+    for i, J in enumerate(J_sets, start=1):
         parent = parents[i - 1]
-        J = J_sets[i - 1]
         I_prev = nested[i - 2] if i >= 2 else IndexSet.full(1)
         rows = kron_extend(I_prev, t.shape[i - 1])
         a = ALPHA_1 if i == 1 else alphas[i - 2][1]
-        b, csvd = float("nan"), None
+        b, sampled = float("nan"), None
         if not np.isnan(a):
             try:
                 b = _beta(J, parent.svd, rank_tol)
-                csvd = submatrix_svd(t, i, rows, J, rank_tol)
+                sampled = submatrix_svd(t, i, rows, J, rank_tol)
             except (SingularityError, RankZeroError):
                 pass
-        if csvd is None or csvd.rank != parent.rank:
-            records.append(_record("beta_i", i, None, b, parent))
-            continue
-        c_rep = unfolding_report(i, csvd)
         kap, mu1, mu2, r = parent.kappa, parent.mu1, parent.mu2, parent.rank
         if i == 1:
-            checks = (
-                _check("mu1", c_rep.mu1, mu1),
-                _check("mu2", c_rep.mu2, b**2 * kap**2 * mu2),
-                _check("kappa", c_rep.kappa, b * np.sqrt(mu2 * r) * kap),
-            )
+            rhs = (mu1, b**2 * kap**2 * mu2, b * np.sqrt(mu2 * r) * kap)
         else:
-            checks = (
-                _check("mu1", c_rep.mu1, a**2 * b**2 * kap**2 * r * mu1 * mu2),
-                _check("mu2", c_rep.mu2, b**2 * kap**2 * mu2),
-                _check("kappa", c_rep.kappa, a * b * np.sqrt(mu1 * mu2) * r * kap),
+            rhs = (
+                a**2 * b**2 * kap**2 * r * mu1 * mu2,
+                b**2 * kap**2 * mu2,
+                a * b * np.sqrt(mu1 * mu2) * r * kap,
             )
-        records.append(_record("beta_i", i, None, b, parent, checks))
+        records.append(_record("beta_i", i, None, b, parent, sampled, rhs))
     return records

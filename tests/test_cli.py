@@ -176,7 +176,7 @@ def test_a_failed_rank_hypothesis_exits_one_in_run_verify_and_report(tmp_path, m
 
     def one_failed_hypothesis(t, nested, *args, **kwargs):
         records = real(t, nested, *args, **kwargs)
-        records[0] = dataclasses.replace(records[0], checks=(), rank_hypothesis_ok=False)
+        records[0] = dataclasses.replace(records[0], checks=())
         return records
 
     monkeypatch.setattr(experiment_mod, "check_row_sampling_bounds", one_failed_hypothesis)
@@ -299,19 +299,29 @@ def test_report_keeps_the_run_record(config_path, tmp_path):
         (5, "abc", "value 'abc' is not a number"),
         (8, None, "fewer than 9 fields"),
         (6, "no", "bound_pass 'no' is not true or false"),
+        pytest.param(5, "1" * 131_073, "field larger than field limit (131072)",
+                     id="oversized field"),
+        pytest.param(0, "gauss\0ian", "generator 'gauss\\x00ian' holds a path separator or NUL",
+                     id="NUL in generator"),
+        pytest.param(0, "gauss/ian", "generator 'gauss/ian' holds a path separator or NUL",
+                     id="separator in generator"),
     ],
 )
 def test_report_malformed_trials_csv_is_usage_error(config_path, tmp_path, capsys,
                                                     field, bad, message):
     assert main(["run", "--config", str(config_path)]) == EXIT_OK
-    csv_path = tmp_path / "out" / "trials.csv"
+    out_dir = tmp_path / "out"
+    csv_path = out_dir / "trials.csv"
     lines = csv_path.read_text().splitlines(keepends=True)
     fields = lines[3].rstrip("\n").split(",")
     lines[3] = ",".join(fields[:field] + ([] if bad is None else [bad]) + fields[field + 1:]) + "\n"
     csv_path.write_text("".join(lines))
-    assert main(["report", "--in", str(tmp_path / "out")]) == EXIT_USAGE
+    files = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    assert main(["report", "--in", str(out_dir)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert f"trials.csv, line 4: {message}" in err
+    # refused before anything is written
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == files
 
 
 def test_report_malformed_summary_json_is_usage_error(config_path, tmp_path, capsys):

@@ -506,7 +506,7 @@ def test_run_trial_maps_records_and_redraws_to_labels(monkeypatch):
         records = real_cols(*args, **kwargs)
         for n, rec in enumerate(records):
             if rec.label == "beta_2":
-                failed = dataclasses.replace(rec.checks[0], satisfied=False)
+                failed = dataclasses.replace(rec.checks[0], lhs=float("inf"))
                 records[n] = dataclasses.replace(rec, checks=(failed,) + rec.checks[1:])
         return records
 

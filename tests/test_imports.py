@@ -4,7 +4,9 @@ Statically, no module of the package imports a name it never uses.  No
 pyflakes or ruff is assumed, so this walks each module's syntax tree.
 ``__init__.py`` is exempt because its imports are the package's re-exports.
 The same walk checks that only ``tt.py`` reads a tensor's ``_memo`` or
-``_forms``, so their layout is known in one module.
+``_forms``, so their layout is known in one module, and that only
+``properties._record`` builds a ``BoundCheck`` or an ``InheritanceRecord``,
+so one routine decides every verdict.
 
 In a fresh interpreter, the package, its command line and the dense oracle
 load neither scipy nor ``urllib.request``, and a run that writes its
@@ -73,6 +75,52 @@ def test_private_reads_flags_the_attribute_not_the_name():
 )
 def test_only_tt_reads_the_tensor_memo(path):
     assert private_reads(path.read_text(encoding="utf-8")) == []
+
+
+def constructor_calls(source: str, names=("BoundCheck", "InheritanceRecord")) -> list[str]:
+    """Calls of the names in ``names``, each as "function calls name" with
+    the innermost function that makes it ("<module>" outside any)."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name in names:
+                    found.append(f"{where} calls {name}")
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_constructor_calls_names_the_innermost_function():
+    source = (
+        "x = BoundCheck(1)\n"
+        "def f():\n"
+        "    def g():\n"
+        "        return p.InheritanceRecord(BoundCheck)\n"
+        "    return [BoundCheck(2)]\n"
+    )
+    assert constructor_calls(source) == [
+        "<module> calls BoundCheck", "g calls InheritanceRecord", "f calls BoundCheck"
+    ]
+
+
+def test_only_record_builds_checks_and_records():
+    found = [
+        f"{path.name}: {call}"
+        for path in sorted(SRC.glob("*.py"))
+        for call in constructor_calls(path.read_text(encoding="utf-8"))
+    ]
+    assert found == [
+        "properties.py: _record calls BoundCheck",
+        "properties.py: _record calls InheritanceRecord",
+    ]
 
 
 def test_the_run_path_imports_neither_scipy_nor_urllib(tmp_path):

@@ -1,5 +1,7 @@
 """Incoherence, condition numbers, sampling factors, and the inheritance bounds."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings
@@ -15,6 +17,7 @@ from ttinherit import (
     IndexSet,
     SingularityError,
     TTTensor,
+    ThinSVD,
     TrialError,
     alpha_i,
     alpha_it,
@@ -40,7 +43,14 @@ from ttinherit import (
 import ttinherit.properties as properties_mod
 from ttinherit.multiindex import Shape, derived_rng
 from ttinherit.oracle import dense_alpha_it, dense_beta_i, dense_properties, dense_unfolding
-from ttinherit.properties import BOUND_SLACK, _refines, validate_nested
+from ttinherit.properties import (
+    BOUND_SLACK,
+    BoundCheck,
+    InheritanceRecord,
+    UnfoldingReport,
+    _refines,
+    validate_nested,
+)
 
 from conftest import coherent, make_tt, rel_err, sample_valid_sets
 
@@ -554,6 +564,66 @@ def test_failed_alpha_i_records_nan_like_its_offset_two_row_factor():
         assert np.isnan(rec.value)
     assert cols["beta_2"].checks == ()
     assert sorted(cols) == ["beta_1", "beta_2", "beta_3"]
+
+
+@pytest.mark.parametrize("how", ["raises", "one rank short"])
+@pytest.mark.parametrize("suite", ["rows", "cols"])
+def test_a_failed_sampled_svd_keeps_the_factor_and_drops_the_checks(monkeypatch, suite, how):
+    # the second sampled SVD of the suite, of record (1, 2) or of beta_2,
+    # raises or loses a rank; only that record changes, and it keeps its factor
+    t = make_tt("gaussian", (4, 3, 3, 2), (2, 3, 2), seed=71)
+    I_sets, J_sets, _ = sample_valid_sets(t, (2, 6, 4), (2, 3, 2), seed=71)
+    parents = tt_incoherence(t)
+    alphas = row_sampling_factors(t, I_sets, parents=parents)
+
+    def run():
+        if suite == "rows":
+            return check_row_sampling_bounds(t, I_sets, parents=parents, alphas=alphas)
+        return check_column_sampling_bounds(t, I_sets, J_sets, parents=parents, alphas=alphas)
+
+    name = "unfolding_svd" if suite == "rows" else "submatrix_svd"
+    want = alphas[0][1] if suite == "rows" else beta_i(t, J_sets[1], 2)
+    before = run()
+    real, calls = getattr(properties_mod, name), []
+
+    def second_fails(*args):
+        calls.append(args)
+        svd = real(*args)
+        if len(calls) != 2:
+            return svd
+        if how == "raises":
+            raise RankZeroError("forged")
+        return ThinSVD(svd.W[:, :-1], svd.sigma[:-1], svd.V[:, :-1])
+
+    monkeypatch.setattr(properties_mod, name, second_fails)
+    after = run()
+    assert len(calls) == len(before) == len(after)
+    failed = after[1]
+    assert failed.value == want == before[1].value and np.isfinite(want)
+    assert failed.checks == ()
+    assert not failed.rank_hypothesis_ok and not failed.satisfied
+    assert dataclasses.replace(failed, checks=before[1].checks) == before[1]
+    assert after[:1] + after[2:] == before[:1] + before[2:]
+    assert all(rec.rank_hypothesis_ok and rec.satisfied for rec in before)
+
+
+def test_a_check_passes_up_to_its_slack_and_fails_past_it():
+    rhs = 3.7
+    edge = rhs * (1 + BOUND_SLACK)
+    assert BoundCheck("kappa", edge, rhs).satisfied
+    assert not BoundCheck("kappa", float(np.nextafter(edge, np.inf)), rhs).satisfied
+
+
+def test_verdicts_and_spectra_are_derived_not_stored():
+    fields = {cls: {f.name for f in dataclasses.fields(cls)}
+              for cls in (BoundCheck, InheritanceRecord, UnfoldingReport)}
+    assert fields[BoundCheck] == {"name", "lhs", "rhs"}
+    assert not {"satisfied", "rank_hypothesis_ok"} & fields[InheritanceRecord]
+    assert fields[UnfoldingReport] == {"i", "mu", "kappa", "svd"}
+    t = make_tt("gaussian", (5, 5, 5, 5), (2, 3, 2), seed=41)
+    for rep in tt_incoherence(t):
+        assert rep.rank == rep.svd.rank
+        assert rep.sigma is rep.svd.sigma
 
 
 # ---------------------------------------------------------------- record labels
